@@ -16,7 +16,7 @@ import numpy as np
 from cfaudit.borrowing import brier_score, select_alpha
 from cfaudit.models import (MulticlassConfig, fit_multiclass,
                             predict_group_probs)
-from cfaudit.pipeline import _fit_external_membership
+from cfaudit.pipeline import fit_external_membership
 from cfaudit.simlab import (ScenarioConfig, generate_population, sim_schema,
                             to_audit_dataset, to_external_dataset,
                             train_risk_model)
@@ -41,7 +41,9 @@ for b in (1.0, 0.5, 0.0, -0.5, -1.0):
     labels = [groups[c] for c in internal.group_codes]
     model_int = fit_multiclass(internal.x, labels, membership_config)
     h_int = predict_group_probs(model_int, internal.x, groups)
-    h_ext = _fit_external_membership(external, internal, membership_config)
+    # the simulated external data shares every covariate with the internal data
+    model_ext = fit_external_membership(external, membership_config)
+    h_ext = predict_group_probs(model_ext, internal.x, groups)
 
     blend = select_alpha(h_ext, h_int, labels, groups, metric="brier",
                          grid_step=0.01)

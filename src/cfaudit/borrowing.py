@@ -46,6 +46,21 @@ def _label_columns(labels, classes) -> np.ndarray:
         raise DimensionMismatch(f"label {err.args[0]} not among the model classes") from None
 
 
+def _one_hot(shape, labels, classes) -> np.ndarray:
+    """Label indicator matrix for probabilities of the given (rows, classes) shape."""
+    if shape[0] != len(labels):
+        raise DimensionMismatch("one probability row per label required")
+    if shape[1] != len(classes):
+        raise DimensionMismatch("one probability column per class required")
+    onehot = np.zeros(shape)
+    onehot[np.arange(len(labels)), _label_columns(labels, classes)] = 1.0
+    return onehot
+
+
+def _brier(probs, onehot) -> float:
+    return float(np.mean(np.sum((probs - onehot) ** 2, axis=1)))
+
+
 def brier_score(probs, labels, classes) -> float:
     """Mean squared distance between probability rows and one-hot labels.
 
@@ -53,13 +68,7 @@ def brier_score(probs, labels, classes) -> float:
     wrong ones. Lower is better.
     """
     probs = np.asarray(probs, dtype=np.float64)
-    if probs.shape[0] != len(labels):
-        raise DimensionMismatch("one probability row per label required")
-    if probs.shape[1] != len(classes):
-        raise DimensionMismatch("one probability column per class required")
-    onehot = np.zeros_like(probs)
-    onehot[np.arange(len(labels)), _label_columns(labels, classes)] = 1.0
-    return float(np.mean(np.sum((probs - onehot) ** 2, axis=1)))
+    return _brier(probs, _one_hot(probs.shape, labels, classes))
 
 
 def _binary_auc(scores, positives) -> float:
@@ -85,6 +94,8 @@ def multiclass_auc(probs, labels, classes) -> float:
 
 
 def alpha_grid(grid_step: float) -> np.ndarray:
+    if not 0.0 < grid_step <= 1.0:
+        raise ValueError("grid_step must lie in (0, 1]")
     points = round(1.0 / grid_step)
     if abs(points * grid_step - 1.0) > 1e-9:
         raise ValueError("grid_step must divide 1 evenly")
@@ -104,9 +115,10 @@ def select_alpha(h_external, h_internal, labels, classes, metric="brier",
     if h_external.shape != h_internal.shape:
         raise DimensionMismatch("blend inputs must have identical shapes")
     if metric == "brier":
-        score_fn, better = brier_score, lambda a, b: a < b
+        onehot = _one_hot(h_internal.shape, labels, classes)  # once per call, not per point
+        score_fn, better = lambda p: _brier(p, onehot), lambda a, b: a < b
     elif metric == "auc":
-        score_fn, better = multiclass_auc, lambda a, b: a > b
+        score_fn, better = lambda p: multiclass_auc(p, labels, classes), lambda a, b: a > b
     else:
         raise ValueError(f"unknown borrowing metric: {metric!r}")
 
@@ -114,7 +126,7 @@ def select_alpha(h_external, h_internal, labels, classes, metric="brier",
     best_alpha, best_score = None, None
     for alpha in alpha_grid(grid_step):
         blended = alpha * h_external + (1.0 - alpha) * h_internal
-        score = score_fn(blended, labels, classes)
+        score = score_fn(blended)
         curve.append((float(alpha), score))
         if best_score is None or better(score, best_score):
             best_alpha, best_score = float(alpha), score

@@ -16,6 +16,7 @@ import numpy as np
 import scipy
 
 from . import __version__
+from .borrowing import alpha_grid
 from .dataset import (DataError, GroupKey, SchemaSpec, load_external,
                       load_internal, subgroup_counts)
 from .estimators import METRICS, UndefinedOperand, delta
@@ -65,6 +66,15 @@ def _resolve(base: Path, value: str) -> Path:
     return path if path.is_absolute() else (base / path)
 
 
+def _grid_step(value) -> float:
+    """The alpha grid step, checked before anything is fitted."""
+    try:
+        alpha_grid(float(value))
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"invalid alpha grid step {value!r}: {err}") from None
+    return float(value)
+
+
 def load_run_config(path, overrides: dict) -> RunConfig:
     """Parse a run config (or a manifest wrapping one) and apply CLI overrides.
     Seeds are mandatory; nothing falls back to wall-clock time."""
@@ -110,8 +120,10 @@ def load_run_config(path, overrides: dict) -> RunConfig:
         borrowing = raw.get("borrowing", {})
         cfg.pipeline.borrow = bool(borrowing.get("enabled", True))
         cfg.pipeline.borrow_metric = borrowing.get("metric", cfg.pipeline.borrow_metric)
-        cfg.pipeline.alpha_grid_step = float(
-            borrowing.get("grid_step", cfg.pipeline.alpha_grid_step))
+        step = overrides.get("alpha_grid_step")
+        if step is None:
+            step = borrowing.get("grid_step", cfg.pipeline.alpha_grid_step)
+        cfg.pipeline.alpha_grid_step = _grid_step(step)
         if overrides.get("borrow_metric"):
             cfg.pipeline.borrow_metric = overrides["borrow_metric"]
         boot = raw.get("bootstrap", {})
@@ -322,6 +334,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
         base = scenario_from_dict(dict(cfg.scenario))
     except (KeyError, TypeError, ValueError) as err:
         raise ConfigError(f"invalid scenario: {err}") from None
+    _grid_step(base.pipeline.alpha_grid_step)
     points = _sweep_points(cfg.sweep)
     sweep_names = sorted(cfg.sweep) if cfg.sweep else []
 
@@ -404,12 +417,10 @@ def main(argv=None) -> int:
     overrides = {
         "mode": args.mode, "out": args.out, "seed": args.seed,
         "threads": args.threads, "borrow_metric": args.borrow_metric,
-        "bootstrap_b": args.bootstrap_b,
+        "bootstrap_b": args.bootstrap_b, "alpha_grid_step": args.alpha_grid_step,
     }
     try:
         cfg = load_run_config(args.config, overrides)
-        if args.alpha_grid_step is not None:
-            cfg.pipeline.alpha_grid_step = args.alpha_grid_step
         if cfg.mode == "audit":
             return cmd_audit(cfg)
         return cmd_simulate(cfg)

@@ -232,7 +232,7 @@ def fit_multiclass(x, labels, config: MulticlassConfig) -> MulticlassModel:
 
     Classes are the sorted unique labels. Training is deterministic given
     config.seed. Raises DegenerateLabels when only one class is present;
-    callers fall back to constant_multiclass.
+    fit_group_membership falls back to constant_multiclass then.
     """
     xb = _add_intercept(x)
     n = xb.shape[0]
@@ -443,8 +443,9 @@ def cross_fit(ds: AuditDataset, spec: NuisanceSpec, k=1, seed=0,
             mu0_s1[hold] = predict_binary(mu_by_s[1], ds.x[hold])
             mu0_all[hold] = predict_binary(mu_star, ds.x[hold])
 
-    group_prob, _ = fit_group_membership(ds, spec.h)
     groups = tuple(ds.schema.all_groups())
+    h_model = fit_group_membership(ds.x, ds.group_codes, groups, spec.h)
+    group_prob = predict_group_probs(h_model, ds.x, groups)
     return NuisanceEstimates(
         propensity=propensity,
         mu0_s1=mu0_s1,
@@ -455,15 +456,13 @@ def cross_fit(ds: AuditDataset, spec: NuisanceSpec, k=1, seed=0,
     )
 
 
-def fit_group_membership(ds: AuditDataset, config: MulticlassConfig):
-    """Fit P(group | x) on the full sample; returns (probabilities over the
-    schema's full group list, fitted model)."""
-    groups = ds.schema.all_groups()
-    labels = [groups[c] for c in ds.group_codes]
+def fit_group_membership(x, group_codes, groups, config: MulticlassConfig) -> MulticlassModel:
+    """Fit P(group | x) from rows labelled groups[code]; degenerate labels fall
+    back to the constant model of their frequencies."""
+    labels = [groups[c] for c in group_codes]
     try:
-        model = fit_multiclass(ds.x, labels, config)
+        return fit_multiclass(x, labels, config)
     except DegenerateLabels:
         present = sorted(set(labels), key=lambda g: g.levels)
         freq = np.array([labels.count(g) for g in present], dtype=np.float64)
-        model = constant_multiclass(present, freq)
-    return predict_group_probs(model, ds.x, groups), model
+        return constant_multiclass(present, freq)

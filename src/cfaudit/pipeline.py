@@ -12,9 +12,9 @@ from .borrowing import BlendedMembership, select_alpha
 from .dataset import AuditDataset, ExternalDataset
 from .estimators import (METHODS, ErrorRateReport, NuisanceEstimates,
                          estimate_all)
-from .models import (BinarySpec, MulticlassConfig, NuisanceSpec,
-                     constant_multiclass, cross_fit, fit_multiclass,
-                     predict_group_probs, DegenerateLabels)
+from .models import (BinarySpec, MulticlassConfig, MulticlassModel,
+                     NuisanceSpec, cross_fit, fit_group_membership,
+                     predict_group_probs)
 
 
 @dataclass
@@ -96,21 +96,11 @@ def pipeline_from_dict(raw: dict) -> PipelineConfig:
     return cfg
 
 
-def _fit_external_membership(external: ExternalDataset, internal: AuditDataset,
-                             config: MulticlassConfig):
-    """Train the membership model on external rows, predict on internal rows
-    restricted to the shared covariate columns."""
-    schema = internal.schema
-    shared = [schema.covariates.index(c) for c in schema.external_covariates]
-    groups = schema.all_groups()
-    labels = [groups[c] for c in external.group_codes]
-    try:
-        model = fit_multiclass(external.x, labels, config)
-    except DegenerateLabels:
-        present = sorted(set(labels), key=lambda g: g.levels)
-        freq = np.array([labels.count(g) for g in present], dtype=np.float64)
-        model = constant_multiclass(present, freq)
-    return predict_group_probs(model, internal.x[:, shared], groups)
+def fit_external_membership(external: ExternalDataset,
+                            config: MulticlassConfig) -> MulticlassModel:
+    """Train the membership model on the external rows (external covariates only)."""
+    return fit_group_membership(external.x, external.group_codes,
+                                external.schema.all_groups(), config)
 
 
 def run_pipeline(internal: AuditDataset, external: ExternalDataset | None,
@@ -139,9 +129,12 @@ def run_pipeline(internal: AuditDataset, external: ExternalDataset | None,
             alpha = 0.0
             borrowed = nuis.group_prob
         else:
-            h_ext = _fit_external_membership(
-                external, internal, replace(config.h_external, seed=h_ext_seed))
-            groups = internal.schema.all_groups()
+            external_model = fit_external_membership(
+                external, replace(config.h_external, seed=h_ext_seed))
+            schema = internal.schema
+            shared = [schema.covariates.index(c) for c in schema.external_covariates]
+            groups = schema.all_groups()
+            h_ext = predict_group_probs(external_model, internal.x[:, shared], groups)
             labels = [groups[c] for c in internal.group_codes]
             blend = select_alpha(h_ext, nuis.group_prob, labels, groups,
                                  metric=config.borrow_metric,

@@ -188,3 +188,16 @@ def test_metric_curve_recorded_and_exportable():
     rows = blend.curve_csv_rows()
     assert rows[0] == ["alpha", "score"]
     assert len(rows) == 12
+
+
+def test_select_alpha_brier_curve_is_brier_score_bit_for_bit():
+    rng = np.random.default_rng(8)
+    labels = keys([3, 0, 3, 1, 0, 1, 3, 0, 1, 1, 3, 0])  # unsorted, class 2 absent
+    h_ext = rng.dirichlet(np.ones(4), size=len(labels))
+    h_int = rng.dirichlet(np.ones(4), size=len(labels))
+    blend = select_alpha(h_ext, h_int, labels, CLASSES4, grid_step=0.01)
+    assert [a for a, _ in blend.metric_curve] == list(alpha_grid(0.01))
+    for alpha, score in blend.metric_curve:
+        assert score == brier_score(alpha * h_ext + (1 - alpha) * h_int, labels, CLASSES4)
+    with pytest.raises(DimensionMismatch):
+        select_alpha(h_ext, h_int, labels[:-1] + keys([9]), CLASSES4, grid_step=0.01)

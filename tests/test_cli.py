@@ -133,6 +133,58 @@ def test_exit_code_missing_config():
     assert main(["--config", "/nonexistent/run.json"]) == 2
 
 
+def test_audit_bootstrap_with_external_data_reproduces_across_threads(tmp_path, monkeypatch):
+    from cfaudit import cli, inference
+    make_audit_files(tmp_path)
+    cfgpath = audit_config(tmp_path, bootstrap_b=3)
+    runs = []
+    real_run = inference.run_pipeline
+
+    def counting_run(*args, **kwargs):
+        runs.append(args[1])
+        return real_run(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_pipeline", counting_run)
+    monkeypatch.setattr(inference, "run_pipeline", counting_run)
+    assert main(["--config", str(cfgpath), "--out", str(tmp_path / "t1"),
+                 "--threads", "1"]) == 0
+    assert len(runs) > 3  # the point run and every replicate
+    assert all(external is not None and external.n == 400 for external in runs)
+    monkeypatch.undo()
+    assert main(["--config", str(tmp_path / "t1" / "manifest.json"),
+                 "--out", str(tmp_path / "t2"), "--threads", "2"]) == 0
+    for name in ("report.json", "report.csv"):
+        assert (tmp_path / "t1" / name).read_bytes() == (tmp_path / "t2" / name).read_bytes()
+
+
+def fail_on_fit(monkeypatch):
+    from cfaudit import models
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a model was fitted before the config was checked")
+
+    monkeypatch.setattr(models, "fit_multiclass", no_fit)
+    monkeypatch.setattr(models, "fit_logistic", no_fit)
+
+
+def test_bad_grid_step_in_audit_config_is_a_config_error(tmp_path, monkeypatch, capsys):
+    make_audit_files(tmp_path)
+    fail_on_fit(monkeypatch)
+    cfgpath = audit_config(tmp_path, borrowing={"enabled": True, "metric": "brier",
+                                                "grid_step": 0.3})
+    assert main(["--config", str(cfgpath)]) == 2
+    assert "grid step" in capsys.readouterr().err
+
+
+def test_bad_grid_step_override_is_a_config_error(tmp_path, monkeypatch, capsys):
+    make_audit_files(tmp_path)
+    fail_on_fit(monkeypatch)
+    for step in ("0.3", "0", "-0.5"):
+        assert main(["--config", str(audit_config(tmp_path)),
+                     "--alpha-grid-step", step]) == 2
+        assert "grid step" in capsys.readouterr().err
+
+
 def scenario_dict(**kw):
     base = {
         "n_internal": 60, "n_external": 150, "n_train": 300,
@@ -204,3 +256,12 @@ def test_simulate_threads_do_not_change_bytes(tmp_path):
     for name in ("replications.csv", "aggregate.csv"):
         assert (tmp_path / "t1" / name).read_bytes() == \
             (tmp_path / "t2" / name).read_bytes()
+
+
+def test_bad_grid_step_in_scenario_pipeline_is_a_config_error(tmp_path, monkeypatch, capsys):
+    fail_on_fit(monkeypatch)
+    scenario = scenario_dict()
+    scenario["pipeline"]["alpha_grid_step"] = 0.3
+    assert main(["--config", str(simulate_config(tmp_path, scenario))]) == 2
+    assert "grid step" in capsys.readouterr().err
+    assert not (tmp_path / "simout").exists()

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from scipy.stats import t as t_dist
 
-from cfaudit.dataset import AuditDataset, GroupKey, SchemaSpec
+from cfaudit.dataset import AuditDataset, ExternalDataset, GroupKey, SchemaSpec
 from cfaudit.inference import bootstrap_estimates, stratified_resample
 from cfaudit.models import BinarySpec, MulticlassConfig
-from cfaudit.pipeline import PipelineConfig
+from cfaudit.pipeline import PipelineConfig, run_pipeline
 
 
 def fast_config(**kw):
@@ -146,6 +146,45 @@ def test_bootstrap_parallel_matches_sequential():
     ds = random_dataset(n=50, seed=6)
     seq = bootstrap_estimates(ds, None, fast_config(), B=6, seed=21, n_jobs=1)
     par = bootstrap_estimates(ds, None, fast_config(), B=6, seed=21, n_jobs=2)
+    for key in seq:
+        assert np.array_equal(seq[key].replicates, par[key].replicates,
+                              equal_nan=True)
+
+
+def borrowing_case(n=60, n_ext=90, seed=12):
+    """An internal dataset, an external one of another size, and a
+    softmax-linear config that borrows from it."""
+    ds = random_dataset(n=n, seed=seed)
+    rng = np.random.default_rng(seed + 1)
+    external = ExternalDataset(schema=ds.schema, group_codes=rng.integers(0, 2, n_ext),
+                               x=rng.standard_normal((n_ext, 2)))
+    config = fast_config(borrow=True, alpha_grid_step=0.05,
+                         methods=("comparison", "proposed-internal", "proposed-borrowing"))
+    return ds, external, config
+
+
+def test_bootstrap_replicates_with_external_data_match_direct_runs():
+    ds, external, config = borrowing_case(seed=13)
+    B, seed = 5, 8
+    out = bootstrap_estimates(ds, external, config, B=B, seed=seed)
+    assert any(key[2] == "proposed-borrowing" for key in out)
+    for b, child in enumerate(np.random.SeedSequence(seed).spawn(B)):
+        rng = np.random.default_rng(child)
+        resampled = stratified_resample(ds, rng)
+        reference = run_pipeline(resampled, external, config,
+                                 int(rng.integers(0, 2**31 - 1)))
+        assert len(reference.report.entries) == len(out)
+        for e in reference.report.entries:
+            value = e.value if e.defined else np.nan
+            assert np.array_equal(out[(e.group, e.metric, e.method)].replicates[b],
+                                  value, equal_nan=True)
+
+
+def test_bootstrap_with_external_parallel_matches_sequential():
+    ds, external, config = borrowing_case(seed=14)
+    seq = bootstrap_estimates(ds, external, config, B=4, seed=21, n_jobs=1)
+    par = bootstrap_estimates(ds, external, config, B=4, seed=21, n_jobs=2)
+    assert seq.keys() == par.keys()
     for key in seq:
         assert np.array_equal(seq[key].replicates, par[key].replicates,
                               equal_nan=True)

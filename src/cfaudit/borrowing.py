@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 
 class DimensionMismatch(Exception):
@@ -72,25 +71,39 @@ def brier_score(probs, labels, classes) -> float:
 
 
 def _binary_auc(scores, positives) -> float:
-    # rank-based Mann-Whitney; average ranks make all-ties come out at 0.5 exactly
-    ranks = rankdata(scores)
-    n_pos = int(np.sum(positives))
+    # rank-based Mann-Whitney; average ranks make all-ties come out at 0.5 exactly.
+    # A tie block at sorted positions [left, right) has 1-based average rank
+    # (left + right + 1) / 2, so the integer sum over positives halved is the
+    # exact rank sum.
+    ordered = np.sort(scores)
+    pos_scores = scores[positives]
+    left = np.searchsorted(ordered, pos_scores, side="left")
+    right = np.searchsorted(ordered, pos_scores, side="right")
+    n_pos = len(pos_scores)
     n_neg = len(scores) - n_pos
-    rank_sum = float(np.sum(ranks[positives]))
+    rank_sum = float(np.sum(left + right + 1)) / 2.0
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
+def _auc_positives(n_rows, labels, classes) -> list[tuple[int, np.ndarray]]:
+    """(column, label mask) for each class present in labels, checked once."""
+    if n_rows != len(labels):
+        raise DimensionMismatch("one probability row per label required")
+    cols = _label_columns(labels, classes)
+    present = np.unique(cols)
+    if len(present) < 2:
+        raise SingleClassLabels("multiclass AUC needs at least two label classes")
+    return [(j, cols == j) for j in present]
+
+
+def _auc(probs, positives) -> float:
+    return float(np.mean([_binary_auc(probs[:, j], mask) for j, mask in positives]))
 
 
 def multiclass_auc(probs, labels, classes) -> float:
     """Unweighted mean of one-vs-rest AUCs over the classes present in labels."""
     probs = np.asarray(probs, dtype=np.float64)
-    if probs.shape[0] != len(labels):
-        raise DimensionMismatch("one probability row per label required")
-    cols = _label_columns(labels, classes)
-    present = sorted(set(cols))
-    if len(present) < 2:
-        raise SingleClassLabels("multiclass AUC needs at least two label classes")
-    aucs = [_binary_auc(probs[:, j], cols == j) for j in present]
-    return float(np.mean(aucs))
+    return _auc(probs, _auc_positives(probs.shape[0], labels, classes))
 
 
 def alpha_grid(grid_step: float) -> np.ndarray:
@@ -118,7 +131,8 @@ def select_alpha(h_external, h_internal, labels, classes, metric="brier",
         onehot = _one_hot(h_internal.shape, labels, classes)  # once per call, not per point
         score_fn, better = lambda p: _brier(p, onehot), lambda a, b: a < b
     elif metric == "auc":
-        score_fn, better = lambda p: multiclass_auc(p, labels, classes), lambda a, b: a > b
+        positives = _auc_positives(h_internal.shape[0], labels, classes)
+        score_fn, better = lambda p: _auc(p, positives), lambda a, b: a > b
     else:
         raise ValueError(f"unknown borrowing metric: {metric!r}")
 

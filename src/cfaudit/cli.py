@@ -75,6 +75,11 @@ def _grid_step(value) -> float:
     return float(value)
 
 
+AUDIT_ONLY_OVERRIDES = {"alpha_grid_step": "--alpha-grid-step",
+                        "borrow_metric": "--borrow-metric",
+                        "bootstrap_b": "--bootstrap-b"}
+
+
 def load_run_config(path, overrides: dict) -> RunConfig:
     """Parse a run config (or a manifest wrapping one) and apply CLI overrides.
     Seeds are mandatory; nothing falls back to wall-clock time."""
@@ -88,7 +93,13 @@ def load_run_config(path, overrides: dict) -> RunConfig:
         raise ConfigError(f"config is not valid JSON: {err}") from None
     if "config_sha256" in raw and "config" in raw:
         raw = raw["config"]  # manifest re-run
+    try:
+        return _decode_run_config(raw, path.parent, overrides)
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"invalid config value: {err}") from None
 
+
+def _decode_run_config(raw: dict, base: Path, overrides: dict) -> RunConfig:
     mode = _require(raw, "mode")
     if mode not in ("audit", "simulate"):
         raise ConfigError(f"unknown mode: {mode!r}")
@@ -105,7 +116,6 @@ def load_run_config(path, overrides: dict) -> RunConfig:
     if out is None:
         raise ConfigError("an output directory is required (config 'out' or --out)")
 
-    base = path.parent
     cfg = RunConfig(mode=mode, seed=int(seed), out=_resolve(base, out),
                     threads=int(overrides.get("threads") or raw.get("threads", 1)))
 
@@ -132,6 +142,9 @@ def load_run_config(path, overrides: dict) -> RunConfig:
         if overrides.get("bootstrap_b") is not None:
             cfg.bootstrap_b = int(overrides["bootstrap_b"])
     else:
+        for name, flag in AUDIT_ONLY_OVERRIDES.items():
+            if overrides.get(name) is not None:
+                raise ConfigError(f"{flag} applies to audit mode only")
         scenario = _require(raw, "scenario")
         if isinstance(scenario, str):
             try:

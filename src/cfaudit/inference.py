@@ -13,7 +13,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import t as t_dist
 
 from .dataset import AuditDataset, ExternalDataset, GroupKey
 from .pipeline import PipelineConfig, run_pipeline
@@ -68,6 +67,13 @@ def _replicate_values(args):
     return values
 
 
+def _t_multiplier(B: int, level: float) -> float:
+    """t_{B-1} quantile at 1 - (1 - level) / 2, the same bits as scipy.stats.t.ppf."""
+    from scipy.special import stdtrit  # imported here so audits without intervals skip it
+
+    return float(stdtrit(B - 1, 1.0 - (1.0 - level) / 2.0))
+
+
 def bootstrap_estimates(internal: AuditDataset, external: ExternalDataset | None,
                         config: PipelineConfig, B: int, seed: int,
                         level: float = 0.95, n_jobs: int = 1,
@@ -97,7 +103,7 @@ def bootstrap_estimates(internal: AuditDataset, external: ExternalDataset | None
         replicate_rows = [_replicate_values(task) for task in tasks]
     matrix = np.vstack(replicate_rows)  # (B, cells)
 
-    t_mult = float(t_dist.ppf(1.0 - (1.0 - level) / 2.0, df=B - 1))
+    t_mult = _t_multiplier(B, level)
     out = {}
     for j, key in enumerate(keys):
         reps = matrix[:, j]

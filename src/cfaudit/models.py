@@ -188,17 +188,37 @@ def _softmax(z):
     return e / e.sum(axis=1, keepdims=True)
 
 
+def _softmax_grad(w, xb, y_onehot, decay):
+    """Class probabilities and the gradient of softmax_objective."""
+    probs = _softmax(xb @ w)
+    grad = xb.T @ (probs - y_onehot) + 2.0 * decay * w
+    return probs, grad
+
+
 def softmax_objective(w, xb, y_onehot, decay):
     """Total cross-entropy plus decay * sum of squared weights, with gradient.
 
     w: (p+1, k) weights including the intercept row; xb includes the
     intercept column.
     """
-    probs = _softmax(xb @ w)
+    probs, grad = _softmax_grad(w, xb, y_onehot, decay)
     ll = np.sum(y_onehot * np.log(np.clip(probs, PROB_EPS, None)))
     loss = -ll + decay * float(np.sum(w * w))
-    grad = xb.T @ (probs - y_onehot) + 2.0 * decay * w
     return loss, grad
+
+
+def _mlp_grads(params, xb, y_onehot, decay):
+    """Class probabilities and the gradients of mlp_objective."""
+    w1, w2 = params
+    hidden = sigmoid(xb @ w1)
+    hb = np.hstack([np.ones((hidden.shape[0], 1)), hidden])
+    probs = _softmax(hb @ w2)
+    delta_out = probs - y_onehot  # (n, k)
+    g2 = hb.T @ delta_out + 2.0 * decay * w2
+    back = delta_out @ w2[1:].T  # (n, H), intercept row carries no signal
+    delta_hidden = back * hidden * (1.0 - hidden)
+    g1 = xb.T @ delta_hidden + 2.0 * decay * w1
+    return probs, (g1, g2)
 
 
 def mlp_objective(params, xb, y_onehot, decay):
@@ -208,18 +228,10 @@ def mlp_objective(params, xb, y_onehot, decay):
     in both layers.
     """
     w1, w2 = params
-    hidden = sigmoid(xb @ w1)
-    hb = np.hstack([np.ones((hidden.shape[0], 1)), hidden])
-    probs = _softmax(hb @ w2)
+    probs, grads = _mlp_grads(params, xb, y_onehot, decay)
     ll = np.sum(y_onehot * np.log(np.clip(probs, PROB_EPS, None)))
     loss = -ll + decay * (float(np.sum(w1 * w1)) + float(np.sum(w2 * w2)))
-
-    delta_out = probs - y_onehot  # (n, k)
-    g2 = hb.T @ delta_out + 2.0 * decay * w2
-    back = delta_out @ w2[1:].T  # (n, H), intercept row carries no signal
-    delta_hidden = back * hidden * (1.0 - hidden)
-    g1 = xb.T @ delta_hidden + 2.0 * decay * w1
-    return loss, (g1, g2)
+    return loss, grads
 
 
 def _xavier_uniform(rng, fan_in, fan_out):
@@ -249,7 +261,7 @@ def fit_multiclass(x, labels, config: MulticlassConfig) -> MulticlassModel:
     if config.kind == "softmax-linear":
         w = np.zeros((xb.shape[1], len(classes)))
         for _ in range(config.epochs):
-            _, grad = softmax_objective(w, xb, y_onehot, config.decay)
+            _, grad = _softmax_grad(w, xb, y_onehot, config.decay)
             w = w - (config.lr / n) * grad
         return MulticlassModel(kind=config.kind, classes=classes, params=(w,), config=config)
 
@@ -258,7 +270,7 @@ def fit_multiclass(x, labels, config: MulticlassConfig) -> MulticlassModel:
         w1 = _xavier_uniform(rng, xb.shape[1], h)
         w2 = _xavier_uniform(rng, h + 1, len(classes))
         for _ in range(config.epochs):
-            _, (g1, g2) = mlp_objective((w1, w2), xb, y_onehot, config.decay)
+            _, (g1, g2) = _mlp_grads((w1, w2), xb, y_onehot, config.decay)
             w1 = w1 - (config.lr / n) * g1
             w2 = w2 - (config.lr / n) * g2
         return MulticlassModel(kind=config.kind, classes=classes, params=(w1, w2), config=config)

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from scipy.stats import rankdata
 
 from cfaudit.borrowing import (DimensionMismatch, SingleClassLabels,
-                               alpha_grid, brier_score, multiclass_auc,
+                               _binary_auc, alpha_grid, brier_score, multiclass_auc,
                                select_alpha)
 from cfaudit.dataset import GroupKey
 
@@ -201,3 +202,35 @@ def test_select_alpha_brier_curve_is_brier_score_bit_for_bit():
         assert score == brier_score(alpha * h_ext + (1 - alpha) * h_int, labels, CLASSES4)
     with pytest.raises(DimensionMismatch):
         select_alpha(h_ext, h_int, labels[:-1] + keys([9]), CLASSES4, grid_step=0.01)
+
+
+def test_binary_auc_equals_rankdata_reference_bit_for_bit_with_ties():
+    def reference(scores, positives):
+        n_pos = int(np.sum(positives))
+        n_neg = len(scores) - n_pos
+        rank_sum = float(np.sum(rankdata(scores)[positives]))
+        return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+    rng = np.random.default_rng(11)
+    for trial in range(500):
+        n = int(rng.integers(2, 300))
+        levels = int(rng.integers(1, 12))  # few distinct scores: long tie blocks
+        scores = rng.integers(0, levels, n) / levels if trial % 3 else rng.random(n)
+        positives = rng.random(n) < rng.uniform(0.05, 0.95)
+        positives[0], positives[1] = True, False
+        assert _binary_auc(scores, positives) == reference(scores, positives)
+
+
+def test_select_alpha_auc_curve_is_multiclass_auc_bit_for_bit():
+    rng = np.random.default_rng(12)
+    labels = keys([3, 0, 3, 1, 0, 1, 3, 0, 1, 1, 3, 0])  # unsorted, class 2 absent
+    h_ext = rng.dirichlet(np.ones(4), size=len(labels))
+    h_int = np.round(rng.dirichlet(np.ones(4), size=len(labels)), 1)  # tied scores
+    blend = select_alpha(h_ext, h_int, labels, CLASSES4, metric="auc", grid_step=0.01)
+    assert [a for a, _ in blend.metric_curve] == list(alpha_grid(0.01))
+    for alpha, score in blend.metric_curve:
+        assert score == multiclass_auc(alpha * h_ext + (1 - alpha) * h_int, labels, CLASSES4)
+    with pytest.raises(DimensionMismatch):
+        select_alpha(h_ext, h_int, labels[:-1] + keys([9]), CLASSES4, metric="auc")
+    with pytest.raises(SingleClassLabels):
+        select_alpha(h_ext, h_int, keys([1] * len(labels)), CLASSES4, metric="auc")

@@ -1,10 +1,15 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
+import cfaudit
 from cfaudit.cli import REPORT_SCHEMA_PATH, main
 from cfaudit.dataset import write_external, write_internal
 from cfaudit.simlab import (ScenarioConfig, generate_population, sim_schema,
@@ -265,3 +270,41 @@ def test_bad_grid_step_in_scenario_pipeline_is_a_config_error(tmp_path, monkeypa
     assert main(["--config", str(simulate_config(tmp_path, scenario))]) == 2
     assert "grid step" in capsys.readouterr().err
     assert not (tmp_path / "simout").exists()
+
+
+def test_bad_number_in_run_config_is_a_config_error(tmp_path, monkeypatch, capsys):
+    make_audit_files(tmp_path)
+    fail_on_fit(monkeypatch)
+    cfgpath = audit_config(tmp_path, bootstrap={"B": "ten", "level": 0.95})
+    assert main(["--config", str(cfgpath)]) == 2
+    assert "'ten'" in capsys.readouterr().err
+
+
+def test_bad_number_in_model_config_is_a_config_error(tmp_path, monkeypatch, capsys):
+    make_audit_files(tmp_path)
+    fail_on_fit(monkeypatch)
+    models = {"pi": {"kind": "logistic-IRLS", "l2": "x"}}
+    assert main(["--config", str(audit_config(tmp_path, models=models))]) == 2
+    assert "'x'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,value", [("--alpha-grid-step", "0.1"),
+                                        ("--borrow-metric", "auc"),
+                                        ("--bootstrap-b", "5")])
+def test_audit_only_override_in_simulate_mode_is_a_config_error(tmp_path, monkeypatch,
+                                                                capsys, flag, value):
+    fail_on_fit(monkeypatch)
+    cfgpath = simulate_config(tmp_path, scenario_dict())
+    assert main(["--config", str(cfgpath), flag, value]) == 2
+    assert flag in capsys.readouterr().err
+    assert not (tmp_path / "simout").exists()
+
+
+def test_importing_the_cli_leaves_scipy_stats_unloaded():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, cfaudit.cli; print('scipy.stats' in sys.modules)"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(Path(cfaudit.__file__).resolve().parents[1])})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

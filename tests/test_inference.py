@@ -3,7 +3,7 @@ import pytest
 from scipy.stats import t as t_dist
 
 from cfaudit.dataset import AuditDataset, ExternalDataset, GroupKey, SchemaSpec
-from cfaudit.inference import bootstrap_estimates, stratified_resample
+from cfaudit.inference import _t_multiplier, bootstrap_estimates, stratified_resample
 from cfaudit.models import BinarySpec, MulticlassConfig
 from cfaudit.pipeline import PipelineConfig, run_pipeline
 
@@ -235,3 +235,10 @@ def test_bootstrap_interval_coverage_under_randomized_treatment():
     coverage = covered / usable
     print(f"coverage: {coverage:.3f} (oracle {truth:.4f})")
     assert coverage >= 0.85
+
+
+def test_t_multiplier_equals_scipy_stats_t_ppf():
+    for level in (0.9, 0.95, 0.99):
+        q = 1.0 - (1.0 - level) / 2.0
+        for B in range(2, 1001):
+            assert _t_multiplier(B, level) == float(t_dist.ppf(q, df=B - 1))

@@ -13,9 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-
-class DimensionMismatch(Exception):
-    pass
+from .models import DimensionMismatch
 
 
 class SingleClassLabels(Exception):

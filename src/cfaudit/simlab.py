@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import AuditDataset, ExternalDataset, GroupKey, SchemaSpec
-from .models import BinarySpec, MulticlassConfig, sigmoid
+from .models import BinarySpec, MulticlassConfig, _softmax, sigmoid
 from .pipeline import PipelineConfig, run_pipeline
 
 SIM_LEVELS = ("0", "1")
@@ -275,12 +275,6 @@ def _design(cfg, x, extra_cols=()):
     return np.hstack(parts)
 
 
-def _softmax_rows(z):
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def _sample_categorical(probs, rng):
     u = rng.random(probs.shape[0])
     cum = np.cumsum(probs, axis=1)
@@ -303,7 +297,7 @@ def generate_population(cfg: ScenarioConfig, role: str, seed,
     x = rng.standard_normal((n, cfg.p_informative + cfg.p_noise))
     group_coef = cfg.coeffs.group * cfg.b if role == "external" else cfg.coeffs.group
     group_design = _design(cfg, x)
-    codes = _sample_categorical(_softmax_rows(group_design @ group_coef.T), rng)
+    codes = _sample_categorical(_softmax(group_design @ group_coef.T), rng)
     if role == "external":
         return Population(role=role, x=x, group_codes=codes)
 

@@ -7,7 +7,7 @@ from cfaudit.models import (BinarySpec, DegenerateLabels, DimensionMismatch,
                             Separation, constant_multiclass, cross_fit,
                             fit_logistic, fit_multiclass, make_crossfit_plan,
                             mlp_objective, predict_binary, predict_multiclass,
-                            softmax_objective)
+                            _softmax, softmax_objective)
 
 
 def test_logistic_recovers_known_coefficients():
@@ -163,6 +163,92 @@ def test_predict_multiclass_rows_sum_to_one_fuzz():
         probs = predict_multiclass(fit_multiclass(x, labels, cfg), x)
         assert np.all(np.abs(probs.sum(axis=1) - 1.0) < 1e-9)
         assert np.all(probs >= 0.0)
+
+
+# Plain-numpy references: axis=1 row reductions and fresh arrays every epoch.
+def _reference_softmax(z):
+    z = z - z.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def _reference_sigmoid(z):
+    return 1.0 / (1.0 + np.exp(-z))
+
+
+def _reference_fit(x, labels, cfg):
+    xb = np.hstack([np.ones((x.shape[0], 1)), x])
+    n = xb.shape[0]
+    classes = sorted(set(labels), key=lambda g: g.levels)
+    y = np.zeros((n, len(classes)))
+    y[np.arange(n), [classes.index(g) for g in labels]] = 1.0
+    rng = np.random.default_rng(cfg.seed)
+    if cfg.kind == "softmax-linear":
+        w = np.zeros((xb.shape[1], len(classes)))
+        for _ in range(cfg.epochs):
+            probs = _reference_softmax(xb @ w)
+            grad = xb.T @ (probs - y) + 2.0 * cfg.decay * w
+            w = w - (cfg.lr / n) * grad
+        return (w,)
+    limit1 = np.sqrt(6.0 / (xb.shape[1] + cfg.hidden))
+    w1 = rng.uniform(-limit1, limit1, size=(xb.shape[1], cfg.hidden))
+    limit2 = np.sqrt(6.0 / (cfg.hidden + 1 + len(classes)))
+    w2 = rng.uniform(-limit2, limit2, size=(cfg.hidden + 1, len(classes)))
+    for _ in range(cfg.epochs):
+        hidden = _reference_sigmoid(xb @ w1)
+        hb = np.hstack([np.ones((n, 1)), hidden])
+        delta_out = _reference_softmax(hb @ w2) - y
+        g2 = hb.T @ delta_out + 2.0 * cfg.decay * w2
+        delta_hidden = (delta_out @ w2[1:].T) * hidden * (1.0 - hidden)
+        g1 = xb.T @ delta_hidden + 2.0 * cfg.decay * w1
+        w1 = w1 - (cfg.lr / n) * g1
+        w2 = w2 - (cfg.lr / n) * g2
+    return (w1, w2)
+
+
+def _reference_predict(params, x):
+    xb = np.hstack([np.ones((x.shape[0], 1)), x])
+    if len(params) == 1:
+        return _reference_softmax(xb @ params[0])
+    w1, w2 = params
+    hidden = _reference_sigmoid(xb @ w1)
+    return _reference_softmax(np.hstack([np.ones((x.shape[0], 1)), hidden]) @ w2)
+
+
+def test_softmax_bit_equal_to_row_reductions():
+    # k = 1..300 spans all three branches of numpy's pairwise summation
+    rng = np.random.default_rng(10)
+    for k in range(1, 301):
+        z = 3.0 * rng.standard_normal((9, k))
+        z[1] = 0.25  # a fully tied row
+        z[2, : (k + 1) // 2] = z[2].max()  # tied row maxima
+        z[3, 0], z[4] = 700.0, -700.0
+        z[5, -1] = -700.0
+        if k > 1:
+            z[6, k // 2] = -np.inf
+        z[7, ::2] = 700.0
+        expected = _reference_softmax(z)
+        assert np.array_equal(_softmax(z), expected), k
+        inplace = z.copy()
+        assert np.array_equal(_softmax(inplace, out=inplace), expected), k
+
+
+@pytest.mark.parametrize("cfg,k", [
+    (MulticlassConfig(epochs=50, lr=0.5), 4),
+    (MulticlassConfig(epochs=50, lr=0.5, decay=0.3), 24),
+    (MulticlassConfig(kind="mlp-1hidden", hidden=7, decay=1.0, epochs=50, seed=3), 4),
+])
+def test_fit_and_predict_multiclass_bit_equal_to_reference(cfg, k):
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal((300, 5))
+    labels = _keys(rng.integers(0, k, 300))
+    model = fit_multiclass(x, labels, cfg)
+    expected = _reference_fit(x, labels, cfg)
+    assert len(model.params) == len(expected)
+    for got, want in zip(model.params, expected):
+        assert np.array_equal(got, want)
+    new_x = rng.standard_normal((40, 5))
+    assert np.array_equal(predict_multiclass(model, new_x), _reference_predict(expected, new_x))
 
 
 def _finite_difference(f, theta, eps=1e-6):

@@ -13,10 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import DimensionMismatch
+from .models import DimensionMismatch, ModelError
 
 
-class SingleClassLabels(Exception):
+class SingleClassLabels(ModelError):
     pass
 
 

@@ -4,7 +4,8 @@ Nonparametric bootstrap stratified by protected group: every replicate keeps
 each group's row count, re-fits all nuisance models and the borrowing weight,
 and re-computes every estimate. Intervals are t-intervals around the
 full-sample point estimate, truncated to [0, 1]. Replicates where a cell is
-inestimable are recorded as NA and excluded from the standard error.
+inestimable, or whose model fits fail, are recorded as NA and excluded from
+the standard error; any other exception is a bug and propagates.
 """
 
 from __future__ import annotations
@@ -15,7 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import AuditDataset, ExternalDataset, GroupKey
+from .models import ModelError
 from .pipeline import PipelineConfig, run_pipeline
+from .simlab import SimulationError
 
 
 @dataclass
@@ -57,7 +60,7 @@ def _replicate_values(args):
     values = np.full(len(keys), np.nan)
     try:
         result = run_pipeline(resampled, external, config, pipeline_seed)
-    except Exception:
+    except (ModelError, SimulationError, np.linalg.LinAlgError):
         return values  # whole replicate inestimable
     lookup = {}
     for e in result.report.entries:

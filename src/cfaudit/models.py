@@ -2,11 +2,18 @@
 
 Binary outcome regressions are penalized logistic fits, solved by IRLS
 (Newton with step halving, so the penalized log-likelihood never decreases)
-or by full-batch gradient descent. Group-membership models are multiclass:
-a softmax-linear model or a single-hidden-layer network with logistic
-activations and weight decay, both trained by full-batch gradient descent
-with deterministic seeded initialization. Each fit reuses its work buffers,
-and the softmax matches numpy's axis=1 reductions bit for bit.
+or by full-batch gradient descent. Group-membership models are multiclass.
+The softmax-linear model has a convex objective and is fitted to convergence
+from zero weights by L-BFGS (Liu & Nocedal, 1989; Nocedal & Wright,
+Numerical Optimization, 2006, Alg. 7.4 with the strong-Wolfe line search of
+Alg. 3.5), at most config.epochs iterations. The single-hidden-layer network
+with logistic activations and weight decay keeps config.epochs epochs of
+full-batch gradient descent with step config.lr from a seeded initialization.
+That budget acts as early stopping that the borrowing estimand relies on:
+fitted by L-BFGS as well in a prototype, the internal network made the
+borrowing weight select alpha = 0 whatever the external data's agreement.
+Each fit reuses its work buffers, and the softmax matches numpy's axis=1
+reductions bit for bit.
 
 The l2 penalty applies to every coefficient, intercept included, so
 penalized fits have a finite optimum even for constant outcomes.
@@ -170,8 +177,8 @@ class MulticlassConfig:
     kind: str = "softmax-linear"  # "softmax-linear" | "mlp-1hidden"
     hidden: int = 100
     decay: float = 0.0  # weight-decay coefficient on the sum of squared weights
-    epochs: int = 500
-    lr: float = 0.5
+    epochs: int = 500  # L-BFGS iteration cap (softmax-linear); epochs (mlp-1hidden)
+    lr: float = 0.5  # gradient-descent step of mlp-1hidden only
     seed: int = 0
 
 
@@ -181,6 +188,9 @@ class MulticlassModel:
     classes: tuple[GroupKey, ...]
     params: tuple  # (w,) linear; (w1, w2) mlp; (probs,) constant
     config: MulticlassConfig | None = None
+    converged: bool = False  # the MLP's gradient descent never claims convergence
+    iterations: int = 0  # optimizer iterations (MLP: epochs) actually run
+    objective: float | None = None  # final objective; None for the constant model
 
 
 def _row_sum(e):
@@ -233,13 +243,13 @@ def _softmax_grad(w, xb, y_onehot, decay, buf=None):
     return probs, grad
 
 
-def softmax_objective(w, xb, y_onehot, decay):
+def softmax_objective(w, xb, y_onehot, decay, buf=None):
     """Total cross-entropy plus decay * sum of squared weights, with gradient.
 
     w: (p+1, k) weights including the intercept row; xb includes the
-    intercept column.
+    intercept column. A fit passes its work buffers as buf.
     """
-    probs, grad = _softmax_grad(w, xb, y_onehot, decay)
+    probs, grad = _softmax_grad(w, xb, y_onehot, decay, buf)
     ll = np.sum(y_onehot * np.log(np.clip(probs, PROB_EPS, None)))
     loss = -ll + decay * float(np.sum(w * w))
     return loss, grad
@@ -269,17 +279,106 @@ def _mlp_grads(params, xb, y_onehot, decay, buf=None):
     return probs, (g1, g2)
 
 
-def mlp_objective(params, xb, y_onehot, decay):
+def mlp_objective(params, xb, y_onehot, decay, buf=None):
     """Objective and gradients for the single-hidden-layer network.
 
     Hidden activation is the logistic sigmoid; decay penalizes every weight
-    in both layers.
+    in both layers. A fit passes its work buffers as buf.
     """
     w1, w2 = params
-    probs, grads = _mlp_grads(params, xb, y_onehot, decay)
+    probs, grads = _mlp_grads(params, xb, y_onehot, decay, buf)
     ll = np.sum(y_onehot * np.log(np.clip(probs, PROB_EPS, None)))
     loss = -ll + decay * (float(np.sum(w1 * w1)) + float(np.sum(w2 * w2)))
     return loss, grads
+
+
+# L-BFGS memory and stopping rule. Memory and the max|g| bound are scipy
+# L-BFGS-B's defaults. Its relative-decrease bound, 2.2e-9, stopped some
+# four-class fits on 600 rows about 1e-6 above the objective that 500
+# gradient-descent epochs reach; 1e-10 costs two to four more iterations.
+LBFGS_MEMORY = 10
+LBFGS_GTOL = 1e-5
+LBFGS_FTOL = 1e-10
+# Strong-Wolfe constants (sufficient decrease, curvature) and the evaluation
+# cap of one line search.
+_WOLFE_C1, _WOLFE_C2 = 1e-4, 0.9
+_LINE_SEARCH_EVALS = 30
+
+
+def _wolfe_step(fun, x, f0, g0, d, step):
+    """Point x + step * d satisfying the strong Wolfe conditions, as
+    (x, f, g), or None after _LINE_SEARCH_EVALS evaluations. Nocedal & Wright
+    Alg. 3.5 (doubling the step until the minimum is bracketed) merged with
+    Alg. 3.6 (zoom by safeguarded cubic interpolation)."""
+    slope0 = float(np.vdot(g0, d))
+    lo, f_lo, s_lo = 0.0, f0, slope0
+    hi = None
+    for _ in range(_LINE_SEARCH_EVALS):
+        x_new = x + step * d
+        f_new, g_new = fun(x_new)
+        s_new = float(np.vdot(g_new, d))
+        if not np.isfinite(f_new) or f_new > f0 + _WOLFE_C1 * step * slope0 or f_new >= f_lo:
+            hi, f_hi, s_hi = step, f_new, s_new
+        elif abs(s_new) <= -_WOLFE_C2 * slope0:
+            return x_new, f_new, g_new
+        else:
+            if s_new * (1.0 if hi is None else hi - lo) >= 0.0:
+                hi, f_hi, s_hi = lo, f_lo, s_lo
+            lo, f_lo, s_lo = step, f_new, s_new
+        if hi is None:
+            step *= 2.0
+            continue
+        # minimiser of the cubic through both ends, kept 10% inside the bracket
+        step = 0.5 * (lo + hi)
+        if np.isfinite(f_hi):
+            d1 = s_lo + s_hi - 3.0 * (f_lo - f_hi) / (lo - hi)
+            disc = d1 * d1 - s_lo * s_hi
+            if disc >= 0.0:
+                d2 = np.copysign(np.sqrt(disc), hi - lo)
+                denom = s_hi - s_lo + 2.0 * d2
+                if denom != 0.0:
+                    cubic = hi - (hi - lo) * (s_hi + d2 - d1) / denom
+                    a, b = sorted((lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo)))
+                    step = min(max(cubic, a), b)
+    return None
+
+
+def _lbfgs(fun, x, max_iter):
+    """Minimise fun from x by L-BFGS (Nocedal & Wright Alg. 7.4 and 7.5).
+
+    fun(x) returns (value, gradient) with a freshly allocated gradient.
+    Returns (x, value, converged, iterations); converged means max|g| <=
+    LBFGS_GTOL or a relative decrease <= LBFGS_FTOL in the last iteration.
+    A failed line search stops at the current point, not converged.
+    """
+    f, g = fun(x)
+    pairs = []  # (s, y, 1 / y's), oldest first
+    for it in range(max_iter):
+        if np.max(np.abs(g)) <= LBFGS_GTOL:
+            return x, f, True, it
+        d = -g
+        alphas = []
+        for s, y, rho in reversed(pairs):
+            alphas.append(rho * np.vdot(s, d))
+            d = d - alphas[-1] * y
+        if pairs:
+            s, y, _ = pairs[-1]
+            d = d * (np.vdot(s, y) / np.vdot(y, y))
+        for (s, y, rho), a in zip(pairs, reversed(alphas)):
+            d = d + (a - rho * np.vdot(y, d)) * s
+        found = _wolfe_step(fun, x, f, g, d, 1.0 if pairs else 1.0 / np.linalg.norm(g))
+        if found is None:
+            return x, f, False, it
+        x_new, f_new, g_new = found
+        s, y = x_new - x, g_new - g
+        sy = float(np.vdot(s, y))
+        if sy > 0.0:
+            pairs = (pairs + [(s, y, 1.0 / sy)])[-LBFGS_MEMORY:]
+        decrease = (f - f_new) / max(abs(f), abs(f_new), 1.0)
+        x, f, g = x_new, f_new, g_new
+        if decrease <= LBFGS_FTOL:
+            return x, f, True, it + 1
+    return x, f, bool(np.max(np.abs(g)) <= LBFGS_GTOL), max_iter
 
 
 def _xavier_uniform(rng, fan_in, fan_out):
@@ -288,10 +387,13 @@ def _xavier_uniform(rng, fan_in, fan_out):
 
 
 def fit_multiclass(x, labels, config: MulticlassConfig) -> MulticlassModel:
-    """Fit class probabilities P(label | x) by full-batch gradient descent.
+    """Fit class probabilities P(label | x) on full batches.
 
-    Classes are the sorted unique labels. Training is deterministic given
-    config.seed. Raises DegenerateLabels when only one class is present;
+    softmax-linear minimises softmax_objective by L-BFGS from zero weights,
+    for at most config.epochs iterations; mlp-1hidden runs config.epochs
+    gradient-descent epochs of step config.lr from a seeded initialization.
+    Classes are the sorted unique labels, and training is deterministic.
+    Raises DegenerateLabels when only one class is present;
     fit_group_membership falls back to constant_multiclass then.
     """
     xb = _add_intercept(x)
@@ -308,11 +410,12 @@ def fit_multiclass(x, labels, config: MulticlassConfig) -> MulticlassModel:
     rng = np.random.default_rng(config.seed)
     if config.kind == "softmax-linear":
         buf = _buffers(n, len(classes))
-        w = np.zeros((xb.shape[1], len(classes)))
-        for _ in range(config.epochs):
-            _, grad = _softmax_grad(w, xb, y_onehot, config.decay, buf)
-            w -= (config.lr / n) * grad
-        return MulticlassModel(kind=config.kind, classes=classes, params=(w,), config=config)
+        w, loss, converged, iterations = _lbfgs(
+            lambda w: softmax_objective(w, xb, y_onehot, config.decay, buf),
+            np.zeros((xb.shape[1], len(classes))), config.epochs)
+        return MulticlassModel(kind=config.kind, classes=classes, params=(w,), config=config,
+                               converged=converged, iterations=iterations,
+                               objective=float(loss))
 
     if config.kind == "mlp-1hidden":
         h = config.hidden
@@ -323,7 +426,9 @@ def fit_multiclass(x, labels, config: MulticlassConfig) -> MulticlassModel:
             _, (g1, g2) = _mlp_grads((w1, w2), xb, y_onehot, config.decay, buf)
             w1 -= (config.lr / n) * g1
             w2 -= (config.lr / n) * g2
-        return MulticlassModel(kind=config.kind, classes=classes, params=(w1, w2), config=config)
+        loss, _ = mlp_objective((w1, w2), xb, y_onehot, config.decay, buf)
+        return MulticlassModel(kind=config.kind, classes=classes, params=(w1, w2), config=config,
+                               iterations=config.epochs, objective=float(loss))
 
     raise ValueError(f"unknown multiclass kind: {config.kind!r}")
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import AuditDataset, ExternalDataset, GroupKey, SchemaSpec
-from .models import BinarySpec, MulticlassConfig, _softmax, sigmoid
+from .models import BinarySpec, ModelError, MulticlassConfig, _softmax, sigmoid
 from .pipeline import PipelineConfig, run_pipeline
 
 SIM_LEVELS = ("0", "1")
@@ -598,7 +598,7 @@ def _run_replication(args):
             external = to_external_dataset(
                 generate_population(cfg, "external", external_seed), schema)
         result = run_pipeline(internal, external, cfg.pipeline, pipeline_seed)
-    except Exception:
+    except (ModelError, SimulationError, np.linalg.LinAlgError):
         rows = [ReplicationRow(rep, g, metric, method, np.nan, False)
                 for g, metric, method in cells]
         return rows, np.nan
@@ -618,8 +618,10 @@ def _run_replication(args):
 def run_scenario(cfg: ScenarioConfig, n_jobs: int = 1) -> ScenarioResult:
     """Full scenario: one shared risk model, oracle truth from the validation
     draw, then independent estimation replications (fresh internal and, when
-    borrowing, external data each time). Replication failures become NA rows;
-    the sweep never aborts. Deterministic for a fixed seed and any n_jobs."""
+    borrowing, external data each time). A replication whose model fit or
+    data generation fails (ModelError, SimulationError, LinAlgError) becomes
+    NA rows; any other exception is a bug and propagates. Deterministic for a
+    fixed seed and any n_jobs."""
     root = np.random.SeedSequence(cfg.seed)
     children = root.spawn(3 + cfg.replications)
     schema = sim_schema(cfg)

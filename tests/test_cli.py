@@ -303,8 +303,9 @@ def test_audit_only_override_in_simulate_mode_is_a_config_error(tmp_path, monkey
 def test_importing_the_cli_leaves_scipy_stats_unloaded():
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, cfaudit.cli; print('scipy.stats' in sys.modules)"],
+         "import sys, cfaudit.cli; "
+         "print('scipy.stats' in sys.modules, 'scipy.optimize' in sys.modules)"],
         capture_output=True, text=True, timeout=60,
         env={**os.environ, "PYTHONPATH": str(Path(cfaudit.__file__).resolve().parents[1])})
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.split() == ["False", "False"]

@@ -3,8 +3,10 @@ import pytest
 from scipy.stats import t as t_dist
 
 from cfaudit.dataset import AuditDataset, ExternalDataset, GroupKey, SchemaSpec
-from cfaudit.inference import _t_multiplier, bootstrap_estimates, stratified_resample
-from cfaudit.models import BinarySpec, MulticlassConfig
+from cfaudit import models
+from cfaudit.inference import (_replicate_values, _t_multiplier, bootstrap_estimates,
+                               stratified_resample)
+from cfaudit.models import BinarySpec, ModelError, MulticlassConfig
 from cfaudit.pipeline import PipelineConfig, run_pipeline
 
 
@@ -134,6 +136,24 @@ def test_bootstrap_na_replicates_excluded_from_se():
     good = res.replicates[~np.isnan(res.replicates)]
     if len(good) > 1:
         assert res.se == pytest.approx(float(np.std(good, ddof=1)))
+
+
+def test_replicate_na_only_for_model_errors(monkeypatch):
+    ds = random_dataset(seed=5)
+    keys = [(e.group, e.metric, e.method)
+            for e in run_pipeline(ds, None, fast_config(), 1).report.entries]
+    task = (ds, None, fast_config(), np.random.SeedSequence(2), keys)
+
+    def failing_fit(error):
+        def fit(*args, **kwargs):
+            raise error("membership fit failed")
+        return fit
+
+    monkeypatch.setattr(models, "fit_multiclass", failing_fit(ModelError))
+    assert np.all(np.isnan(_replicate_values(task)))
+    monkeypatch.setattr(models, "fit_multiclass", failing_fit(TypeError))
+    with pytest.raises(TypeError):
+        _replicate_values(task)
 
 
 def test_bootstrap_rejects_tiny_b():

@@ -7,7 +7,7 @@ from cfaudit.models import (BinarySpec, DegenerateLabels, DimensionMismatch,
                             Separation, constant_multiclass, cross_fit,
                             fit_logistic, fit_multiclass, make_crossfit_plan,
                             mlp_objective, predict_binary, predict_multiclass,
-                            _softmax, softmax_objective)
+                            _lbfgs, _softmax, softmax_objective)
 
 
 def test_logistic_recovers_known_coefficients():
@@ -233,6 +233,13 @@ def test_softmax_bit_equal_to_row_reductions():
         assert np.array_equal(_softmax(inplace, out=inplace), expected), k
 
 
+def _design(x, labels, classes):
+    xb = np.hstack([np.ones((x.shape[0], 1)), x])
+    y = np.zeros((x.shape[0], len(classes)))
+    y[np.arange(x.shape[0]), [classes.index(g) for g in labels]] = 1.0
+    return xb, y
+
+
 @pytest.mark.parametrize("cfg,k", [
     (MulticlassConfig(epochs=50, lr=0.5), 4),
     (MulticlassConfig(epochs=50, lr=0.5, decay=0.3), 24),
@@ -244,11 +251,59 @@ def test_fit_and_predict_multiclass_bit_equal_to_reference(cfg, k):
     labels = _keys(rng.integers(0, k, 300))
     model = fit_multiclass(x, labels, cfg)
     expected = _reference_fit(x, labels, cfg)
+    new_x = rng.standard_normal((40, 5))
+    if cfg.kind == "softmax-linear":
+        # L-BFGS: at the optimum, below the reference gradient descent, repeatable
+        xb, y = _design(x, labels, list(model.classes))
+        loss, grad = softmax_objective(model.params[0], xb, y, cfg.decay)
+        assert np.max(np.abs(grad)) < 0.01
+        assert loss <= softmax_objective(expected[0], xb, y, cfg.decay)[0]
+        assert model.converged and model.objective == loss
+        assert np.array_equal(fit_multiclass(x, labels, cfg).params[0], model.params[0])
+        assert np.array_equal(predict_multiclass(model, new_x),
+                              _reference_predict(model.params, new_x))
+        return
     assert len(model.params) == len(expected)
     for got, want in zip(model.params, expected):
         assert np.array_equal(got, want)
-    new_x = rng.standard_normal((40, 5))
     assert np.array_equal(predict_multiclass(model, new_x), _reference_predict(expected, new_x))
+
+
+def test_mlp_reports_its_epochs_and_final_objective():
+    rng = np.random.default_rng(12)
+    x = rng.standard_normal((80, 3))
+    labels = _keys(rng.integers(0, 3, 80))
+    cfg = MulticlassConfig(kind="mlp-1hidden", hidden=4, decay=0.5, epochs=15, seed=2)
+    model = fit_multiclass(x, labels, cfg)
+    xb, y = _design(x, labels, list(model.classes))
+    assert not model.converged and model.iterations == 15
+    assert model.objective == mlp_objective(model.params, xb, y, cfg.decay)[0]
+
+
+def test_lbfgs_minimises_a_convex_quadratic():
+    rng = np.random.default_rng(13)
+    q = rng.standard_normal((12, 12))
+    a = q @ q.T + 0.5 * np.eye(12)
+    b = rng.standard_normal((6, 2))
+
+    def quadratic(w):
+        aw = (a @ w.ravel()).reshape(w.shape)
+        return 0.5 * float(np.vdot(w, aw)) - float(np.vdot(b, w)), aw - b
+    w, f, converged, iterations = _lbfgs(quadratic, np.zeros((6, 2)), 200)
+    w_star = np.linalg.solve(a, b.ravel()).reshape(6, 2)
+    assert converged and 0 < iterations < 200
+    assert np.max(np.abs(w - w_star)) < 1e-4
+    assert f == quadratic(w)[0]
+
+
+def test_lbfgs_iteration_cap_is_not_convergence():
+    rng = np.random.default_rng(14)
+    x = rng.standard_normal((300, 5))
+    labels = _keys(rng.integers(0, 24, 300))
+    model = fit_multiclass(x, labels, MulticlassConfig(epochs=3))
+    assert not model.converged and model.iterations == 3
+    full = fit_multiclass(x, labels, MulticlassConfig())
+    assert full.converged and full.objective < model.objective
 
 
 def _finite_difference(f, theta, eps=1e-6):

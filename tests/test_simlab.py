@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from cfaudit import models
 from cfaudit.dataset import GroupKey
-from cfaudit.models import BinarySpec, MulticlassConfig
+from cfaudit.models import BinarySpec, ModelError, MulticlassConfig
 from cfaudit.pipeline import PipelineConfig
 from cfaudit.simlab import (SIM_GROUPS, DegenerateOutcome, OracleTruth,
                             Population, RiskModel, ScenarioConfig, _Tree,
@@ -209,6 +210,22 @@ def test_run_scenario_alpha_recorded_when_borrowing():
     assert all(not np.isnan(a) for a in res.alphas)
     borrow_rows = [r for r in res.rows if r.method == "proposed-borrowing"]
     assert borrow_rows
+
+
+def test_replication_na_only_for_model_errors(monkeypatch):
+    def failing_fit(error):
+        def fit(*args, **kwargs):
+            raise error("membership fit failed")
+        return fit
+
+    cfg = small_cfg(replications=1)
+    monkeypatch.setattr(models, "fit_multiclass", failing_fit(ModelError))
+    res = run_scenario(cfg)
+    assert res.rows and not any(r.defined for r in res.rows)
+    assert np.isnan(res.alphas[0])
+    monkeypatch.setattr(models, "fit_multiclass", failing_fit(TypeError))
+    with pytest.raises(TypeError):
+        run_scenario(cfg)
 
 
 def test_run_scenario_without_borrowing_skips_method():

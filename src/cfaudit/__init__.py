@@ -4,11 +4,11 @@ borrowing, stratified bootstrap intervals, and a simulation laboratory with
 an exact-counting ground truth."""
 
 from .borrowing import BlendedMembership, brier_score, multiclass_auc, select_alpha
-from .dataset import (AuditDataset, AuditRecord, DataError, ExternalDataset,
-                      ExternalRecord, GroupKey, LevelSetMismatch, MissingColumn,
-                      MissingValue, NonBinaryValue, SchemaSpec, UnknownLevel,
-                      load_external, load_internal, subgroup_counts,
-                      write_external, write_internal)
+from .dataset import (AuditDataset, DataError, ExternalDataset, GroupKey,
+                      LevelSetMismatch, MissingColumn, MissingValue,
+                      NonBinaryValue, SchemaSpec, UnknownLevel, load_external,
+                      load_internal, subgroup_counts, write_external,
+                      write_internal)
 from .estimators import (DeltaEstimate, ErrorRateEstimate, ErrorRateReport,
                          NuisanceEstimates, UndefinedOperand, comparison_rate,
                          delta, estimate_all, membership_ratio, overall_rate,
@@ -20,9 +20,9 @@ from .models import (BinaryModel, BinarySpec, CrossFitPlan, DegenerateLabels,
                      fit_multiclass, make_crossfit_plan, predict_binary,
                      predict_multiclass)
 from .pipeline import PipelineConfig, PipelineResult, run_pipeline
-from .simlab import (DgpCoefficients, OracleTruth, Population, PotentialRecord,
-                     RiskModel, ScenarioConfig, ScenarioResult,
-                     default_coefficients, generate_population,
+from .simlab import (DgpCoefficients, OracleTruth, Population, RiskModel,
+                     ScenarioConfig, ScenarioResult, default_coefficients,
+                     generate_population,
                      oracle_error_rates, run_scenario, sim_schema,
                      to_audit_dataset, to_external_dataset, train_risk_model)
 

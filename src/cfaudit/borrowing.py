@@ -16,6 +16,9 @@ import numpy as np
 from .models import DimensionMismatch, ModelError
 
 
+BORROW_METRICS = ("brier", "auc")
+
+
 class SingleClassLabels(ModelError):
     pass
 
@@ -104,13 +107,19 @@ def multiclass_auc(probs, labels, classes) -> float:
     return _auc(probs, _auc_positives(probs.shape[0], labels, classes))
 
 
-def alpha_grid(grid_step: float) -> np.ndarray:
+def grid_intervals(grid_step: float) -> int:
+    """Intervals of the alpha grid; ValueError unless the step divides [0, 1]
+    evenly. O(1), so config checks can call it."""
     if not 0.0 < grid_step <= 1.0:
-        raise ValueError("grid_step must lie in (0, 1]")
+        raise ValueError(f"alpha grid step must lie in (0, 1]; got {grid_step!r}")
     points = round(1.0 / grid_step)
     if abs(points * grid_step - 1.0) > 1e-9:
-        raise ValueError("grid_step must divide 1 evenly")
-    return np.linspace(0.0, 1.0, points + 1)
+        raise ValueError(f"alpha grid step must divide 1 evenly; got {grid_step!r}")
+    return points
+
+
+def alpha_grid(grid_step: float) -> np.ndarray:
+    return np.linspace(0.0, 1.0, grid_intervals(grid_step) + 1)
 
 
 def select_alpha(h_external, h_internal, labels, classes, metric="brier",

@@ -7,6 +7,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import itertools
 import json
 import sys
 from dataclasses import dataclass, field, replace
@@ -16,14 +17,14 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .borrowing import alpha_grid
+from .borrowing import BORROW_METRICS, grid_intervals
+from .config import ConfigError, check_choice, decode, encode
 from .dataset import (DataError, GroupKey, SchemaSpec, load_external,
                       load_internal, subgroup_counts)
 from .estimators import METRICS, UndefinedOperand, delta
 from .inference import bootstrap_estimates
-from .pipeline import (PipelineConfig, pipeline_from_dict, pipeline_to_dict,
-                       run_pipeline)
-from .simlab import run_scenario, scenario_from_dict, scenario_to_dict
+from .pipeline import PipelineConfig, run_pipeline
+from .simlab import ScenarioConfig, run_scenario
 
 REPORT_SCHEMA_PATH = Path(__file__).with_name("report_schema.json")
 
@@ -32,132 +33,170 @@ EXIT_DATA = 1
 EXIT_CONFIG = 2
 
 
-class ConfigError(Exception):
-    pass
-
-
-@dataclass
+@dataclass(kw_only=True)
 class RunConfig:
+    """The keys of every run config. Seeds are mandatory; nothing falls back
+    to wall-clock time."""
+
     mode: str
     seed: int
     out: Path
     threads: int = 1
-    # audit mode
-    internal: Path | None = None
+
+
+@dataclass
+class Borrowing:
+    """An audit config's "borrowing" block."""
+
+    enabled: bool = True
+    metric: str = "brier"
+    grid_step: float = 0.001
+
+    def __post_init__(self):
+        check_choice("metric", self.metric, BORROW_METRICS)
+        grid_intervals(self.grid_step)
+
+
+@dataclass
+class Bootstrap:
+    B: int = 0  # 0 disables intervals
+    level: float = 0.95
+
+    def __post_init__(self):
+        if self.B < 0 or self.B == 1:
+            raise ValueError(f"B must be 0 (no intervals) or at least 2; got {self.B}")
+        if not 0.0 < self.level < 1.0:
+            raise ValueError(f"level must lie in (0, 1); got {self.level}")
+
+
+# Pipeline settings that an audit config sets in its borrowing block, so that
+# each has one key path: PipelineConfig field -> borrowing key.
+BORROWING_KEYS = {"borrow": "enabled", "borrow_metric": "metric",
+                  "alpha_grid_step": "grid_step"}
+
+
+@dataclass(kw_only=True)
+class AuditConfig(RunConfig):
+    internal: Path
+    schema: Path
     external: Path | None = None
-    schema: Path | None = None
     reference_group: tuple[str, ...] | None = None
-    pipeline: PipelineConfig = field(default_factory=PipelineConfig)
-    bootstrap_b: int = 0  # 0 disables intervals
-    bootstrap_level: float = 0.95
-    # simulate mode
-    scenario: dict | None = None
-    sweep: dict | None = None
+    models: PipelineConfig = field(default_factory=PipelineConfig)
+    borrowing: Borrowing = field(default_factory=Borrowing)
+    bootstrap: Bootstrap = field(default_factory=Bootstrap)
+
+    def pipeline(self) -> PipelineConfig:
+        return replace(self.models, **{name: getattr(self.borrowing, key)
+                                       for name, key in BORROWING_KEYS.items()})
 
 
-def _require(raw: dict, key: str):
-    if key not in raw:
-        raise ConfigError(f"config is missing required key '{key}'")
-    return raw[key]
+@dataclass(kw_only=True)
+class SimulateConfig(RunConfig):
+    scenario: dict  # decoded with its sweep block by _scenario_points
 
 
-def _resolve(base: Path, value: str) -> Path:
-    path = Path(value)
+# CLI flags that set a key of an audit config's blocks
+AUDIT_OVERRIDES = {"borrow_metric": ("--borrow-metric", "borrowing", "metric"),
+                   "alpha_grid_step": ("--alpha-grid-step", "borrowing", "grid_step"),
+                   "bootstrap_b": ("--bootstrap-b", "bootstrap", "B")}
+
+
+def _read_json(path: Path, what: str):
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            return json.load(f)
+    except FileNotFoundError:
+        raise ConfigError(f"{what} file not found: {path}") from None
+    except json.JSONDecodeError as err:
+        raise ConfigError(f"{what} is not valid JSON: {err}") from None
+
+
+def _resolve(base: Path, path: Path) -> Path:
     return path if path.is_absolute() else (base / path)
 
 
-def _grid_step(value) -> float:
-    """The alpha grid step, checked before anything is fitted."""
-    try:
-        alpha_grid(float(value))
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"invalid alpha grid step {value!r}: {err}") from None
-    return float(value)
-
-
-AUDIT_ONLY_OVERRIDES = {"alpha_grid_step": "--alpha-grid-step",
-                        "borrow_metric": "--borrow-metric",
-                        "bootstrap_b": "--bootstrap-b"}
-
-
-def load_run_config(path, overrides: dict) -> RunConfig:
-    """Parse a run config (or a manifest wrapping one) and apply CLI overrides.
-    Seeds are mandatory; nothing falls back to wall-clock time."""
+def load_run_config(path, overrides: dict) -> AuditConfig | SimulateConfig:
+    """Decode a run config, or the manifest wrapping one, with the CLI
+    overrides written in at their key paths. Relative paths resolve against
+    the config file's directory."""
     path = Path(path)
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            raw = json.load(f)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"config is not valid JSON: {err}") from None
-    if "config_sha256" in raw and "config" in raw:
+    raw = _read_json(path, "config")
+    if isinstance(raw, dict) and "config_sha256" in raw and "config" in raw:
         raw = raw["config"]  # manifest re-run
-    try:
-        return _decode_run_config(raw, path.parent, overrides)
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"invalid config value: {err}") from None
-
-
-def _decode_run_config(raw: dict, base: Path, overrides: dict) -> RunConfig:
-    mode = _require(raw, "mode")
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config: expected an object, got {raw!r}")
+    raw = {**raw, **{key: overrides[key] for key in ("mode", "out", "seed", "threads")
+                     if overrides.get(key) is not None}}
+    mode = raw.get("mode")
     if mode not in ("audit", "simulate"):
-        raise ConfigError(f"unknown mode: {mode!r}")
-    if overrides.get("mode"):
-        mode = overrides["mode"]
+        raise ConfigError(f"mode must be 'audit' or 'simulate'; got {mode!r}")
+    for name, (flag, block, key) in AUDIT_OVERRIDES.items():
+        if overrides.get(name) is None:
+            continue
+        if mode != "audit":
+            raise ConfigError(f"{flag} applies to audit mode only")
+        if isinstance(raw.get(block, {}), dict):
+            raw[block] = {**raw.get(block, {}), key: overrides[name]}
 
-    seed = overrides.get("seed")
-    if seed is None:
-        seed = raw.get("seed")
-    if seed is None:
-        raise ConfigError("a seed is required (config 'seed' or --seed)")
-
-    out = overrides.get("out") or raw.get("out")
-    if out is None:
-        raise ConfigError("an output directory is required (config 'out' or --out)")
-
-    cfg = RunConfig(mode=mode, seed=int(seed), out=_resolve(base, out),
-                    threads=int(overrides.get("threads") or raw.get("threads", 1)))
-
+    base = path.parent
     if mode == "audit":
-        cfg.internal = _resolve(base, _require(raw, "internal"))
-        cfg.schema = _resolve(base, _require(raw, "schema"))
-        if raw.get("external"):
-            cfg.external = _resolve(base, raw["external"])
-        if raw.get("reference_group") is not None:
-            cfg.reference_group = tuple(str(v) for v in raw["reference_group"])
-        cfg.pipeline = pipeline_from_dict(raw.get("models", {}))
-        borrowing = raw.get("borrowing", {})
-        cfg.pipeline.borrow = bool(borrowing.get("enabled", True))
-        cfg.pipeline.borrow_metric = borrowing.get("metric", cfg.pipeline.borrow_metric)
-        step = overrides.get("alpha_grid_step")
-        if step is None:
-            step = borrowing.get("grid_step", cfg.pipeline.alpha_grid_step)
-        cfg.pipeline.alpha_grid_step = _grid_step(step)
-        if overrides.get("borrow_metric"):
-            cfg.pipeline.borrow_metric = overrides["borrow_metric"]
-        boot = raw.get("bootstrap", {})
-        cfg.bootstrap_b = int(boot.get("B", 0))
-        cfg.bootstrap_level = float(boot.get("level", 0.95))
-        if overrides.get("bootstrap_b") is not None:
-            cfg.bootstrap_b = int(overrides["bootstrap_b"])
+        models = raw.get("models")
+        for name, key in BORROWING_KEYS.items():
+            if isinstance(models, dict) and name in models:
+                raise ConfigError(f"unknown key models.{name}: an audit config sets it "
+                                  f"as borrowing.{key}")
+        cfg = decode(AuditConfig, raw)
+        cfg.internal = _resolve(base, cfg.internal)
+        cfg.schema = _resolve(base, cfg.schema)
+        if cfg.external is not None:
+            cfg.external = _resolve(base, cfg.external)
     else:
-        for name, flag in AUDIT_ONLY_OVERRIDES.items():
-            if overrides.get(name) is not None:
-                raise ConfigError(f"{flag} applies to audit mode only")
-        scenario = _require(raw, "scenario")
-        if isinstance(scenario, str):
-            try:
-                with open(_resolve(base, scenario), "r", encoding="utf-8") as f:
-                    scenario = json.load(f)
-            except FileNotFoundError:
-                raise ConfigError(f"scenario file not found: {scenario}") from None
-            except json.JSONDecodeError as err:
-                raise ConfigError(f"scenario is not valid JSON: {err}") from None
-        cfg.sweep = scenario.pop("sweep", None)
-        scenario.setdefault("seed", cfg.seed)
-        cfg.scenario = scenario
+        if isinstance(raw.get("scenario"), str):
+            raw["scenario"] = _read_json(_resolve(base, Path(raw["scenario"])), "scenario")
+        cfg = decode(SimulateConfig, raw)
+    cfg.out = _resolve(base, cfg.out)
     return cfg
+
+
+def _scenario_points(scenario: dict, seed: int) -> tuple[dict, list]:
+    """Decode a scenario object and its optional sweep block.
+
+    Returns the scenario's resolved JSON form, for the manifest, and one
+    (sweep values, ScenarioConfig) pair per sweep point. Every point is
+    decoded from the scenario with its sweep values written in, before any
+    of them runs. Coefficients left unset are the defaults for each point's
+    p_informative and interactions, and stay unset in the resolved form. The
+    scenario seed defaults to the run seed; the points of a sweep with more
+    than one point get seeds derived from it.
+    """
+    raw = {"seed": seed, **scenario}
+    sweep = raw.pop("sweep", None) or {}
+    if not isinstance(sweep, dict):
+        raise ConfigError(f"scenario.sweep: expected an object, got {sweep!r}")
+    for name, values in sweep.items():
+        if not (isinstance(values, list) and values
+                and all(isinstance(v, (int, float)) for v in values)):
+            raise ConfigError(f"scenario.sweep.{name}: expected a non-empty list of "
+                              f"numbers or booleans, got {values!r}")
+    base = decode(ScenarioConfig, raw, "scenario")
+    resolved = encode(base)
+    if raw.get("coefficients") is None:
+        del resolved["coefficients"]
+    if sweep:
+        resolved["sweep"] = sweep
+
+    names = sorted(sweep)
+    combos = list(itertools.product(*(sweep[name] for name in names)))
+    points = []
+    for i, combo in enumerate(combos):
+        point = dict(zip(names, combo))
+        config = decode(ScenarioConfig, {**raw, **point}, "scenario.sweep") if point else base
+        if len(combos) > 1:
+            point_seed = int(np.random.SeedSequence(
+                entropy=base.seed, spawn_key=(i,)).generate_state(1)[0] % (2**31 - 1))
+            config = replace(config, seed=point_seed)
+        points.append((point, config))
+    return resolved, points
 
 
 def _f(value) -> str:
@@ -201,45 +240,28 @@ def _write_manifest(out: Path, mode: str, resolved_config: dict, seed: int,
         f.write("\n")
 
 
-def _group_from_label(label: str, schema: SchemaSpec) -> GroupKey:
-    key = GroupKey(tuple(label.split("|")))
-    if key not in schema.all_groups():
-        raise ConfigError(f"group '{label}' is not in the schema")
-    return key
-
-
-def cmd_audit(cfg: RunConfig) -> int:
+def cmd_audit(cfg: AuditConfig) -> int:
     schema = SchemaSpec.from_json(cfg.schema)
-    internal = load_internal(cfg.internal, schema)
-    external = load_external(cfg.external, schema) if cfg.external else None
-
-    result = run_pipeline(internal, external, cfg.pipeline, cfg.seed)
-    intervals = {}
-    if cfg.bootstrap_b >= 2:
-        intervals = bootstrap_estimates(internal, external, cfg.pipeline,
-                                        B=cfg.bootstrap_b, seed=cfg.seed,
-                                        level=cfg.bootstrap_level,
-                                        n_jobs=cfg.threads)
-
-    reference = None
+    groups = schema.all_groups()
+    reference = groups[0] if len(groups) > 1 else None
     if cfg.reference_group is not None:
         reference = GroupKey(cfg.reference_group)
-        if reference not in schema.all_groups():
-            raise ConfigError(f"reference group {cfg.reference_group} not in schema")
-    elif len(schema.all_groups()) > 1:
-        reference = schema.all_groups()[0]
+        if reference not in groups:
+            raise ConfigError(f"reference_group {list(cfg.reference_group)} is not a "
+                              "group of the schema")
 
-    estimates = []
-    for entry in result.report.entries:
-        row = {
-            "group": entry.group_label(),
-            "metric": entry.metric,
-            "method": entry.method,
-            "value": entry.value,
-            "raw_value": entry.raw_value,
-            "defined": entry.defined,
-            "clipped": entry.clipped,
-        }
+    internal = load_internal(cfg.internal, schema)
+    external = load_external(cfg.external, schema) if cfg.external else None
+    pipeline = cfg.pipeline()
+    result = run_pipeline(internal, external, pipeline, cfg.seed)
+    intervals = {}
+    if cfg.bootstrap.B:
+        intervals = bootstrap_estimates(internal, external, pipeline,
+                                        B=cfg.bootstrap.B, seed=cfg.seed,
+                                        level=cfg.bootstrap.level, n_jobs=cfg.threads)
+
+    estimates = result.report.to_json_rows()
+    for row, entry in zip(estimates, result.report.entries):
         boot = intervals.get((entry.group, entry.metric, entry.method))
         if boot is not None:
             row.update({
@@ -248,7 +270,6 @@ def cmd_audit(cfg: RunConfig) -> int:
                 "truncated_low": boot.truncated_low if boot.lower is not None else None,
                 "truncated_high": boot.truncated_high if boot.lower is not None else None,
             })
-        estimates.append(row)
 
     deltas = []
     if reference is not None:
@@ -259,7 +280,7 @@ def cmd_audit(cfg: RunConfig) -> int:
                     ref_est = result.report.lookup(reference, metric, method)
                 except KeyError:
                     continue
-                for group in schema.all_groups():
+                for group in groups:
                     if group == reference:
                         continue
                     try:
@@ -285,7 +306,7 @@ def cmd_audit(cfg: RunConfig) -> int:
         "n_internal": internal.n,
         "n_external": external.n if external is not None else None,
         "alpha": result.alpha,
-        "borrow_metric": cfg.pipeline.borrow_metric if result.alpha is not None else None,
+        "borrow_metric": pipeline.borrow_metric if result.alpha is not None else None,
         "reference_group": reference.label() if reference is not None else None,
         "estimates": estimates,
         "deltas": deltas,
@@ -306,59 +327,17 @@ def cmd_audit(cfg: RunConfig) -> int:
                      _f(row.get("se")), _f(row.get("lower")), _f(row.get("upper"))])
     _write_csv(cfg.out / "report.csv", rows)
 
-    _write_manifest(cfg.out, "audit", _audit_config_dict(cfg), cfg.seed,
-                    ["report.json", "report.csv"])
+    resolved = encode(cfg)
+    for name in BORROWING_KEYS:
+        del resolved["models"][name]  # the borrowing block holds them
+    _write_manifest(cfg.out, "audit", resolved, cfg.seed, ["report.json", "report.csv"])
     return EXIT_OK
 
 
-def _audit_config_dict(cfg: RunConfig) -> dict:
-    return {
-        "mode": "audit",
-        "seed": cfg.seed,
-        "out": str(cfg.out),
-        "threads": cfg.threads,
-        "internal": str(cfg.internal),
-        "external": str(cfg.external) if cfg.external else None,
-        "schema": str(cfg.schema),
-        "reference_group": list(cfg.reference_group) if cfg.reference_group else None,
-        "models": pipeline_to_dict(cfg.pipeline),
-        "borrowing": {
-            "enabled": cfg.pipeline.borrow,
-            "metric": cfg.pipeline.borrow_metric,
-            "grid_step": cfg.pipeline.alpha_grid_step,
-        },
-        "bootstrap": {"B": cfg.bootstrap_b, "level": cfg.bootstrap_level},
-    }
-
-
-def _sweep_points(sweep: dict | None):
-    if not sweep:
-        return [{}]
-    import itertools
-    names = sorted(sweep)
-    points = []
-    for combo in itertools.product(*(sweep[name] for name in names)):
-        points.append(dict(zip(names, combo)))
-    return points
-
-
-def cmd_simulate(cfg: RunConfig) -> int:
-    try:
-        base = scenario_from_dict(dict(cfg.scenario))
-    except (KeyError, TypeError, ValueError) as err:
-        raise ConfigError(f"invalid scenario: {err}") from None
-    _grid_step(base.pipeline.alpha_grid_step)
-    points = _sweep_points(cfg.sweep)
-    sweep_names = sorted(cfg.sweep) if cfg.sweep else []
-
-    results = []
-    for i, point in enumerate(points):
-        scenario = replace(base, **point) if point else base
-        if len(points) > 1:
-            point_seed = int(np.random.SeedSequence(
-                entropy=base.seed, spawn_key=(i,)).generate_state(1)[0] % (2**31 - 1))
-            scenario = replace(scenario, seed=point_seed)
-        results.append((point, run_scenario(scenario, n_jobs=cfg.threads)))
+def cmd_simulate(cfg: SimulateConfig) -> int:
+    scenario, points = _scenario_points(cfg.scenario, cfg.seed)
+    sweep_names = sorted(points[0][0])
+    results = [(point, run_scenario(config, n_jobs=cfg.threads)) for point, config in points]
 
     cfg.out.mkdir(parents=True, exist_ok=True)
 
@@ -392,14 +371,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
             ])
     _write_csv(cfg.out / "aggregate.csv", agg_rows)
 
-    resolved = {
-        "mode": "simulate",
-        "seed": cfg.seed,
-        "out": str(cfg.out),
-        "threads": cfg.threads,
-        "scenario": {**scenario_to_dict(base),
-                     **({"sweep": cfg.sweep} if cfg.sweep else {})},
-    }
+    resolved = {**encode(cfg), "scenario": scenario}
     _write_manifest(cfg.out, "simulate", resolved, cfg.seed,
                     ["replications.csv", "aggregate.csv"])
     return EXIT_OK
@@ -416,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", help="output directory")
     parser.add_argument("--seed", type=int, help="override the config seed")
     parser.add_argument("--threads", type=int, help="worker processes (default 1)")
-    parser.add_argument("--borrow-metric", choices=["brier", "auc"],
+    parser.add_argument("--borrow-metric", choices=BORROW_METRICS,
                         dest="borrow_metric", help="borrowing selection metric")
     parser.add_argument("--bootstrap-b", type=int, dest="bootstrap_b",
                         help="bootstrap replicate count (0 disables intervals)")

@@ -13,6 +13,7 @@ import csv
 import itertools
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -93,8 +94,13 @@ class SchemaSpec:
         """Every combination of characteristic levels, in level-set product order."""
         return [GroupKey(levels) for levels in itertools.product(*self.level_sets)]
 
+    @cached_property
+    def level_codes(self) -> dict[tuple[str, ...], int]:
+        """Group code of each level combination: its index in all_groups()."""
+        return {levels: code for code, levels in enumerate(itertools.product(*self.level_sets))}
+
     def group_code(self, key: GroupKey) -> int:
-        return self.all_groups().index(key)
+        return self.level_codes[key.levels]
 
     @classmethod
     def from_json(cls, path) -> "SchemaSpec":
@@ -130,21 +136,6 @@ class SchemaSpec:
         }
 
 
-@dataclass(frozen=True)
-class AuditRecord:
-    group: GroupKey
-    d: int
-    y: int
-    s: int
-    x: np.ndarray
-
-
-@dataclass(frozen=True)
-class ExternalRecord:
-    group: GroupKey
-    x: np.ndarray
-
-
 @dataclass
 class AuditDataset:
     """Columnar internal dataset. Immutable after construction; group labels
@@ -174,23 +165,6 @@ class AuditDataset:
     def n(self) -> int:
         return len(self.group_codes)
 
-    def groups_present(self) -> list[GroupKey]:
-        return [g for g, idx in self.group_index.items() if len(idx) > 0]
-
-    def group_of(self, i: int) -> GroupKey:
-        return self.schema.all_groups()[self.group_codes[i]]
-
-    def records(self):
-        groups = self.schema.all_groups()
-        for i in range(self.n):
-            yield AuditRecord(
-                group=groups[self.group_codes[i]],
-                d=int(self.d[i]),
-                y=int(self.y[i]),
-                s=int(self.s[i]),
-                x=self.x[i].copy(),
-            )
-
     def take(self, indices) -> "AuditDataset":
         """Row subset (with repetition allowed) sharing the same schema."""
         idx = np.asarray(indices, dtype=int)
@@ -218,11 +192,6 @@ class ExternalDataset:
 
     def __len__(self) -> int:
         return self.n
-
-    def records(self):
-        groups = self.schema.all_groups()
-        for i in range(self.n):
-            yield ExternalRecord(group=groups[self.group_codes[i]], x=self.x[i].copy())
 
 
 def _read_rows(path):
@@ -260,10 +229,6 @@ def _parse_float(cell, column, row_num):
         raise NonNumericValue(f"non-numeric value '{cell}' for {column} in row {row_num}") from None
 
 
-def _group_code_table(schema: SchemaSpec) -> dict[tuple[str, ...], int]:
-    return {g.levels: code for code, g in enumerate(schema.all_groups())}
-
-
 def load_internal(path, schema: SchemaSpec) -> AuditDataset:
     """Load and validate an internal audit CSV against the schema.
 
@@ -277,7 +242,7 @@ def load_internal(path, schema: SchemaSpec) -> AuditDataset:
         + list(schema.covariates)
     )
     pos = _column_map(header, needed, path)
-    codes = _group_code_table(schema)
+    codes = schema.level_codes
 
     n = len(rows)
     group_codes = np.empty(n, dtype=np.int64)
@@ -315,7 +280,7 @@ def load_external(path, schema: SchemaSpec) -> ExternalDataset:
     header, rows = _read_rows(path)
     needed = list(schema.characteristics) + list(schema.external_covariates)
     pos = _column_map(header, needed, path)
-    codes = _group_code_table(schema)
+    codes = schema.level_codes
 
     n = len(rows)
     group_codes = np.empty(n, dtype=np.int64)

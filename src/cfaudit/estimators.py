@@ -249,20 +249,6 @@ class ErrorRateReport:
             for e in self.entries
         ]
 
-    def to_csv_rows(self) -> list[list]:
-        rows = [["group", "metric", "method", "value", "raw_value", "defined", "clipped"]]
-        for e in self.entries:
-            rows.append([
-                e.group_label(),
-                e.metric,
-                e.method,
-                "NA" if e.value is None else repr(e.value),
-                "NA" if e.raw_value is None else repr(e.raw_value),
-                str(e.defined),
-                str(e.clipped),
-            ])
-        return rows
-
 
 def estimate_all(ds: AuditDataset, nuis: NuisanceEstimates,
                  methods=METHODS, borrowed_group_prob: np.ndarray | None = None,

@@ -1,8 +1,8 @@
 """Nuisance-model fitting from scratch on numpy.
 
 Binary outcome regressions are penalized logistic fits, solved by IRLS
-(Newton with step halving, so the penalized log-likelihood never decreases)
-or by full-batch gradient descent. Group-membership models are multiclass.
+(Newton with step halving, so the penalized log-likelihood never decreases).
+Group-membership models are multiclass.
 The softmax-linear model has a convex objective and is fitted to convergence
 from zero weights by L-BFGS (Liu & Nocedal, 1989; Nocedal & Wright,
 Numerical Optimization, 2006, Alg. 7.4 with the strong-Wolfe line search of
@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import check_choice
 from .dataset import AuditDataset, GroupKey
 from .estimators import NuisanceEstimates
 
@@ -67,7 +68,6 @@ def _add_intercept(x):
 
 @dataclass
 class BinaryModel:
-    kind: str  # "logistic-IRLS" or "logistic-gd"
     coef: np.ndarray  # (p+1,) with intercept first
     converged: bool
     iterations: int
@@ -81,8 +81,7 @@ def _penalized_ll(beta, xb, y, l2):
     return ll - 0.5 * l2 * float(beta @ beta)
 
 
-def fit_logistic(x, y, l2=0.0, kind="logistic-IRLS", max_iter=100, tol=1e-8,
-                 lr=0.5, epochs=5000) -> BinaryModel:
+def fit_logistic(x, y, l2=0.0, max_iter=100, tol=1e-8) -> BinaryModel:
     """Fit P(y=1|x) = sigmoid(intercept + x @ coef) maximizing the l2-penalized
     Bernoulli log-likelihood.
 
@@ -93,30 +92,8 @@ def fit_logistic(x, y, l2=0.0, kind="logistic-IRLS", max_iter=100, tol=1e-8,
     """
     xb = _add_intercept(x)
     y = np.asarray(y, dtype=np.float64)
-    n, p1 = xb.shape
+    p1 = xb.shape[1]
     beta = np.zeros(p1)
-
-    if kind == "logistic-gd":
-        ll = _penalized_ll(beta, xb, y, l2)
-        trace = [ll]
-        it = 0
-        converged = False
-        for it in range(1, epochs + 1):
-            prob = sigmoid(xb @ beta)
-            grad = xb.T @ (y - prob) - l2 * beta
-            step = (lr / n) * grad
-            beta = beta + step
-            trace.append(_penalized_ll(beta, xb, y, l2))
-            if l2 == 0.0 and np.max(np.abs(beta)) > SEPARATION_BOUND:
-                raise Separation("coefficients diverging; refit with l2 > 0")
-            if np.max(np.abs(step)) < tol:
-                converged = True
-                break
-        return BinaryModel(kind=kind, coef=beta, converged=converged,
-                           iterations=it, ll_trace=trace)
-
-    if kind != "logistic-IRLS":
-        raise ValueError(f"unknown binary model kind: {kind!r}")
 
     ll = _penalized_ll(beta, xb, y, l2)
     trace = [ll]
@@ -154,8 +131,7 @@ def fit_logistic(x, y, l2=0.0, kind="logistic-IRLS", max_iter=100, tol=1e-8,
             converged = True
             break
 
-    return BinaryModel(kind="logistic-IRLS", coef=beta, converged=converged,
-                       iterations=it, ll_trace=trace)
+    return BinaryModel(coef=beta, converged=converged, iterations=it, ll_trace=trace)
 
 
 def predict_binary(model: BinaryModel, x) -> np.ndarray:
@@ -172,14 +148,20 @@ def predict_binary(model: BinaryModel, x) -> np.ndarray:
 # multiclass group-membership models
 
 
+MULTICLASS_KINDS = ("softmax-linear", "mlp-1hidden")
+
+
 @dataclass
 class MulticlassConfig:
-    kind: str = "softmax-linear"  # "softmax-linear" | "mlp-1hidden"
+    kind: str = "softmax-linear"  # one of MULTICLASS_KINDS
     hidden: int = 100
     decay: float = 0.0  # weight-decay coefficient on the sum of squared weights
     epochs: int = 500  # L-BFGS iteration cap (softmax-linear); epochs (mlp-1hidden)
     lr: float = 0.5  # gradient-descent step of mlp-1hidden only
-    seed: int = 0
+    seed: int = field(default=0, metadata={"config": False})  # derived from the run seed
+
+    def __post_init__(self):
+        check_choice("kind", self.kind, MULTICLASS_KINDS)
 
 
 @dataclass
@@ -495,11 +477,12 @@ class CrossFitPlan:
 
 @dataclass
 class BinarySpec:
-    kind: str = "logistic-IRLS"
+    kind: str = "logistic-IRLS"  # the only binary fit
     l2: float = 0.0
     max_iter: int = 100
-    lr: float = 0.5
-    epochs: int = 5000
+
+    def __post_init__(self):
+        check_choice("kind", self.kind, ("logistic-IRLS",))
 
 
 @dataclass
@@ -510,8 +493,7 @@ class NuisanceSpec:
 
 
 def _fit_binary_spec(x, y, spec: BinarySpec) -> BinaryModel:
-    return fit_logistic(x, y, l2=spec.l2, kind=spec.kind, max_iter=spec.max_iter,
-                        lr=spec.lr, epochs=spec.epochs)
+    return fit_logistic(x, y, l2=spec.l2, max_iter=spec.max_iter)
 
 
 def _propensity_design(ds: AuditDataset) -> np.ndarray:

@@ -8,7 +8,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .borrowing import BlendedMembership, select_alpha
+from .borrowing import BORROW_METRICS, BlendedMembership, grid_intervals, select_alpha
+from .config import check_choice
 from .dataset import AuditDataset, ExternalDataset
 from .estimators import (METHODS, ErrorRateReport, NuisanceEstimates,
                          estimate_all)
@@ -29,6 +30,12 @@ class PipelineConfig:
     alpha_grid_step: float = 0.001
     methods: tuple[str, ...] = METHODS
 
+    def __post_init__(self):
+        check_choice("borrow_metric", self.borrow_metric, BORROW_METRICS)
+        for method in self.methods:
+            check_choice("methods", method, METHODS)
+        grid_intervals(self.alpha_grid_step)
+
 
 @dataclass
 class PipelineResult:
@@ -36,64 +43,6 @@ class PipelineResult:
     nuisances: NuisanceEstimates
     alpha: float | None  # None when borrowing was not run
     blend: BlendedMembership | None
-
-
-def _binary_spec_to_dict(spec: BinarySpec) -> dict:
-    return {"kind": spec.kind, "l2": spec.l2, "max_iter": spec.max_iter,
-            "lr": spec.lr, "epochs": spec.epochs}
-
-
-def _binary_spec_from_dict(raw: dict) -> BinarySpec:
-    return BinarySpec(kind=raw.get("kind", "logistic-IRLS"),
-                      l2=float(raw.get("l2", 0.0)),
-                      max_iter=int(raw.get("max_iter", 100)),
-                      lr=float(raw.get("lr", 0.5)),
-                      epochs=int(raw.get("epochs", 5000)))
-
-
-def _multiclass_to_dict(cfg: MulticlassConfig) -> dict:
-    return {"kind": cfg.kind, "hidden": cfg.hidden, "decay": cfg.decay,
-            "epochs": cfg.epochs, "lr": cfg.lr}
-
-
-def _multiclass_from_dict(raw: dict) -> MulticlassConfig:
-    return MulticlassConfig(kind=raw.get("kind", "softmax-linear"),
-                            hidden=int(raw.get("hidden", 100)),
-                            decay=float(raw.get("decay", 0.0)),
-                            epochs=int(raw.get("epochs", 500)),
-                            lr=float(raw.get("lr", 0.5)))
-
-
-def pipeline_to_dict(cfg: PipelineConfig) -> dict:
-    return {
-        "pi": _binary_spec_to_dict(cfg.pi),
-        "mu": _binary_spec_to_dict(cfg.mu),
-        "h_internal": _multiclass_to_dict(cfg.h_internal),
-        "h_external": _multiclass_to_dict(cfg.h_external),
-        "crossfit_k": cfg.crossfit_k,
-        "borrow": cfg.borrow,
-        "borrow_metric": cfg.borrow_metric,
-        "alpha_grid_step": cfg.alpha_grid_step,
-        "methods": list(cfg.methods),
-    }
-
-
-def pipeline_from_dict(raw: dict) -> PipelineConfig:
-    cfg = PipelineConfig()
-    if "pi" in raw:
-        cfg.pi = _binary_spec_from_dict(raw["pi"])
-    if "mu" in raw:
-        cfg.mu = _binary_spec_from_dict(raw["mu"])
-    if "h_internal" in raw:
-        cfg.h_internal = _multiclass_from_dict(raw["h_internal"])
-    if "h_external" in raw:
-        cfg.h_external = _multiclass_from_dict(raw["h_external"])
-    cfg.crossfit_k = int(raw.get("crossfit_k", 1))
-    cfg.borrow = bool(raw.get("borrow", True))
-    cfg.borrow_metric = raw.get("borrow_metric", "brier")
-    cfg.alpha_grid_step = float(raw.get("alpha_grid_step", 0.001))
-    cfg.methods = tuple(raw.get("methods", list(METHODS)))
-    return cfg
 
 
 def fit_external_membership(external: ExternalDataset,

@@ -56,23 +56,6 @@ class DgpCoefficients:
     y1: np.ndarray
     treatment: np.ndarray
 
-    def to_dict(self) -> dict:
-        return {
-            "group": self.group.tolist(),
-            "y0": self.y0.tolist(),
-            "y1": self.y1.tolist(),
-            "treatment": self.treatment.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "DgpCoefficients":
-        return cls(
-            group=np.asarray(raw["group"], dtype=np.float64),
-            y0=np.asarray(raw["y0"], dtype=np.float64),
-            y1=np.asarray(raw["y1"], dtype=np.float64),
-            treatment=np.asarray(raw["treatment"], dtype=np.float64),
-        )
-
 
 def default_coefficients(p_informative: int = 10, interactions: bool = False) -> DgpCoefficients:
     """Artifact default parameterization: group shares near (55, 20, 20, 5)%
@@ -135,7 +118,7 @@ class ScenarioConfig:
     interactions: bool = False
     replications: int = 500
     seed: int = 0
-    coeffs: DgpCoefficients | None = None  # None -> defaults
+    coefficients: DgpCoefficients | None = None  # None -> defaults
     positive_rate: float = 0.2
     n_trees: int = 100
     max_depth: int = 4
@@ -148,62 +131,21 @@ class ScenarioConfig:
                      "p_informative", "replications"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
-        if self.coeffs is None:
-            self.coeffs = default_coefficients(self.p_informative, self.interactions)
+        if self.coefficients is None:
+            self.coefficients = default_coefficients(self.p_informative, self.interactions)
         self._check_shapes()
 
     def _check_shapes(self):
         n_inter = (len(INTERACTION_PAIRS) + len(INTERACTION_TRIPLES)) if self.interactions else 0
         f_group = 1 + self.p_informative + n_inter
-        if self.coeffs.group.shape != (len(SIM_GROUPS), f_group):
+        if self.coefficients.group.shape != (len(SIM_GROUPS), f_group):
             raise ValueError(f"group coefficients must have shape (4, {f_group})")
         f_y = 1 + self.p_informative + 2 + n_inter
         for name in ("y0", "y1"):
-            if getattr(self.coeffs, name).shape != (f_y,):
+            if getattr(self.coefficients, name).shape != (f_y,):
                 raise ValueError(f"{name} coefficients must have length {f_y}")
-        if self.coeffs.treatment.shape != (f_y + 1,):
+        if self.coefficients.treatment.shape != (f_y + 1,):
             raise ValueError(f"treatment coefficients must have length {f_y + 1}")
-
-
-def scenario_to_dict(cfg: ScenarioConfig) -> dict:
-    from .pipeline import pipeline_to_dict
-    return {
-        "n_internal": cfg.n_internal,
-        "n_external": cfg.n_external,
-        "n_train": cfg.n_train,
-        "n_validation": cfg.n_validation,
-        "b": cfg.b,
-        "p_informative": cfg.p_informative,
-        "p_noise": cfg.p_noise,
-        "interactions": cfg.interactions,
-        "replications": cfg.replications,
-        "seed": cfg.seed,
-        "coefficients": cfg.coeffs.to_dict(),
-        "positive_rate": cfg.positive_rate,
-        "n_trees": cfg.n_trees,
-        "max_depth": cfg.max_depth,
-        "pipeline": pipeline_to_dict(cfg.pipeline),
-    }
-
-
-def scenario_from_dict(raw: dict) -> ScenarioConfig:
-    from .pipeline import pipeline_from_dict
-    kwargs = {}
-    for name in ("n_internal", "n_external", "n_train", "n_validation",
-                 "p_informative", "p_noise", "replications", "seed",
-                 "n_trees", "max_depth"):
-        if name in raw:
-            kwargs[name] = int(raw[name])
-    for name in ("b", "positive_rate"):
-        if name in raw:
-            kwargs[name] = float(raw[name])
-    if "interactions" in raw:
-        kwargs["interactions"] = bool(raw["interactions"])
-    if "coefficients" in raw:
-        kwargs["coeffs"] = DgpCoefficients.from_dict(raw["coefficients"])
-    if "pipeline" in raw:
-        kwargs["pipeline"] = pipeline_from_dict(raw["pipeline"])
-    return ScenarioConfig(**kwargs)
 
 
 def sim_schema(cfg: ScenarioConfig) -> SchemaSpec:
@@ -220,17 +162,6 @@ def sim_schema(cfg: ScenarioConfig) -> SchemaSpec:
     )
 
 
-@dataclass(frozen=True)
-class PotentialRecord:
-    group: GroupKey
-    x: np.ndarray
-    y0: int | None
-    y1: int | None
-    d: int | None
-    y: int | None
-    s: int | None
-
-
 @dataclass
 class Population:
     role: str  # "train" | "validation" | "internal" | "external"
@@ -245,17 +176,6 @@ class Population:
     @property
     def n(self) -> int:
         return len(self.group_codes)
-
-    def records(self):
-        def pick(col, i):
-            return None if col is None else int(col[i])
-        for i in range(self.n):
-            yield PotentialRecord(
-                group=SIM_GROUPS[self.group_codes[i]],
-                x=self.x[i].copy(),
-                y0=pick(self.y0, i), y1=pick(self.y1, i),
-                d=pick(self.d, i), y=pick(self.y, i), s=pick(self.s, i),
-            )
 
 
 def _interaction_block(x_inf) -> np.ndarray:
@@ -295,7 +215,7 @@ def generate_population(cfg: ScenarioConfig, role: str, seed,
     rng = np.random.default_rng(seed)
 
     x = rng.standard_normal((n, cfg.p_informative + cfg.p_noise))
-    group_coef = cfg.coeffs.group * cfg.b if role == "external" else cfg.coeffs.group
+    group_coef = cfg.coefficients.group * cfg.b if role == "external" else cfg.coefficients.group
     group_design = _design(cfg, x)
     codes = _sample_categorical(_softmax(group_design @ group_coef.T), rng)
     if role == "external":
@@ -304,15 +224,15 @@ def generate_population(cfg: ScenarioConfig, role: str, seed,
     a1 = np.array([int(g.levels[0]) for g in SIM_GROUPS])[codes]
     a2 = np.array([int(g.levels[1]) for g in SIM_GROUPS])[codes]
     y_design = _design(cfg, x, extra_cols=(a1, a2))
-    y0 = (rng.random(n) < sigmoid(y_design @ cfg.coeffs.y0)).astype(np.int8)
-    y1 = (rng.random(n) < sigmoid(y_design @ cfg.coeffs.y1)).astype(np.int8)
+    y0 = (rng.random(n) < sigmoid(y_design @ cfg.coefficients.y0)).astype(np.int8)
+    y1 = (rng.random(n) < sigmoid(y_design @ cfg.coefficients.y1)).astype(np.int8)
 
     if role == "internal":
         if risk_model is None:
             raise ValueError("internal populations need the risk model to assign treatment")
         s = risk_model.predict(x)
         d_design = _design(cfg, x, extra_cols=(a1, a2, s))
-        d = (rng.random(n) < sigmoid(d_design @ cfg.coeffs.treatment)).astype(np.int8)
+        d = (rng.random(n) < sigmoid(d_design @ cfg.coefficients.treatment)).astype(np.int8)
         y = (d * y1 + (1 - d) * y0).astype(np.int8)
         return Population(role=role, x=x, group_codes=codes,
                           y0=y0, y1=y1, d=d, y=y, s=s)
@@ -460,13 +380,6 @@ class OracleTruth:
     def get(self, group, metric) -> float:
         return self.rates[(group, metric)]
 
-    def to_rows(self) -> list[dict]:
-        return [
-            {"group": "overall" if g is None else g.label(), "metric": m,
-             "value": None if np.isnan(v) else v}
-            for (g, m), v in self.rates.items()
-        ]
-
 
 def _count_rate(mask_event, mask_condition) -> float:
     denom = int(np.sum(mask_condition))
@@ -524,14 +437,6 @@ class ScenarioResult:
     oracle: OracleTruth
     rows: list  # ReplicationRow
     alphas: list  # per replication; NaN when borrowing did not run
-
-    def cells(self):
-        seen = []
-        for row in self.rows:
-            key = (row.group, row.metric, row.method)
-            if key not in seen:
-                seen.append(key)
-        return seen
 
     def aggregate(self) -> list[dict]:
         """Per cell: mean and 95%-tile interval of the defined replicates,

@@ -132,7 +132,7 @@ def test_criterion_03_consistency_randomized_treatment():
             crossfit_k=1,
         )
         cfg = ScenarioConfig(n_internal=50000, replications=20, seed=301,
-                             coeffs=coeffs, pipeline=pipe)
+                             coefficients=coeffs, pipeline=pipe)
         res = run_scenario(cfg)
         majority = SIM_GROUPS[0]
         truth = res.oracle.get(majority, "cFNR")

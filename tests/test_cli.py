@@ -309,3 +309,109 @@ def test_importing_the_cli_leaves_scipy_stats_unloaded():
         env={**os.environ, "PYTHONPATH": str(Path(cfaudit.__file__).resolve().parents[1])})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False", "False"]
+
+
+def set_key(config: dict, dotted: str, value):
+    """Set the dotted key path of a JSON config, creating objects on the way."""
+    *parents, last = dotted.split(".")
+    node = config
+    for key in parents:
+        node = node.setdefault(key, {})
+    node[last] = value
+    return config
+
+
+def rewrite(path, dotted, value):
+    path.write_text(json.dumps(set_key(json.loads(path.read_text()), dotted, value)))
+    return path
+
+
+@pytest.mark.parametrize("dotted,value,named", [
+    ("bootstrap.b", 3, "unknown key bootstrap.b"),
+    ("bootstrap.B", 1, "B must be 0 (no intervals) or at least 2"),
+    ("borrowing.enabled", "no", "borrowing.enabled: expected bool, got 'no'"),
+    ("models.methods", ["comparison", "fancy"], "'fancy'"),
+    ("borrowing.metric", "brierr", "'brierr'"),
+    ("models.h_internal.kind", "mlp", "'mlp'"),
+    ("models.pi.kind", "logistic-gd", "'logistic-gd'"),
+    ("models.pi.lr", 0.5, "unknown key models.pi.lr"),
+    ("models.h_internal.seed", 4, "unknown key models.h_internal.seed"),
+    ("models.borrow_metric", "auc", "models.borrow_metric"),
+    ("reference_group", ["9", "9"], "['9', '9']"),
+])
+def test_bad_audit_config_exits_2_before_any_fit(tmp_path, monkeypatch, capsys,
+                                                 dotted, value, named):
+    make_audit_files(tmp_path)
+    fail_on_fit(monkeypatch)
+    assert main(["--config", str(rewrite(audit_config(tmp_path), dotted, value))]) == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("dotted,value,named", [
+    ("scenario.n_intenral", 50, "unknown key scenario.n_intenral"),
+    ("scenario.pipeline.h_internal.decy", 1, "unknown key scenario.pipeline.h_internal.decy"),
+    ("sweep", {"b": [0.0, 1.0]}, "unknown key sweep"),
+    ("scenario.pipeline.methods", ["comparison", "fancy"], "'fancy'"),
+    ("scenario.pipeline.borrow", "false", "scenario.pipeline.borrow: expected bool"),
+    ("scenario.pipeline.borrow_metric", "brierr", "'brierr'"),
+    ("scenario.pipeline.h_internal.kind", "mlp", "'mlp'"),
+    ("scenario.pipeline.pi.kind", "logistic-gd", "'logistic-gd'"),
+    ("scenario.sweep", {"n_intenral": [50, 80]}, "unknown key scenario.sweep.n_intenral"),
+    ("scenario.sweep", {"pipeline": [{}]}, "scenario.sweep.pipeline"),
+    ("scenario.sweep", {"b": []}, "scenario.sweep.b"),
+])
+def test_bad_simulate_config_exits_2_before_any_fit(tmp_path, monkeypatch, capsys,
+                                                    dotted, value, named):
+    fail_on_fit(monkeypatch)
+    cfgpath = rewrite(simulate_config(tmp_path, scenario_dict()), dotted, value)
+    assert main(["--config", str(cfgpath)]) == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "simout").exists()
+
+
+def test_interaction_sweep_with_explicit_coefficients_of_the_wrong_shape(
+        tmp_path, monkeypatch, capsys):
+    from cfaudit.config import encode
+    from cfaudit.simlab import default_coefficients
+
+    fail_on_fit(monkeypatch)
+    scenario = scenario_dict(coefficients=encode(default_coefficients()),
+                             sweep={"interactions": [False, True]})
+    assert main(["--config", str(simulate_config(tmp_path, scenario))]) == 2
+    assert "group coefficients must have shape" in capsys.readouterr().err
+    assert not (tmp_path / "simout").exists()
+
+
+def test_interaction_sweep_with_default_coefficients_reruns_from_manifest(tmp_path):
+    scenario = scenario_dict(replications=1, sweep={"interactions": [False, True]})
+    assert main(["--config", str(simulate_config(tmp_path, scenario))]) == 0
+    out = tmp_path / "simout"
+    agg = list(csv.reader(open(out / "aggregate.csv")))
+    assert agg[0][0] == "interactions"
+    assert {row[0] for row in agg[1:]} == {"False", "True"}
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert "coefficients" not in manifest["config"]["scenario"]
+    assert main(["--config", str(out / "manifest.json"), "--out", str(tmp_path / "again")]) == 0
+    for name in ("replications.csv", "aggregate.csv"):
+        assert (tmp_path / "again" / name).read_bytes() == (out / name).read_bytes()
+
+
+def test_documented_run_configs_decode_strictly(tmp_path):
+    import ast
+    import re
+
+    from cfaudit.cli import load_run_config
+
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    example = re.search(r"Example audit config:\s*```json\n(.*?)```", readme, re.S).group(1)
+    demo = ast.parse((root / "demos" / "05_cli_roundtrip.py").read_text(encoding="utf-8"))
+    run_config = next(ast.literal_eval(node.value) for node in demo.body
+                      if isinstance(node, ast.Assign)
+                      and getattr(node.targets[0], "id", None) == "run_config")
+    for name, config in (("readme", json.loads(example)), ("demo", run_config)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(config))
+        cfg = load_run_config(path, {})
+        assert cfg.mode == "audit" and cfg.pipeline().borrow_metric == "brier"

@@ -80,9 +80,9 @@ def test_load_external_valid_and_mismatch(tmp_path):
     write_csv(good, ["a1", "a2", "x1"], [["0", "1", 1.5], ["1", "1", -0.5]])
     ext = load_external(good, schema)
     assert ext.n == 2
-    recs = list(ext.records())
-    assert recs[0].group == GroupKey(("0", "1"))
-    assert not hasattr(recs[0], "d")
+    assert [schema.all_groups()[c] for c in ext.group_codes] == [GroupKey(("0", "1")),
+                                                                 GroupKey(("1", "1"))]
+    assert not hasattr(ext, "d")
 
     bad = tmp_path / "ext_bad.csv"
     write_csv(bad, ["a1", "a2", "x1"], [["0", "9", 1.5]])
@@ -207,17 +207,9 @@ def test_subgroup_counts_permutation_invariant():
         assert np.array_equal(c1[g], c2[g])
 
 
-def test_records_iteration_order():
+def test_group_codes_index_all_groups_in_product_order():
     schema = two_char_schema()
-    ds = AuditDataset(
-        schema=schema,
-        group_codes=np.array([2, 0]),
-        d=np.array([0, 1], dtype=np.int8),
-        y=np.array([1, 0], dtype=np.int8),
-        s=np.array([0, 1], dtype=np.int8),
-        x=np.array([[1.0], [2.0]]),
-    )
-    recs = list(ds.records())
-    assert recs[0].group == GroupKey(("1", "0"))
-    assert recs[1].group == GroupKey(("0", "0"))
-    assert recs[0].x[0] == 1.0
+    groups = schema.all_groups()
+    assert groups[2] == GroupKey(("1", "0")) and groups[0] == GroupKey(("0", "0"))
+    assert [schema.group_code(g) for g in groups] == list(range(len(groups)))
+    assert schema.level_codes == {g.levels: code for code, g in enumerate(groups)}

@@ -360,8 +360,3 @@ def test_report_serialization_rows():
                             "defined", "clipped"}
     undefined = [r for r in json_rows if not r["defined"]]
     assert undefined and all(r["value"] is None for r in undefined)
-    csv_rows = report.to_csv_rows()
-    assert csv_rows[0] == ["group", "metric", "method", "value", "raw_value",
-                           "defined", "clipped"]
-    assert len(csv_rows) == len(report.entries) + 1
-    assert any(cell == "NA" for row in csv_rows[1:] for cell in row)

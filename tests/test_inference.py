@@ -223,7 +223,7 @@ def test_bootstrap_interval_coverage_under_randomized_treatment():
 
     coeffs = default_coefficients()
     coeffs.treatment[:] = 0.0  # P(D=1) = 1/2 everywhere
-    cfg = ScenarioConfig(n_internal=1000, replications=1, seed=880, coeffs=coeffs)
+    cfg = ScenarioConfig(n_internal=1000, replications=1, seed=880, coefficients=coeffs)
     pipe = PipelineConfig(
         pi=BinarySpec(l2=0.01), mu=BinarySpec(l2=0.01),
         h_internal=MulticlassConfig(kind="softmax-linear", epochs=200, lr=2.0),

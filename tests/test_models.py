@@ -48,16 +48,6 @@ def test_logistic_separation_raises():
         fit_logistic(x, y, l2=0.0)
 
 
-def test_logistic_gd_matches_irls():
-    rng = np.random.default_rng(9)
-    x = rng.standard_normal((800, 2))
-    p = 1.0 / (1.0 + np.exp(-(0.3 + 0.8 * x[:, 0])))
-    y = (rng.random(800) < p).astype(int)
-    irls = fit_logistic(x, y, l2=0.1)
-    gd = fit_logistic(x, y, l2=0.1, kind="logistic-gd", epochs=20000, lr=1.0)
-    assert np.all(np.abs(irls.coef - gd.coef) < 1e-3)
-
-
 def test_predict_binary_constant_half():
     model = fit_logistic(np.zeros((10, 1)), np.array([0, 1] * 5), l2=1e-9)
     model.coef[:] = 0.0

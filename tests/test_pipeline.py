@@ -1,9 +1,11 @@
+import json
+
 import numpy as np
 
+from cfaudit.config import decode, encode
 from cfaudit.dataset import ExternalDataset
 from cfaudit.models import BinarySpec, MulticlassConfig
-from cfaudit.pipeline import (PipelineConfig, pipeline_from_dict,
-                              pipeline_to_dict, run_pipeline)
+from cfaudit.pipeline import PipelineConfig, run_pipeline
 from cfaudit.simlab import (ScenarioConfig, generate_population, sim_schema,
                             to_audit_dataset, to_external_dataset,
                             train_risk_model)
@@ -74,9 +76,5 @@ def test_pipeline_crossfit_path():
 def test_pipeline_config_dict_roundtrip():
     cfg = fast_pipeline(crossfit_k=3, borrow_metric="auc",
                         methods=("comparison", "proposed-internal"))
-    back = pipeline_from_dict(pipeline_to_dict(cfg))
-    assert back.crossfit_k == 3
-    assert back.borrow_metric == "auc"
-    assert back.methods == ("comparison", "proposed-internal")
-    assert back.pi.l2 == cfg.pi.l2
-    assert back.h_internal.epochs == cfg.h_internal.epochs
+    back = decode(PipelineConfig, json.loads(json.dumps(encode(cfg))), "pipeline")
+    assert back == cfg

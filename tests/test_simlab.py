@@ -73,9 +73,8 @@ def test_external_b_one_matches_internal_group_distribution():
 
 def test_external_population_has_no_outcome_columns():
     pop = generate_population(small_cfg(), "external", 1)
-    assert pop.y0 is None and pop.d is None and pop.s is None
-    rec = next(pop.records())
-    assert rec.y0 is None and rec.s is None
+    assert pop.y0 is None and pop.y1 is None and pop.d is None
+    assert pop.y is None and pop.s is None
 
 
 def test_potential_outcome_consistency_internal():

@@ -241,7 +241,10 @@ def _write_manifest(out: Path, mode: str, resolved_config: dict, seed: int,
 
 
 def cmd_audit(cfg: AuditConfig) -> int:
-    schema = SchemaSpec.from_json(cfg.schema)
+    try:
+        schema = SchemaSpec.from_json(cfg.schema)
+    except ValueError as err:
+        raise ConfigError(f"schema {cfg.schema}: {err}") from None
     groups = schema.all_groups()
     reference = groups[0] if len(groups) > 1 else None
     if cfg.reference_group is not None:

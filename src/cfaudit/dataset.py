@@ -62,6 +62,14 @@ class GroupKey:
         return iter(self.levels)
 
 
+def _require(raw, keys, where: str) -> None:
+    if not isinstance(raw, dict):
+        raise ValueError(f"{where}: expected an object, got {raw!r}")
+    for key in keys:
+        if key not in raw:
+            raise ValueError(f"{where}: missing required key {key!r}")
+
+
 @dataclass(frozen=True)
 class SchemaSpec:
     """Column layout of a dataset: protected characteristics with their level
@@ -110,6 +118,11 @@ class SchemaSpec:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SchemaSpec":
+        """Raises ValueError naming the first required key the schema lacks."""
+        _require(raw, ("characteristics", "treatment", "outcome", "prediction",
+                       "covariates"), "schema")
+        for i, c in enumerate(raw["characteristics"]):
+            _require(c, ("name", "levels"), f"characteristics[{i}]")
         chars = tuple(c["name"] for c in raw["characteristics"])
         levels = tuple(tuple(str(v) for v in c["levels"]) for c in raw["characteristics"])
         return cls(

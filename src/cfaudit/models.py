@@ -240,8 +240,8 @@ def softmax_objective(w, xb, y_onehot, decay, buf=None):
 def _mlp_forward(xb, w1, w2, buf):
     """Class probabilities of the network. The sigmoid hidden layer is
     written into buf["hb"][:, 1:], after its column of ones."""
-    z = np.matmul(xb, w1, out=buf["pre"])
-    np.exp(np.negative(z, out=z), out=z)
+    z = np.matmul(xb, np.negative(w1), out=buf["pre"])  # -(xb @ w1), bit for bit
+    np.exp(z, out=z)
     np.divide(1.0, np.add(1.0, z, out=z), out=buf["hb"][:, 1:])
     return _softmax(np.matmul(buf["hb"], w2, out=buf["probs"]), out=buf["probs"])
 

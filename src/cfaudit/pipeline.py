@@ -35,6 +35,8 @@ class PipelineConfig:
         for method in self.methods:
             check_choice("methods", method, METHODS)
         grid_intervals(self.alpha_grid_step)
+        if self.crossfit_k < 1:
+            raise ValueError(f"crossfit_k must be at least 1; got {self.crossfit_k}")
 
 
 @dataclass

@@ -131,6 +131,7 @@ class ScenarioConfig:
                      "p_informative", "replications"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
+        _check_risk_settings(self.n_trees, self.max_depth, self.positive_rate)
         if self.coefficients is None:
             self.coefficients = default_coefficients(self.p_informative, self.interactions)
         self._check_shapes()
@@ -252,78 +253,136 @@ def generate_population(cfg: ScenarioConfig, role: str, seed,
 class _Tree:
     feature: np.ndarray  # -1 marks a leaf
     threshold: np.ndarray
-    left: np.ndarray
+    left: np.ndarray  # a leaf's children are the leaf itself
     right: np.ndarray
     value: np.ndarray
 
 
-def _best_split(x, y):
-    n = len(y)
-    best_score, best_feature, best_threshold = np.inf, None, None
-    for j in range(x.shape[1]):
-        order = np.argsort(x[:, j], kind="stable")
-        xs = x[order, j]
-        ys = y[order]
-        cut = np.flatnonzero(xs[:-1] < xs[1:])
-        if cut.size == 0:
-            continue
-        n_left = (cut + 1).astype(np.float64)
-        n_right = n - n_left
-        pos_left = np.cumsum(ys)[cut].astype(np.float64)
-        pos_right = float(ys.sum()) - pos_left
-        gini_left = 1.0 - (pos_left / n_left) ** 2 - (1.0 - pos_left / n_left) ** 2
-        gini_right = 1.0 - (pos_right / n_right) ** 2 - (1.0 - pos_right / n_right) ** 2
-        score = (n_left * gini_left + n_right * gini_right) / n
-        m = int(np.argmin(score))
-        if score[m] < best_score:
-            best_score = float(score[m])
-            best_feature = j
-            best_threshold = 0.5 * (xs[cut[m]] + xs[cut[m] + 1])
-    return best_feature, best_threshold
+def _gini_scores(n_left, pos_left, n, pos):
+    """Weighted Gini impurity of cuts that put n_left rows, pos_left of them
+    positive, on the left of a node of n rows with pos positives."""
+    n_right = n - n_left
+    share_left = pos_left / n_left
+    share_right = (pos - pos_left) / n_right
+    gini_left = 1.0 - share_left ** 2 - (1.0 - share_left) ** 2
+    gini_right = 1.0 - share_right ** 2 - (1.0 - share_right) ** 2
+    return (n_left * gini_left + n_right * gini_right) / n
 
 
 def _grow_tree(x, y, max_depth) -> _Tree:
-    feature, threshold, left, right, value = [], [], [], [], []
+    """One Gini tree on the rows x (n, p) with 0/1 labels y.
 
-    def rec(idx, depth):
-        node = len(feature)
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(node)
-        right.append(node)
-        value.append(float(y[idx].mean()))
-        if depth < max_depth and len(idx) >= 2 and y[idx].min() != y[idx].max():
-            f, t = _best_split(x[idx], y[idx])
-            if f is not None:
-                mask = x[idx, f] <= t
-                feature[node] = f
-                threshold[node] = float(t)
-                left[node] = rec(idx[mask], depth + 1)
-                right[node] = rec(idx[~mask], depth + 1)
-        return node
+    The tree grows a level at a time from one stable argsort per feature
+    (the presorting of CART, Breiman et al. 1984, and SLIQ, Mehta, Agrawal &
+    Rissanen 1996). ``order[j]`` lists the rows of the level's open nodes node
+    by node, each node's rows sorted by feature j with ties in row order, so
+    no node sorts again. A node splits at its lowest score over every feature
+    and every cut between distinct values, the first feature and then the
+    first cut on ties, with the threshold at the cut's midpoint. Nodes are
+    numbered in depth-first preorder, left subtree first.
+    """
+    n, p = x.shape
+    xt = np.ascontiguousarray(x.T)
+    y = y.astype(np.int64)
+    # a level splits at most n / 2 nodes, each of two or more rows
+    size = min(2 ** (max_depth + 1) - 1, 1 + max_depth * n)
+    feature = np.full(size, -1, dtype=np.int64)
+    threshold = np.zeros(size)
+    left, right = np.arange(size), np.arange(size)
+    value = np.empty(size)
+    created = 1
 
-    rec(np.arange(len(y)), 0)
-    return _Tree(
-        feature=np.asarray(feature, dtype=np.int64),
-        threshold=np.asarray(threshold, dtype=np.float64),
-        left=np.asarray(left, dtype=np.int64),
-        right=np.asarray(right, dtype=np.int64),
-        value=np.asarray(value, dtype=np.float64),
-    )
-
-
-def _tree_scores(tree: _Tree, x, max_depth) -> np.ndarray:
-    node = np.zeros(x.shape[0], dtype=np.int64)
-    rows = np.arange(x.shape[0])
-    for _ in range(max_depth):
-        f = tree.feature[node]
-        internal = f >= 0
-        if not internal.any():
+    nodes, counts, positives = np.array([0]), np.array([n]), np.array([y.sum()])
+    value[0] = positives[0] / n
+    nodes = nodes[_can_split(counts, positives)]
+    order = np.argsort(xt, axis=1, kind="stable")
+    feature_ids = np.arange(p)[:, None]
+    for depth in range(max_depth):
+        if nodes.size == 0:
             break
-        go_left = np.zeros(len(node), dtype=bool)
-        go_left[internal] = x[rows[internal], f[internal]] <= tree.threshold[node[internal]]
-        node = np.where(internal, np.where(go_left, tree.left[node], tree.right[node]), node)
-    return tree.value[node]
+        m, k_open = order.shape[1], nodes.size
+        # feature j's rows of node k form block j * k_open + k of the flat lists
+        starts = np.cumsum(counts) - counts
+        block = (np.repeat(np.arange(k_open), counts) + k_open * feature_ids).ravel()
+        block_start = (starts + m * feature_ids).ravel()
+        xs = xt.ravel()[(order + n * feature_ids).ravel()]
+        ys = y[order].ravel()
+        below = np.cumsum(ys)
+        before = below[block_start] - ys[block_start]
+        cut = np.flatnonzero((xs[:-1] < xs[1:]) & (block[:-1] == block[1:]))
+        b = block[cut]
+        k = b % k_open
+        score = _gini_scores((cut - block_start[b] + 1).astype(np.float64),
+                             (below[cut] - before[b]).astype(np.float64),
+                             counts[k], positives[k])
+        # each node's first lowest score, in (feature, cut) order
+        best = np.full(k_open, np.inf)
+        np.minimum.at(best, k, score)
+        first = np.full(k_open, score.size)
+        hits = np.flatnonzero(score == best[k])
+        np.minimum.at(first, k[hits], hits)
+        split = first < score.size
+        if not split.any():
+            break
+
+        win = first[split]
+        parents = nodes[split]
+        f = b[win] // k_open
+        feature[parents] = f
+        threshold[parents] = 0.5 * (xs[cut[win]] + xs[cut[win] + 1])
+        n_split = parents.size
+        kids = created + np.arange(2 * n_split)  # left children, then right ones
+        created += kids.size
+        left[parents], right[parents] = kids[:n_split], kids[n_split:]
+
+        rows = order[0]
+        at = np.repeat(np.cumsum(split) - 1, counts)  # rank of a row's node among the split
+        in_split = np.repeat(split, counts)
+        rows, at = rows[in_split], at[in_split]
+        goes_right = ~(xt[f[at], rows] <= threshold[parents[at]])
+        child = at + n_split * goes_right
+        counts = np.bincount(child, minlength=kids.size)
+        positives = np.bincount(child[y[rows] == 1], minlength=kids.size)
+        value[kids] = positives / counts
+        if depth + 1 == max_depth:
+            break
+        # stable partition: the open children's rows, lefts before rights,
+        # each keeping its sorted order; other rows leave the lists
+        is_open = _can_split(counts, positives)
+        side = np.full(n, 2, dtype=np.int8)
+        side[rows] = np.where(is_open[child], goes_right, 2)
+        sides = side[order]
+        order = np.concatenate([order[sides == 0].reshape(p, -1),
+                                order[sides == 1].reshape(p, -1)], axis=1)
+        nodes, counts, positives = kids[is_open], counts[is_open], positives[is_open]
+    return _preorder(_Tree(feature=feature[:created], threshold=threshold[:created],
+                           left=left[:created], right=right[:created], value=value[:created]))
+
+
+def _can_split(counts, positives):
+    return (counts >= 2) & (positives > 0) & (positives < counts)
+
+
+def _preorder(tree: _Tree) -> _Tree:
+    """The tree with its nodes renumbered in depth-first preorder, left first."""
+    left, right = tree.left.tolist(), tree.right.tolist()
+    visit, stack = [], [0]
+    while stack:
+        node = stack.pop()
+        visit.append(node)
+        if left[node] != node:
+            stack += (right[node], left[node])
+    visit = np.array(visit)
+    rank = np.empty_like(visit)
+    rank[visit] = np.arange(visit.size)
+    return _Tree(feature=tree.feature[visit], threshold=tree.threshold[visit],
+                 left=rank[tree.left[visit]], right=rank[tree.right[visit]],
+                 value=tree.value[visit])
+
+
+# Tree x row cells per block of the all-tree walk in RiskModel.predict_score:
+# it bounds the walk's work arrays to 512 KiB each, whatever the row count.
+WALK_CELLS = 1 << 16
 
 
 @dataclass
@@ -334,22 +393,65 @@ class RiskModel:
     seed: int
 
     def predict_score(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        total = np.zeros(x.shape[0])
-        for tree in self.trees:
-            total += _tree_scores(tree, x, self.max_depth)
+        """Mean leaf value over the trees for each row of x.
+
+        All trees walk together, max_depth steps over blocks of rows. A leaf is
+        its own child, so a row that reaches one stays there. The leaf values
+        are added in tree order, as a running sum from the first tree."""
+        x = np.ascontiguousarray(x, dtype=np.float64)
+        offsets = np.cumsum([0] + [len(t.feature) for t in self.trees[:-1]])
+        feature = np.concatenate([t.feature for t in self.trees])
+        if feature.max() >= x.shape[1]:
+            raise ValueError(f"the trees split on column {feature.max()} of "
+                             f"{x.shape[1]}-column rows")
+        # children[2 * node] is the node's right child and children[2 * node + 1]
+        # its left one. A leaf's are itself, whatever its row compares.
+        children = np.empty((feature.size, 2), dtype=np.int64)
+        children[:, 0] = np.concatenate([t.right + o for t, o in zip(self.trees, offsets)])
+        children[:, 1] = np.concatenate([t.left + o for t, o in zip(self.trees, offsets)])
+        leaf = np.flatnonzero(feature < 0)
+        children[leaf] = leaf[:, None]
+        children = children.ravel()
+        feature = np.maximum(feature, 0)
+        threshold = np.concatenate([t.threshold for t in self.trees])
+        value = np.concatenate([t.value for t in self.trees])
+
+        total = np.empty(x.shape[0])
+        step = max(1, WALK_CELLS // len(self.trees))
+        for start in range(0, x.shape[0], step):
+            block = x[start:start + step]
+            cells = block.ravel()
+            row_base = np.arange(block.shape[0]) * block.shape[1]
+            node = np.repeat(offsets[:, None], block.shape[0], axis=1)  # (trees, rows)
+            for _ in range(self.max_depth):
+                goes_left = cells[feature[node] + row_base] <= threshold[node]
+                node = children[2 * node + goes_left]
+            total[start:start + block.shape[0]] = np.cumsum(value[node], axis=0)[-1]
         return total / len(self.trees)
 
     def predict(self, x) -> np.ndarray:
         return (self.predict_score(x) >= self.threshold).astype(np.int8)
 
 
+def _check_risk_settings(n_trees, max_depth, positive_rate) -> None:
+    """Raise ValueError unless the risk model settings are in range."""
+    if n_trees < 1:
+        raise ValueError(f"n_trees must be at least 1; got {n_trees}")
+    if max_depth < 1:
+        raise ValueError(f"max_depth must be at least 1; got {max_depth}")
+    if not 0.0 < positive_rate < 1.0:
+        raise ValueError(f"positive_rate must lie in (0, 1); got {positive_rate}")
+
+
 def train_risk_model(x, y, n_trees=100, max_depth=4, positive_rate=0.2,
                      seed=0) -> RiskModel:
     """Bagged classification trees scoring P(y=1|x), thresholded at the
     training-score quantile that flags the requested share of rows."""
+    _check_risk_settings(n_trees, max_depth, positive_rate)
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y)
+    if not np.all((y == 0) | (y == 1)):
+        raise ValueError("the training outcome must be 0/1")
     if y.min() == y.max():
         raise DegenerateOutcome("training outcome is constant")
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)

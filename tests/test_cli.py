@@ -163,13 +163,14 @@ def test_audit_bootstrap_with_external_data_reproduces_across_threads(tmp_path, 
 
 
 def fail_on_fit(monkeypatch):
-    from cfaudit import models
+    from cfaudit import models, simlab
 
     def no_fit(*args, **kwargs):
         raise AssertionError("a model was fitted before the config was checked")
 
     monkeypatch.setattr(models, "fit_multiclass", no_fit)
     monkeypatch.setattr(models, "fit_logistic", no_fit)
+    monkeypatch.setattr(simlab, "train_risk_model", no_fit)
 
 
 def test_bad_grid_step_in_audit_config_is_a_config_error(tmp_path, monkeypatch, capsys):
@@ -338,6 +339,7 @@ def rewrite(path, dotted, value):
     ("models.h_internal.seed", 4, "unknown key models.h_internal.seed"),
     ("models.borrow_metric", "auc", "models.borrow_metric"),
     ("reference_group", ["9", "9"], "['9', '9']"),
+    ("models.crossfit_k", 0, "crossfit_k must be at least 1; got 0"),
 ])
 def test_bad_audit_config_exits_2_before_any_fit(tmp_path, monkeypatch, capsys,
                                                  dotted, value, named):
@@ -360,6 +362,11 @@ def test_bad_audit_config_exits_2_before_any_fit(tmp_path, monkeypatch, capsys,
     ("scenario.sweep", {"n_intenral": [50, 80]}, "unknown key scenario.sweep.n_intenral"),
     ("scenario.sweep", {"pipeline": [{}]}, "scenario.sweep.pipeline"),
     ("scenario.sweep", {"b": []}, "scenario.sweep.b"),
+    ("scenario.n_trees", 0, "n_trees must be at least 1; got 0"),
+    ("scenario.n_trees", -3, "n_trees must be at least 1; got -3"),
+    ("scenario.max_depth", 0, "max_depth must be at least 1; got 0"),
+    ("scenario.positive_rate", 1.5, "positive_rate must lie in (0, 1); got 1.5"),
+    ("scenario.pipeline.crossfit_k", 0, "crossfit_k must be at least 1; got 0"),
 ])
 def test_bad_simulate_config_exits_2_before_any_fit(tmp_path, monkeypatch, capsys,
                                                     dotted, value, named):
@@ -368,6 +375,23 @@ def test_bad_simulate_config_exits_2_before_any_fit(tmp_path, monkeypatch, capsy
     assert main(["--config", str(cfgpath)]) == 2
     assert named in capsys.readouterr().err
     assert not (tmp_path / "simout").exists()
+
+
+@pytest.mark.parametrize("drop,named", [
+    (lambda schema: schema.pop("treatment"), "schema: missing required key 'treatment'"),
+    (lambda schema: schema["characteristics"][0].pop("levels"),
+     "characteristics[0]: missing required key 'levels'"),
+])
+def test_schema_without_a_required_key_exits_2_before_any_fit(tmp_path, monkeypatch, capsys,
+                                                              drop, named):
+    make_audit_files(tmp_path)
+    fail_on_fit(monkeypatch)
+    schema = json.loads((tmp_path / "schema.json").read_text())
+    drop(schema)
+    (tmp_path / "schema.json").write_text(json.dumps(schema))
+    assert main(["--config", str(audit_config(tmp_path))]) == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_interaction_sweep_with_explicit_coefficients_of_the_wrong_shape(

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,11 +7,12 @@ from cfaudit import models
 from cfaudit.dataset import GroupKey
 from cfaudit.models import BinarySpec, ModelError, MulticlassConfig
 from cfaudit.pipeline import PipelineConfig
-from cfaudit.simlab import (SIM_GROUPS, DegenerateOutcome, OracleTruth,
-                            Population, RiskModel, ScenarioConfig, _Tree,
-                            default_coefficients, generate_population,
-                            oracle_error_rates, run_scenario, sim_schema,
-                            to_audit_dataset, train_risk_model)
+from cfaudit.simlab import (SIM_GROUPS, WALK_CELLS, DegenerateOutcome,
+                            OracleTruth, Population, RiskModel, ScenarioConfig,
+                            _grow_tree, _Tree, default_coefficients,
+                            generate_population, oracle_error_rates,
+                            run_scenario, sim_schema, to_audit_dataset,
+                            train_risk_model)
 
 
 def small_cfg(**kw):
@@ -255,3 +258,186 @@ def test_scenario_config_validation():
         ScenarioConfig(b=1.5)
     with pytest.raises(ValueError):
         ScenarioConfig(n_internal=0)
+
+
+# ---------------------------------------------------------------------------
+# the risk model against reference copies of the per-node tree code: a stable
+# argsort of every feature at every node, and one masked walk per tree
+
+
+def reference_best_split(x, y):
+    n = len(y)
+    best_score, best_feature, best_threshold = np.inf, None, None
+    for j in range(x.shape[1]):
+        order = np.argsort(x[:, j], kind="stable")
+        xs = x[order, j]
+        ys = y[order]
+        cut = np.flatnonzero(xs[:-1] < xs[1:])
+        if cut.size == 0:
+            continue
+        n_left = (cut + 1).astype(np.float64)
+        n_right = n - n_left
+        pos_left = np.cumsum(ys)[cut].astype(np.float64)
+        pos_right = float(ys.sum()) - pos_left
+        gini_left = 1.0 - (pos_left / n_left) ** 2 - (1.0 - pos_left / n_left) ** 2
+        gini_right = 1.0 - (pos_right / n_right) ** 2 - (1.0 - pos_right / n_right) ** 2
+        score = (n_left * gini_left + n_right * gini_right) / n
+        m = int(np.argmin(score))
+        if score[m] < best_score:
+            best_score = float(score[m])
+            best_feature = j
+            best_threshold = 0.5 * (xs[cut[m]] + xs[cut[m] + 1])
+    return best_feature, best_threshold
+
+
+def reference_grow_tree(x, y, max_depth) -> _Tree:
+    feature, threshold, left, right, value = [], [], [], [], []
+
+    def rec(idx, depth):
+        node = len(feature)
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(node)
+        right.append(node)
+        value.append(float(y[idx].mean()))
+        if depth < max_depth and len(idx) >= 2 and y[idx].min() != y[idx].max():
+            f, t = reference_best_split(x[idx], y[idx])
+            if f is not None:
+                mask = x[idx, f] <= t
+                feature[node] = f
+                threshold[node] = float(t)
+                left[node] = rec(idx[mask], depth + 1)
+                right[node] = rec(idx[~mask], depth + 1)
+        return node
+
+    rec(np.arange(len(y)), 0)
+    return _Tree(
+        feature=np.asarray(feature, dtype=np.int64),
+        threshold=np.asarray(threshold, dtype=np.float64),
+        left=np.asarray(left, dtype=np.int64),
+        right=np.asarray(right, dtype=np.int64),
+        value=np.asarray(value, dtype=np.float64),
+    )
+
+
+def reference_tree_scores(tree: _Tree, x, max_depth) -> np.ndarray:
+    node = np.zeros(x.shape[0], dtype=np.int64)
+    rows = np.arange(x.shape[0])
+    for _ in range(max_depth):
+        f = tree.feature[node]
+        internal = f >= 0
+        if not internal.any():
+            break
+        go_left = np.zeros(len(node), dtype=bool)
+        go_left[internal] = x[rows[internal], f[internal]] <= tree.threshold[node[internal]]
+        node = np.where(internal, np.where(go_left, tree.left[node], tree.right[node]), node)
+    return tree.value[node]
+
+
+def reference_predict_score(model: RiskModel, x) -> np.ndarray:
+    total = np.zeros(x.shape[0])
+    for tree in model.trees:
+        total += reference_tree_scores(tree, x, model.max_depth)
+    return total / len(model.trees)
+
+
+def assert_same_tree(tree: _Tree, ref: _Tree):
+    for name in ("feature", "threshold", "left", "right", "value"):
+        got, want = getattr(tree, name), getattr(ref, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+
+def tree_data(case, seed):
+    """Training rows (x, y) for one kind of tie structure or signal."""
+    kw = {"p_noise": 4} if case == "noise" else {}
+    if case == "interactions":
+        kw = {"interactions": True}
+    cfg = ScenarioConfig(n_train=300, replications=1, seed=seed, **kw)
+    pop = generate_population(cfg, "train", seed)
+    x, y = pop.x, pop.y
+    if case == "rounded":  # few distinct values per feature: ties at every node
+        x = np.round(x, 0)
+    elif case == "duplicated":  # every row three times before bagging
+        x, y = np.repeat(x, 3, axis=0), np.repeat(y, 3)
+    elif case == "constant":
+        x = x.copy()
+        x[:, 2] = 0.7
+    return x, y
+
+
+@pytest.mark.parametrize("case", ["plain", "rounded", "duplicated", "constant",
+                                  "noise", "interactions"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_risk_model_trees_and_scores_match_the_per_node_reference(case, seed):
+    x, y = tree_data(case, seed)
+    model = train_risk_model(x, y, n_trees=6, max_depth=4, seed=seed)
+    root = np.random.SeedSequence(seed)
+    for tree, child in zip(model.trees, root.spawn(6)):
+        boot = np.random.default_rng(child).integers(0, len(y), size=len(y))
+        assert_same_tree(tree, reference_grow_tree(x[boot], y[boot], 4))
+    probe = np.vstack([x, np.random.default_rng(seed).standard_normal((200, x.shape[1]))])
+    assert np.array_equal(model.predict_score(probe), reference_predict_score(model, probe))
+
+
+@pytest.mark.parametrize("max_depth", [1, 2, 3, 4, 5, 6])
+def test_grow_tree_matches_the_reference_at_every_depth(max_depth):
+    for case in ("plain", "rounded"):
+        x, y = tree_data(case, 7)
+        boot = np.random.default_rng(max_depth).integers(0, len(y), size=len(y))
+        tree = _grow_tree(x[boot], y[boot], max_depth)
+        assert_same_tree(tree, reference_grow_tree(x[boot], y[boot], max_depth))
+        model = RiskModel(trees=[tree, tree], threshold=0.5, max_depth=max_depth, seed=0)
+        assert np.array_equal(model.predict_score(x), reference_predict_score(model, x))
+
+
+def test_grow_tree_on_pure_constant_and_tiny_samples():
+    x = np.random.default_rng(0).standard_normal((5, 3))
+    for xs, ys in ((x, np.ones(5, np.int8)), (np.zeros((5, 3)), np.array([0, 1, 0, 1, 1])),
+                   (x[:1], np.array([1])), (x[:2], np.array([0, 1]))):
+        assert_same_tree(_grow_tree(xs, ys, 3), reference_grow_tree(xs, ys, 3))
+
+
+def test_hand_built_trees_score_as_the_reference():
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((500, 10))
+    x[:7, 0] = 0.0  # on the stump's threshold
+    for model in (constant_model(1.0), constant_model(0.0), stump_on_first_covariate()):
+        assert np.array_equal(model.predict_score(x), reference_predict_score(model, x))
+    both = RiskModel(trees=constant_model(0.25).trees + stump_on_first_covariate().trees,
+                     threshold=0.5, max_depth=3, seed=0)
+    assert np.array_equal(both.predict_score(x), reference_predict_score(both, x))
+
+
+def test_scoring_memory_is_bounded_by_the_walk_blocks():
+    x, y = tree_data("plain", 0)
+    model = train_risk_model(x, y, n_trees=100, seed=0)
+    rows = np.random.default_rng(0).standard_normal((50_000, x.shape[1]))
+    tracemalloc.start()
+    try:
+        model.predict_score(rows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one (trees, rows) array of the whole input would take 100 * 50,000 * 8
+    # bytes = 38 MiB; the walk holds a few block arrays of WALK_CELLS cells
+    # plus the 0.4 MiB output
+    assert peak < 16 * WALK_CELLS * 8
+
+
+@pytest.mark.parametrize("kwargs,named", [
+    ({"n_trees": 0}, "n_trees"), ({"n_trees": -3}, "n_trees"),
+    ({"max_depth": 0}, "max_depth"), ({"positive_rate": 1.5}, "positive_rate"),
+    ({"positive_rate": 0.0}, "positive_rate"),
+])
+def test_risk_model_settings_out_of_range_are_rejected(kwargs, named):
+    x, y = tree_data("plain", 0)
+    with pytest.raises(ValueError, match=named):
+        train_risk_model(x, y, **kwargs)
+    with pytest.raises(ValueError, match=named):
+        ScenarioConfig(**kwargs)
+
+
+def test_risk_model_rejects_a_non_binary_outcome():
+    x, y = tree_data("plain", 0)
+    with pytest.raises(ValueError, match="0/1"):
+        train_risk_model(x, y * 2, n_trees=2)

@@ -30,7 +30,8 @@ internal = to_audit_dataset(
     generate_population(cfg, "internal", children[2], risk_model=risk_model),
     schema)
 
-sizes = {g.label(): len(idx) for g, idx in internal.group_index.items()}
+counts = np.bincount(internal.group_codes, minlength=schema.n_groups)
+sizes = {g.label(): int(c) for g, c in zip(schema.all_groups(), counts)}
 print(f"internal sample: n={internal.n}, group sizes {sizes}")
 
 # --- estimate counterfactual error rates both ways (no external data here)

@@ -37,19 +37,18 @@ for b in (1.0, 0.5, 0.0, -0.5, -1.0):
     external = to_external_dataset(generate_population(cfg, "external", children[3]),
                                    schema)
 
-    groups = schema.all_groups()
-    labels = [groups[c] for c in internal.group_codes]
-    model_int = fit_multiclass(internal.x, labels, membership_config)
-    h_int = predict_group_probs(model_int, internal.x, groups)
+    # membership models take group codes; column j of h is group code j
+    codes = internal.group_codes
+    model_int = fit_multiclass(internal.x, codes, membership_config)
+    h_int = predict_group_probs(model_int, internal.x, schema.n_groups)
     # the simulated external data shares every covariate with the internal data
     model_ext = fit_external_membership(external, membership_config)
-    h_ext = predict_group_probs(model_ext, internal.x, groups)
+    h_ext = predict_group_probs(model_ext, internal.x, schema.n_groups)
 
-    blend = select_alpha(h_ext, h_int, labels, groups, metric="brier",
-                         grid_step=0.01)
+    blend = select_alpha(h_ext, h_int, codes, metric="brier", grid_step=0.01)
     print(f"{b:>5.1f} {blend.alpha:>7.2f} "
-          f"{brier_score(h_int, labels, groups):>15.4f} "
-          f"{brier_score(h_ext, labels, groups):>15.4f}")
+          f"{brier_score(h_int, codes):>15.4f} "
+          f"{brier_score(h_ext, codes):>15.4f}")
 
 print("\nThe selection curve of the last run can be dumped for plotting:")
 for alpha, score in blend.metric_curve[::20]:

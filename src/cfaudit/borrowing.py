@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataset import _check_codes
 from .models import DimensionMismatch, ModelError
 
 
@@ -38,22 +39,17 @@ class BlendedMembership:
         return rows
 
 
-def _label_columns(labels, classes) -> np.ndarray:
-    index = {g: j for j, g in enumerate(classes)}
-    try:
-        return np.array([index[g] for g in labels], dtype=int)
-    except KeyError as err:
-        raise DimensionMismatch(f"label {err.args[0]} not among the model classes") from None
+def _columns(codes, shape) -> np.ndarray:
+    """Group codes as column indices of a probability matrix of shape (rows, K)."""
+    if np.shape(codes) != shape[:1]:
+        raise DimensionMismatch("one probability row per group code required")
+    return _check_codes(codes, shape[1], DimensionMismatch)
 
 
-def _one_hot(shape, labels, classes) -> np.ndarray:
-    """Label indicator matrix for probabilities of the given (rows, classes) shape."""
-    if shape[0] != len(labels):
-        raise DimensionMismatch("one probability row per label required")
-    if shape[1] != len(classes):
-        raise DimensionMismatch("one probability column per class required")
+def _one_hot(shape, codes) -> np.ndarray:
+    """Code indicator matrix for probabilities of the given (rows, K) shape."""
     onehot = np.zeros(shape)
-    onehot[np.arange(len(labels)), _label_columns(labels, classes)] = 1.0
+    onehot[np.arange(shape[0]), _columns(codes, shape)] = 1.0
     return onehot
 
 
@@ -61,14 +57,15 @@ def _brier(probs, onehot) -> float:
     return float(np.mean(np.sum((probs - onehot) ** 2, axis=1)))
 
 
-def brier_score(probs, labels, classes) -> float:
-    """Mean squared distance between probability rows and one-hot labels.
+def brier_score(probs, codes) -> float:
+    """Mean squared distance between probability rows and the one-hot rows of
+    their group codes; column j of probs belongs to code j.
 
     Ranges over [0, 2]; 0 for perfect one-hot predictions, 2 for confidently
     wrong ones. Lower is better.
     """
     probs = np.asarray(probs, dtype=np.float64)
-    return _brier(probs, _one_hot(probs.shape, labels, classes))
+    return _brier(probs, _one_hot(probs.shape, codes))
 
 
 def _binary_auc(scores, positives) -> float:
@@ -86,25 +83,24 @@ def _binary_auc(scores, positives) -> float:
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
-def _auc_positives(n_rows, labels, classes) -> list[tuple[int, np.ndarray]]:
-    """(column, label mask) for each class present in labels, checked once."""
-    if n_rows != len(labels):
-        raise DimensionMismatch("one probability row per label required")
-    cols = _label_columns(labels, classes)
-    present = np.unique(cols)
+def _auc_positives(shape, codes) -> list[tuple[int, np.ndarray]]:
+    """(column, row mask) for each group code present, checked once."""
+    codes = _columns(codes, shape)
+    present = np.unique(codes)
     if len(present) < 2:
-        raise SingleClassLabels("multiclass AUC needs at least two label classes")
-    return [(j, cols == j) for j in present]
+        raise SingleClassLabels("multiclass AUC needs at least two group codes")
+    return [(j, codes == j) for j in present]
 
 
 def _auc(probs, positives) -> float:
     return float(np.mean([_binary_auc(probs[:, j], mask) for j, mask in positives]))
 
 
-def multiclass_auc(probs, labels, classes) -> float:
-    """Unweighted mean of one-vs-rest AUCs over the classes present in labels."""
+def multiclass_auc(probs, codes) -> float:
+    """Unweighted mean of one-vs-rest AUCs over the group codes present;
+    column j of probs belongs to code j."""
     probs = np.asarray(probs, dtype=np.float64)
-    return _auc(probs, _auc_positives(probs.shape[0], labels, classes))
+    return _auc(probs, _auc_positives(probs.shape, codes))
 
 
 def grid_intervals(grid_step: float) -> int:
@@ -122,23 +118,23 @@ def alpha_grid(grid_step: float) -> np.ndarray:
     return np.linspace(0.0, 1.0, grid_intervals(grid_step) + 1)
 
 
-def select_alpha(h_external, h_internal, labels, classes, metric="brier",
+def select_alpha(h_external, h_internal, codes, metric="brier",
                  grid_step=0.001) -> BlendedMembership:
     """Pick the borrowing weight on the grid {0, grid_step, ..., 1}.
 
-    Evaluates the chosen metric at every grid point on the blend
-    alpha * h_external + (1 - alpha) * h_internal and keeps the best score,
-    breaking ties toward the smallest alpha.
+    Evaluates the chosen metric against the rows' group codes at every grid
+    point on the blend alpha * h_external + (1 - alpha) * h_internal and
+    keeps the best score, breaking ties toward the smallest alpha.
     """
     h_external = np.asarray(h_external, dtype=np.float64)
     h_internal = np.asarray(h_internal, dtype=np.float64)
     if h_external.shape != h_internal.shape:
         raise DimensionMismatch("blend inputs must have identical shapes")
     if metric == "brier":
-        onehot = _one_hot(h_internal.shape, labels, classes)  # once per call, not per point
+        onehot = _one_hot(h_internal.shape, codes)  # once per call, not per point
         score_fn, better = lambda p: _brier(p, onehot), lambda a, b: a < b
     elif metric == "auc":
-        positives = _auc_positives(h_internal.shape[0], labels, classes)
+        positives = _auc_positives(h_internal.shape, codes)
         score_fn, better = lambda p: _auc(p, positives), lambda a, b: a > b
     else:
         raise ValueError(f"unknown borrowing metric: {metric!r}")

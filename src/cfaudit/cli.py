@@ -18,7 +18,7 @@ import scipy
 
 from . import __version__
 from .borrowing import BORROW_METRICS, grid_intervals
-from .config import ConfigError, check_choice, decode, encode
+from .config import ConfigError, check_at_least, check_choice, decode, encode
 from .dataset import (DataError, GroupKey, SchemaSpec, load_external,
                       load_internal, subgroup_counts)
 from .estimators import METRICS, UndefinedOperand, delta
@@ -42,6 +42,9 @@ class RunConfig:
     seed: int
     out: Path
     threads: int = 1
+
+    def __post_init__(self):
+        check_at_least("threads", self.threads, 1)
 
 
 @dataclass
@@ -297,9 +300,8 @@ def cmd_audit(cfg: AuditConfig) -> int:
                         "value": d.value,
                     })
 
-    counts = subgroup_counts(internal)
     counts_json = {}
-    for group, cells in counts.items():
+    for group, cells in zip(groups, subgroup_counts(internal)):
         counts_json[group.label()] = {
             f"d{d_}_s{s_}_y{y_}": int(cells[d_, s_, y_])
             for d_ in (0, 1) for s_ in (0, 1) for y_ in (0, 1)

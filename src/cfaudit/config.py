@@ -32,6 +32,12 @@ def check_choice(name: str, value, choices) -> None:
                          f"got {value!r}")
 
 
+def check_at_least(name: str, value, low) -> None:
+    """Raise ValueError unless value >= low."""
+    if value < low:
+        raise ValueError(f"{name} must be at least {low}; got {value!r}")
+
+
 def _settable(cls) -> list[dataclasses.Field]:
     return [f for f in dataclasses.fields(cls) if f.init and f.metadata.get("config", True)]
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -107,6 +107,10 @@ class SchemaSpec:
         """Group code of each level combination: its index in all_groups()."""
         return {levels: code for code, levels in enumerate(itertools.product(*self.level_sets))}
 
+    @property
+    def n_groups(self) -> int:
+        return len(self.level_codes)
+
     def group_code(self, key: GroupKey) -> int:
         return self.level_codes[key.levels]
 
@@ -149,6 +153,15 @@ class SchemaSpec:
         }
 
 
+def _check_codes(codes, n_groups: int, error=ValueError) -> np.ndarray:
+    """codes as an array; raises error unless each lies in [0, n_groups)."""
+    codes = np.asarray(codes)
+    if codes.size and (codes.min() < 0 or codes.max() >= n_groups):
+        raise error(f"group codes must lie in [0, {n_groups}); "
+                    f"got {codes.min()}..{codes.max()}")
+    return codes
+
+
 @dataclass
 class AuditDataset:
     """Columnar internal dataset. Immutable after construction; group labels
@@ -160,7 +173,6 @@ class AuditDataset:
     y: np.ndarray  # (n,) 0/1
     s: np.ndarray  # (n,) 0/1
     x: np.ndarray  # (n, p) float
-    group_index: dict[GroupKey, np.ndarray] = field(init=False)
 
     def __post_init__(self):
         n = len(self.group_codes)
@@ -169,10 +181,7 @@ class AuditDataset:
                 raise ValueError(f"column {name} has length {len(col)}, expected {n}")
         if self.x.shape != (n, len(self.schema.covariates)):
             raise ValueError("covariate block does not match schema")
-        groups = self.schema.all_groups()
-        self.group_index = {
-            g: np.flatnonzero(self.group_codes == code) for code, g in enumerate(groups)
-        }
+        _check_codes(self.group_codes, self.schema.n_groups)
 
     @property
     def n(self) -> int:
@@ -196,8 +205,15 @@ class ExternalDataset:
     """Columnar external dataset: group labels plus the shared covariates only."""
 
     schema: SchemaSpec
-    group_codes: np.ndarray
+    group_codes: np.ndarray  # (n,) int codes into schema.all_groups()
     x: np.ndarray  # (n, p') over schema.external_covariates
+
+    def __post_init__(self):
+        n = len(self.group_codes)
+        if self.x.shape != (n, len(self.schema.external_covariates)):
+            raise ValueError(f"covariate block has shape {self.x.shape}, expected "
+                             f"({n}, {len(self.schema.external_covariates)})")
+        _check_codes(self.group_codes, self.schema.n_groups)
 
     @property
     def n(self) -> int:
@@ -242,6 +258,20 @@ def _parse_float(cell, column, row_num):
         raise NonNumericValue(f"non-numeric value '{cell}' for {column} in row {row_num}") from None
 
 
+def _group_code(row, pos, schema: SchemaSpec, row_num, unknown, message) -> int:
+    """Group code of a row's level cells. A level outside the schema raises
+    the error class unknown with message formatted from cell, char and row."""
+    levels = []
+    for char, level_set in zip(schema.characteristics, schema.level_sets):
+        cell = row[pos[char]].strip()
+        if cell == "":
+            raise MissingValue(f"empty {char} cell in row {row_num}")
+        if cell not in level_set:
+            raise unknown(message.format(cell=cell, char=char, row=row_num))
+        levels.append(cell)
+    return schema.level_codes[tuple(levels)]
+
+
 def load_internal(path, schema: SchemaSpec) -> AuditDataset:
     """Load and validate an internal audit CSV against the schema.
 
@@ -255,7 +285,6 @@ def load_internal(path, schema: SchemaSpec) -> AuditDataset:
         + list(schema.covariates)
     )
     pos = _column_map(header, needed, path)
-    codes = schema.level_codes
 
     n = len(rows)
     group_codes = np.empty(n, dtype=np.int64)
@@ -266,15 +295,8 @@ def load_internal(path, schema: SchemaSpec) -> AuditDataset:
 
     for i, row in enumerate(rows):
         row_num = i + 1
-        levels = []
-        for j, char in enumerate(schema.characteristics):
-            cell = row[pos[char]].strip()
-            if cell == "":
-                raise MissingValue(f"empty {char} cell in row {row_num}")
-            if cell not in schema.level_sets[j]:
-                raise UnknownLevel(f"unknown level '{cell}' for {char} in row {row_num}")
-            levels.append(cell)
-        group_codes[i] = codes[tuple(levels)]
+        group_codes[i] = _group_code(row, pos, schema, row_num, UnknownLevel,
+                                     "unknown level '{cell}' for {char} in row {row}")
         d[i] = _parse_binary(row[pos[schema.treatment]].strip(), schema.treatment, row_num)
         y[i] = _parse_binary(row[pos[schema.outcome]].strip(), schema.outcome, row_num)
         s[i] = _parse_binary(row[pos[schema.prediction]].strip(), schema.prediction, row_num)
@@ -293,7 +315,6 @@ def load_external(path, schema: SchemaSpec) -> ExternalDataset:
     header, rows = _read_rows(path)
     needed = list(schema.characteristics) + list(schema.external_covariates)
     pos = _column_map(header, needed, path)
-    codes = schema.level_codes
 
     n = len(rows)
     group_codes = np.empty(n, dtype=np.int64)
@@ -301,18 +322,9 @@ def load_external(path, schema: SchemaSpec) -> ExternalDataset:
 
     for i, row in enumerate(rows):
         row_num = i + 1
-        levels = []
-        for j, char in enumerate(schema.characteristics):
-            cell = row[pos[char]].strip()
-            if cell == "":
-                raise MissingValue(f"empty {char} cell in row {row_num}")
-            if cell not in schema.level_sets[j]:
-                raise LevelSetMismatch(
-                    f"external level '{cell}' for {char} in row {row_num} "
-                    "not present in the internal schema"
-                )
-            levels.append(cell)
-        group_codes[i] = codes[tuple(levels)]
+        group_codes[i] = _group_code(row, pos, schema, row_num, LevelSetMismatch,
+                                     "external level '{cell}' for {char} in row {row} "
+                                     "not present in the internal schema")
         for j, cov in enumerate(schema.external_covariates):
             x[i, j] = _parse_float(row[pos[cov]].strip(), cov, row_num)
 
@@ -351,14 +363,11 @@ def write_external(ds: ExternalDataset, path) -> None:
             writer.writerow(row)
 
 
-def subgroup_counts(ds: AuditDataset) -> dict[GroupKey, np.ndarray]:
-    """Confusion-cell counts per group: a (2, 2, 2) array indexed [d, s, y].
-
-    Every group in the schema gets an entry (all-zero when absent from the
-    data); totals over groups and cells equal n.
+def subgroup_counts(ds: AuditDataset) -> np.ndarray:
+    """Confusion-cell counts per group: a (K, 2, 2, 2) array indexed
+    [group code, d, s, y] over all K schema groups (all-zero for a group
+    absent from the data); the counts add up to n.
     """
-    counts = {g: np.zeros((2, 2, 2), dtype=np.int64) for g in ds.schema.all_groups()}
-    groups = ds.schema.all_groups()
-    for i in range(ds.n):
-        counts[groups[ds.group_codes[i]]][ds.d[i], ds.s[i], ds.y[i]] += 1
-    return counts
+    shape = (ds.schema.n_groups, 2, 2, 2)
+    cells = np.ravel_multi_index((ds.group_codes, ds.d, ds.s, ds.y), shape)
+    return np.bincount(cells, minlength=np.prod(shape)).reshape(shape)

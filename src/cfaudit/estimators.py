@@ -37,8 +37,7 @@ class UndefinedOperand(Exception):
 class NuisanceEstimates:
     """Per-row nuisance predictions aligned with a dataset.
 
-    group_prob columns follow ``groups`` (the schema's full group list);
-    rows sum to one.
+    Column j of group_prob is group code j of the schema; rows sum to one.
     """
 
     propensity: np.ndarray  # P(D=1 | A, X, S) per row
@@ -46,15 +45,14 @@ class NuisanceEstimates:
     mu0_s0: np.ndarray  # P(Y=1 | D=0, S=0, X) per row
     mu0_all: np.ndarray  # P(Y=1 | D=0, X) per row
     group_prob: np.ndarray  # (n, K) P(A=a | X)
-    groups: tuple[GroupKey, ...]
 
     def __post_init__(self):
         n = len(self.propensity)
         for name in ("mu0_s1", "mu0_s0", "mu0_all"):
             if len(getattr(self, name)) != n:
                 raise ValueError(f"{name} length differs from propensity")
-        if self.group_prob.shape != (n, len(self.groups)):
-            raise ValueError("group_prob shape does not match groups")
+        if self.group_prob.ndim != 2 or len(self.group_prob) != n:
+            raise ValueError("group_prob needs one row per propensity")
         for name in ("propensity", "mu0_s1", "mu0_s0", "mu0_all"):
             col = getattr(self, name)
             if np.any(col < 0.0) or np.any(col > 1.0):
@@ -62,9 +60,6 @@ class NuisanceEstimates:
         row_sums = self.group_prob.sum(axis=1)
         if np.any(np.abs(row_sums - 1.0) > 1e-9):
             raise ValueError("group_prob rows must sum to 1")
-
-    def group_column(self, group: GroupKey) -> np.ndarray:
-        return self.group_prob[:, self.groups.index(group)]
 
     def with_group_prob(self, group_prob: np.ndarray) -> "NuisanceEstimates":
         return replace(self, group_prob=group_prob)
@@ -159,8 +154,12 @@ def membership_ratio(ds: AuditDataset, nuis: NuisanceEstimates, group: GroupKey,
     false-positive metric the outcome regressions enter as complements.
     Returns NaN when a required sum is zero.
     """
-    in_group = (ds.group_codes == ds.schema.group_code(group)).astype(np.float64)
-    h_col = nuis.group_column(group)
+    if nuis.group_prob.shape[1] != ds.schema.n_groups:
+        raise ValueError(f"group_prob has {nuis.group_prob.shape[1]} columns; the schema "
+                         f"has {ds.schema.n_groups} groups")
+    code = ds.schema.group_code(group)
+    in_group = (ds.group_codes == code).astype(np.float64)
+    h_col = nuis.group_prob[:, code]
     if metric == "cFNR":
         mu_strat = nuis.mu0_s0
         mu_all = nuis.mu0_all

@@ -4,8 +4,9 @@ Nonparametric bootstrap stratified by protected group: every replicate keeps
 each group's row count, re-fits all nuisance models and the borrowing weight,
 and re-computes every estimate. Intervals are t-intervals around the
 full-sample point estimate, truncated to [0, 1]. Replicates where a cell is
-inestimable, or whose model fits fail, are recorded as NA and excluded from
-the standard error; any other exception is a bug and propagates.
+inestimable, or whose model fits fail (ModelError, LinAlgError), are
+recorded as NA and excluded from the standard error; any other exception is
+a bug and propagates.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import numpy as np
 from .dataset import AuditDataset, ExternalDataset, GroupKey
 from .models import ModelError
 from .pipeline import PipelineConfig, run_pipeline
-from .simlab import SimulationError
 
 
 @dataclass
@@ -42,13 +42,12 @@ class BootstrapResult:
 
 def stratified_resample(ds: AuditDataset, rng) -> AuditDataset:
     """Resample rows with replacement within each group; per-group counts are
-    preserved exactly. Groups are visited in schema order for determinism."""
-    chosen = []
-    for group in ds.schema.all_groups():
-        idx = ds.group_index[group]
-        if len(idx) == 0:
-            continue
-        chosen.append(idx[rng.integers(0, len(idx), size=len(idx))])
+    preserved exactly. Groups are drawn in code order for determinism, each
+    from its rows in row order."""
+    by_group = np.argsort(ds.group_codes, kind="stable")
+    sizes = np.bincount(ds.group_codes, minlength=ds.schema.n_groups)
+    chosen = [rows[rng.integers(0, len(rows), size=len(rows))]
+              for rows in np.split(by_group, np.cumsum(sizes)[:-1]) if len(rows)]
     return ds.take(np.concatenate(chosen))
 
 
@@ -60,7 +59,7 @@ def _replicate_values(args):
     values = np.full(len(keys), np.nan)
     try:
         result = run_pipeline(resampled, external, config, pipeline_seed)
-    except (ModelError, SimulationError, np.linalg.LinAlgError):
+    except (ModelError, np.linalg.LinAlgError):
         return values  # whole replicate inestimable
     lookup = {}
     for e in result.report.entries:

@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import check_choice
-from .dataset import AuditDataset, GroupKey
+from .config import check_at_least, check_choice
+from .dataset import AuditDataset, _check_codes
 from .estimators import NuisanceEstimates
 
 PROB_EPS = 1e-12
@@ -162,12 +162,14 @@ class MulticlassConfig:
 
     def __post_init__(self):
         check_choice("kind", self.kind, MULTICLASS_KINDS)
+        check_at_least("hidden", self.hidden, 1)
+        check_at_least("decay", self.decay, 0)
 
 
 @dataclass
 class MulticlassModel:
     kind: str  # "softmax-linear" | "mlp-1hidden" | "constant"
-    classes: tuple[GroupKey, ...]
+    classes: np.ndarray  # sorted int labels; column j of a prediction is classes[j]
     params: tuple  # (w,) linear; (w1, w2) mlp; (probs,) constant
     config: MulticlassConfig | None = None
     converged: bool = False  # the MLP's gradient descent never claims convergence
@@ -369,7 +371,7 @@ def _xavier_uniform(rng, fan_in, fan_out):
 
 
 def fit_multiclass(x, labels, config: MulticlassConfig) -> MulticlassModel:
-    """Fit class probabilities P(label | x) on full batches.
+    """Fit class probabilities P(label | x) on full batches of int labels.
 
     softmax-linear minimises softmax_objective by L-BFGS from zero weights,
     for at most config.epochs iterations; mlp-1hidden runs config.epochs
@@ -380,14 +382,13 @@ def fit_multiclass(x, labels, config: MulticlassConfig) -> MulticlassModel:
     """
     xb = _add_intercept(x)
     n = xb.shape[0]
-    classes = tuple(sorted(set(labels), key=lambda g: g.levels))
+    classes, columns = np.unique(np.asarray(labels), return_inverse=True)
+    if len(columns) != n:
+        raise DimensionMismatch(f"{len(columns)} labels for {n} rows")
     if len(classes) < 2:
         raise DegenerateLabels("need at least two distinct labels")
-    if n < len(classes):
-        raise DegenerateLabels("fewer rows than classes")
-    index = {g: j for j, g in enumerate(classes)}
     y_onehot = np.zeros((n, len(classes)))
-    y_onehot[np.arange(n), [index[g] for g in labels]] = 1.0
+    y_onehot[np.arange(n), columns] = 1.0
 
     rng = np.random.default_rng(config.seed)
     if config.kind == "softmax-linear":
@@ -417,7 +418,7 @@ def fit_multiclass(x, labels, config: MulticlassConfig) -> MulticlassModel:
 
 def constant_multiclass(classes, probs=None) -> MulticlassModel:
     """Constant-probability model (the DegenerateLabels fallback)."""
-    classes = tuple(classes)
+    classes = np.asarray(classes)
     if probs is None:
         probs = np.full(len(classes), 1.0 / len(classes))
     probs = np.asarray(probs, dtype=np.float64)
@@ -444,17 +445,16 @@ def predict_multiclass(model: MulticlassModel, x) -> np.ndarray:
     raise ValueError(f"unknown multiclass kind: {model.kind!r}")
 
 
-def predict_group_probs(model: MulticlassModel, x, groups) -> np.ndarray:
-    """Predictions expanded onto a full group list.
+def predict_group_probs(model: MulticlassModel, x, n_groups: int) -> np.ndarray:
+    """Predictions expanded onto all n_groups group codes, column j for code j.
 
     Groups the model never saw get (clamped) zero probability; rows are then
     renormalized so they stay strictly positive and sum to one.
     """
+    _check_codes(model.classes, n_groups, DimensionMismatch)
     raw = predict_multiclass(model, x)
-    out = np.full((raw.shape[0], len(groups)), 0.0)
-    col = {g: j for j, g in enumerate(groups)}
-    for j, cls in enumerate(model.classes):
-        out[:, col[cls]] = raw[:, j]
+    out = np.zeros((raw.shape[0], n_groups))
+    out[:, model.classes] = raw
     out = np.clip(out, PROB_EPS, None)
     return out / out.sum(axis=1, keepdims=True)
 
@@ -483,6 +483,7 @@ class BinarySpec:
 
     def __post_init__(self):
         check_choice("kind", self.kind, ("logistic-IRLS",))
+        check_at_least("l2", self.l2, 0)
 
 
 @dataclass
@@ -498,11 +499,8 @@ def _fit_binary_spec(x, y, spec: BinarySpec) -> BinaryModel:
 
 def _propensity_design(ds: AuditDataset) -> np.ndarray:
     # group one-hot with the first group as reference, then covariates, then s
-    n_groups = len(ds.schema.all_groups())
-    onehot = np.zeros((ds.n, n_groups - 1))
-    for code in range(1, n_groups):
-        onehot[:, code - 1] = ds.group_codes == code
-    return np.hstack([onehot, ds.x, ds.s[:, None].astype(np.float64)])
+    onehot = ds.group_codes[:, None] == np.arange(1, ds.schema.n_groups)
+    return np.hstack([onehot.astype(np.float64), ds.x, ds.s[:, None].astype(np.float64)])
 
 
 def _draw_plan(n, k, rng) -> np.ndarray:
@@ -590,26 +588,21 @@ def cross_fit(ds: AuditDataset, spec: NuisanceSpec, k=1, seed=0,
             mu0_s1[hold] = predict_binary(mu_by_s[1], ds.x[hold])
             mu0_all[hold] = predict_binary(mu_star, ds.x[hold])
 
-    groups = tuple(ds.schema.all_groups())
-    h_model = fit_group_membership(ds.x, ds.group_codes, groups, spec.h)
-    group_prob = predict_group_probs(h_model, ds.x, groups)
+    h_model = fit_group_membership(ds.x, ds.group_codes, spec.h)
     return NuisanceEstimates(
         propensity=propensity,
         mu0_s1=mu0_s1,
         mu0_s0=mu0_s0,
         mu0_all=mu0_all,
-        group_prob=group_prob,
-        groups=groups,
+        group_prob=predict_group_probs(h_model, ds.x, ds.schema.n_groups),
     )
 
 
-def fit_group_membership(x, group_codes, groups, config: MulticlassConfig) -> MulticlassModel:
-    """Fit P(group | x) from rows labelled groups[code]; degenerate labels fall
+def fit_group_membership(x, group_codes, config: MulticlassConfig) -> MulticlassModel:
+    """Fit P(group | x) on rows labelled by group code; degenerate labels fall
     back to the constant model of their frequencies."""
-    labels = [groups[c] for c in group_codes]
     try:
-        return fit_multiclass(x, labels, config)
+        return fit_multiclass(x, group_codes, config)
     except DegenerateLabels:
-        present = sorted(set(labels), key=lambda g: g.levels)
-        freq = np.array([labels.count(g) for g in present], dtype=np.float64)
-        return constant_multiclass(present, freq)
+        present, counts = np.unique(group_codes, return_counts=True)
+        return constant_multiclass(present, counts.astype(np.float64))

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .borrowing import BORROW_METRICS, BlendedMembership, grid_intervals, select_alpha
-from .config import check_choice
+from .config import check_at_least, check_choice
 from .dataset import AuditDataset, ExternalDataset
 from .estimators import (METHODS, ErrorRateReport, NuisanceEstimates,
                          estimate_all)
@@ -35,8 +35,7 @@ class PipelineConfig:
         for method in self.methods:
             check_choice("methods", method, METHODS)
         grid_intervals(self.alpha_grid_step)
-        if self.crossfit_k < 1:
-            raise ValueError(f"crossfit_k must be at least 1; got {self.crossfit_k}")
+        check_at_least("crossfit_k", self.crossfit_k, 1)
 
 
 @dataclass
@@ -50,8 +49,7 @@ class PipelineResult:
 def fit_external_membership(external: ExternalDataset,
                             config: MulticlassConfig) -> MulticlassModel:
     """Train the membership model on the external rows (external covariates only)."""
-    return fit_group_membership(external.x, external.group_codes,
-                                external.schema.all_groups(), config)
+    return fit_group_membership(external.x, external.group_codes, config)
 
 
 def run_pipeline(internal: AuditDataset, external: ExternalDataset | None,
@@ -84,10 +82,9 @@ def run_pipeline(internal: AuditDataset, external: ExternalDataset | None,
                 external, replace(config.h_external, seed=h_ext_seed))
             schema = internal.schema
             shared = [schema.covariates.index(c) for c in schema.external_covariates]
-            groups = schema.all_groups()
-            h_ext = predict_group_probs(external_model, internal.x[:, shared], groups)
-            labels = [groups[c] for c in internal.group_codes]
-            blend = select_alpha(h_ext, nuis.group_prob, labels, groups,
+            h_ext = predict_group_probs(external_model, internal.x[:, shared],
+                                        schema.n_groups)
+            blend = select_alpha(h_ext, nuis.group_prob, internal.group_codes,
                                  metric=config.borrow_metric,
                                  grid_step=config.alpha_grid_step)
             alpha = blend.alpha

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import check_at_least
 from .dataset import AuditDataset, ExternalDataset, GroupKey, SchemaSpec
 from .models import BinarySpec, ModelError, MulticlassConfig, _softmax, sigmoid
 from .pipeline import PipelineConfig, run_pipeline
@@ -131,6 +132,7 @@ class ScenarioConfig:
                      "p_informative", "replications"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
+        check_at_least("p_noise", self.p_noise, 0)
         _check_risk_settings(self.n_trees, self.max_depth, self.positive_rate)
         if self.coefficients is None:
             self.coefficients = default_coefficients(self.p_informative, self.interactions)
@@ -435,10 +437,8 @@ class RiskModel:
 
 def _check_risk_settings(n_trees, max_depth, positive_rate) -> None:
     """Raise ValueError unless the risk model settings are in range."""
-    if n_trees < 1:
-        raise ValueError(f"n_trees must be at least 1; got {n_trees}")
-    if max_depth < 1:
-        raise ValueError(f"max_depth must be at least 1; got {max_depth}")
+    check_at_least("n_trees", n_trees, 1)
+    check_at_least("max_depth", max_depth, 1)
     if not 0.0 < positive_rate < 1.0:
         raise ValueError(f"positive_rate must lie in (0, 1); got {positive_rate}")
 
@@ -605,7 +605,7 @@ def _run_replication(args):
             external = to_external_dataset(
                 generate_population(cfg, "external", external_seed), schema)
         result = run_pipeline(internal, external, cfg.pipeline, pipeline_seed)
-    except (ModelError, SimulationError, np.linalg.LinAlgError):
+    except (ModelError, np.linalg.LinAlgError):
         rows = [ReplicationRow(rep, g, metric, method, np.nan, False)
                 for g, metric, method in cells]
         return rows, np.nan
@@ -625,10 +625,9 @@ def _run_replication(args):
 def run_scenario(cfg: ScenarioConfig, n_jobs: int = 1) -> ScenarioResult:
     """Full scenario: one shared risk model, oracle truth from the validation
     draw, then independent estimation replications (fresh internal and, when
-    borrowing, external data each time). A replication whose model fit or
-    data generation fails (ModelError, SimulationError, LinAlgError) becomes
-    NA rows; any other exception is a bug and propagates. Deterministic for a
-    fixed seed and any n_jobs."""
+    borrowing, external data each time). A replication whose model fit fails
+    (ModelError, LinAlgError) becomes NA rows; any other exception is a bug
+    and propagates. Deterministic for a fixed seed and any n_jobs."""
     root = np.random.SeedSequence(cfg.seed)
     children = root.spawn(3 + cfg.replications)
     schema = sim_schema(cfg)

@@ -110,7 +110,7 @@ def test_criterion_02_estimator_agreement_clean_data():
             onehot[np.arange(n), codes] = 1.0
             y = ds.y.astype(np.float64)
             nuis = NuisanceEstimates(propensity=np.zeros(n), mu0_s1=y, mu0_s0=y,
-                                     mu0_all=y, group_prob=onehot, groups=groups)
+                                     mu0_all=y, group_prob=onehot)
             for metric in ("cFPR", "cFNR"):
                 ov = overall_rate(ds, nuis.propensity, metric)
                 for g in groups:
@@ -209,40 +209,35 @@ def test_criterion_05_borrowing_responds_to_agreement():
 
 def test_criterion_06_alpha_selection_matches_bruteforce():
     with criterion(6, "grid selection matches brute-force oracle", 60.0):
-        classes = tuple(GroupKey((str(i),)) for i in range(4))
         grid = alpha_grid(0.0001)
         assert len(grid) == 10001
         for seed in range(50):
             rng = np.random.default_rng(6000 + seed)
             n = 30
-            labels = [classes[i] for i in rng.integers(0, 4, n)]
+            labels = rng.integers(0, 4, n)
             h_ext = rng.dirichlet(np.ones(4), size=n)
             h_int = rng.dirichlet(np.ones(4), size=n)
-            blend = select_alpha(h_ext, h_int, labels, classes, grid_step=0.0001)
+            blend = select_alpha(h_ext, h_int, labels, grid_step=0.0001)
             scores = np.array([s for _, s in blend.metric_curve])
             assert blend.alpha == grid[int(np.argmin(scores))]
             # independent recomputation of a random grid point
             j = int(rng.integers(0, 10001))
-            direct = brier_score(grid[j] * h_ext + (1 - grid[j]) * h_int,
-                                 labels, classes)
+            direct = brier_score(grid[j] * h_ext + (1 - grid[j]) * h_int, labels)
             assert direct == scores[j]
         # exact tie: identical inputs select no borrowing
         rng = np.random.default_rng(66)
         h = rng.dirichlet(np.ones(4), size=25)
-        labels = [classes[i] for i in rng.integers(0, 4, 25)]
-        tie = select_alpha(h, h.copy(), labels, classes, grid_step=0.0001)
+        labels = rng.integers(0, 4, 25)
+        tie = select_alpha(h, h.copy(), labels, grid_step=0.0001)
         assert tie.alpha == 0.0
 
 
 def test_criterion_07_metric_unit_values():
     with criterion(7, "Brier and AUC unit values", 1.0):
-        classes = tuple(GroupKey((str(i),)) for i in range(4))
-        labels = [classes[i] for i in (0, 1, 2, 3)]
-        assert brier_score(np.eye(4), labels, classes) == 0.0
-        assert brier_score(np.full((4, 4), 0.25), labels, classes) == 0.75
-        two = tuple(GroupKey((str(i),)) for i in range(2))
-        lab2 = [two[i] for i in (0, 1, 0, 1)]
-        assert multiclass_auc(np.full((4, 2), 0.5), lab2, two) == 0.5
+        labels = np.array([0, 1, 2, 3])
+        assert brier_score(np.eye(4), labels) == 0.0
+        assert brier_score(np.full((4, 4), 0.25), labels) == 0.75
+        assert multiclass_auc(np.full((4, 2), 0.5), np.array([0, 1, 0, 1])) == 0.5
 
 
 def test_criterion_08_logistic_recovery():

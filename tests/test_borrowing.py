@@ -5,59 +5,52 @@ from scipy.stats import rankdata
 from cfaudit.borrowing import (DimensionMismatch, SingleClassLabels,
                                _binary_auc, alpha_grid, brier_score, multiclass_auc,
                                select_alpha)
-from cfaudit.dataset import GroupKey
 
 
 def keys(values):
-    return [GroupKey((str(v),)) for v in values]
-
-
-CLASSES4 = tuple(GroupKey((str(i),)) for i in range(4))
+    return np.asarray(values)
 
 
 def test_brier_perfect_predictions_zero():
     labels = keys([0, 1, 2, 3])
     probs = np.eye(4)
-    assert brier_score(probs, labels, CLASSES4) == 0.0
+    assert brier_score(probs, labels) == 0.0
 
 
 def test_brier_uniform_four_classes():
     labels = keys([0, 3, 1, 2, 0])
     probs = np.full((5, 4), 0.25)
     # per row: 3*(1/4)^2 + (3/4)^2 = 0.75
-    assert brier_score(probs, labels, CLASSES4) == pytest.approx(0.75, abs=1e-15)
+    assert brier_score(probs, labels) == pytest.approx(0.75, abs=1e-15)
 
 
 def test_brier_totally_wrong_is_two():
     labels = keys([0, 0, 0])
     probs = np.zeros((3, 4))
     probs[:, 1] = 1.0
-    assert brier_score(probs, labels, CLASSES4) == 2.0
+    assert brier_score(probs, labels) == 2.0
 
 
 def test_brier_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        brier_score(np.eye(4), keys([0, 1]), CLASSES4)
+        brier_score(np.eye(4), keys([0, 1]))
 
 
 def test_auc_perfect_separation():
     labels = keys([0, 0, 1, 1])
     probs = np.array([[0.9, 0.1], [0.8, 0.2], [0.1, 0.9], [0.2, 0.8]])
-    classes = tuple(GroupKey((str(i),)) for i in range(2))
-    assert multiclass_auc(probs, labels, classes) == 1.0
+    assert multiclass_auc(probs, labels) == 1.0
 
 
 def test_auc_constant_rows_half():
     labels = keys([0, 1, 0, 1, 1])
     probs = np.full((5, 2), 0.5)
-    classes = tuple(GroupKey((str(i),)) for i in range(2))
-    assert multiclass_auc(probs, labels, classes) == 0.5
+    assert multiclass_auc(probs, labels) == 0.5
 
 
 def test_auc_single_class_raises():
-    classes = tuple(GroupKey((str(i),)) for i in range(2))
     with pytest.raises(SingleClassLabels):
-        multiclass_auc(np.full((3, 2), 0.5), keys([1, 1, 1]), classes)
+        multiclass_auc(np.full((3, 2), 0.5), keys([1, 1, 1]))
 
 
 def test_auc_matches_pairwise_concordance_count():
@@ -65,7 +58,6 @@ def test_auc_matches_pairwise_concordance_count():
     rng = np.random.default_rng(0)
     labels = keys([0, 1, 2, 0, 1, 2])
     probs = rng.dirichlet(np.ones(3), size=6)
-    classes = tuple(GroupKey((str(i),)) for i in range(3))
 
     def ovr_auc(scores, is_pos):
         total, favorable = 0, 0.0
@@ -80,10 +72,10 @@ def test_auc_matches_pairwise_concordance_count():
         return favorable / total
 
     expected = np.mean([
-        ovr_auc(probs[:, k], np.array([lab == classes[k] for lab in labels]))
+        ovr_auc(probs[:, k], labels == k)
         for k in range(3)
     ])
-    assert multiclass_auc(probs, labels, classes) == pytest.approx(expected, abs=1e-12)
+    assert multiclass_auc(probs, labels) == pytest.approx(expected, abs=1e-12)
 
 
 def test_alpha_grid_shape():
@@ -98,7 +90,7 @@ def test_select_alpha_identical_inputs_tie_breaks_to_zero():
     rng = np.random.default_rng(1)
     h = rng.dirichlet(np.ones(4), size=30)
     labels = keys(rng.integers(0, 4, 30))
-    blend = select_alpha(h, h.copy(), labels, CLASSES4, grid_step=0.01)
+    blend = select_alpha(h, h.copy(), labels, grid_step=0.01)
     assert blend.alpha == 0.0
 
 
@@ -110,11 +102,11 @@ def test_select_alpha_perfect_external_goes_to_one():
     h_ext = np.zeros((n, 4))
     h_ext[np.arange(n), lab_idx] = 1.0
     h_int = np.full((n, 4), 0.25)
-    blend = select_alpha(h_ext, h_int, labels, CLASSES4, grid_step=0.001)
+    blend = select_alpha(h_ext, h_int, labels, grid_step=0.001)
     assert blend.alpha == 1.0
     # cross-checked against a fine-grid brute force
     grid = alpha_grid(0.001)
-    scores = [brier_score(a * h_ext + (1 - a) * h_int, labels, CLASSES4) for a in grid]
+    scores = [brier_score(a * h_ext + (1 - a) * h_int, labels) for a in grid]
     assert grid[int(np.argmin(scores))] == 1.0
 
 
@@ -128,10 +120,10 @@ def test_select_alpha_anticorrelated_external_goes_to_zero():
     h_ext = np.full((n, 4), 0.7 / 3 + 0.1 / 3)
     h_ext[np.arange(n), lab_idx] = 0.0  # anti-correlated with truth
     h_ext = h_ext / h_ext.sum(axis=1, keepdims=True)
-    blend = select_alpha(h_ext, h_int, labels, CLASSES4, grid_step=0.001)
+    blend = select_alpha(h_ext, h_int, labels, grid_step=0.001)
     assert blend.alpha == 0.0
     grid = alpha_grid(0.001)
-    scores = [brier_score(a * h_ext + (1 - a) * h_int, labels, CLASSES4) for a in grid]
+    scores = [brier_score(a * h_ext + (1 - a) * h_int, labels) for a in grid]
     assert grid[int(np.argmin(scores))] == 0.0
 
 
@@ -143,15 +135,15 @@ def test_select_alpha_matches_bruteforce_oracle_fuzz():
         h_ext = rng.dirichlet(np.ones(4), size=n)
         h_int = rng.dirichlet(np.ones(4), size=n)
         for metric in ("brier", "auc"):
-            blend = select_alpha(h_ext, h_int, labels, CLASSES4,
+            blend = select_alpha(h_ext, h_int, labels,
                                  metric=metric, grid_step=0.01)
             grid = alpha_grid(0.01)
             if metric == "brier":
-                scores = [brier_score(a * h_ext + (1 - a) * h_int, labels, CLASSES4)
+                scores = [brier_score(a * h_ext + (1 - a) * h_int, labels)
                           for a in grid]
                 best = int(np.argmin(scores))
             else:
-                scores = [multiclass_auc(a * h_ext + (1 - a) * h_int, labels, CLASSES4)
+                scores = [multiclass_auc(a * h_ext + (1 - a) * h_int, labels)
                           for a in grid]
                 best = int(np.argmax(scores))
             assert blend.alpha == grid[best]
@@ -164,9 +156,9 @@ def test_selected_blend_never_worse_than_internal():
         labels = keys(rng.integers(0, 4, n))
         h_ext = rng.dirichlet(np.ones(4), size=n)
         h_int = rng.dirichlet(np.ones(4), size=n)
-        blend = select_alpha(h_ext, h_int, labels, CLASSES4, grid_step=0.01)
-        assert brier_score(blend.h_star, labels, CLASSES4) <= \
-            brier_score(h_int, labels, CLASSES4) + 1e-15
+        blend = select_alpha(h_ext, h_int, labels, grid_step=0.01)
+        assert brier_score(blend.h_star, labels) <= \
+            brier_score(h_int, labels) + 1e-15
 
 
 def test_blend_stays_row_stochastic_across_grid():
@@ -184,7 +176,7 @@ def test_metric_curve_recorded_and_exportable():
     h_ext = rng.dirichlet(np.ones(4), size=15)
     h_int = rng.dirichlet(np.ones(4), size=15)
     labels = keys(rng.integers(0, 4, 15))
-    blend = select_alpha(h_ext, h_int, labels, CLASSES4, grid_step=0.1)
+    blend = select_alpha(h_ext, h_int, labels, grid_step=0.1)
     assert len(blend.metric_curve) == 11
     rows = blend.curve_csv_rows()
     assert rows[0] == ["alpha", "score"]
@@ -196,12 +188,12 @@ def test_select_alpha_brier_curve_is_brier_score_bit_for_bit():
     labels = keys([3, 0, 3, 1, 0, 1, 3, 0, 1, 1, 3, 0])  # unsorted, class 2 absent
     h_ext = rng.dirichlet(np.ones(4), size=len(labels))
     h_int = rng.dirichlet(np.ones(4), size=len(labels))
-    blend = select_alpha(h_ext, h_int, labels, CLASSES4, grid_step=0.01)
+    blend = select_alpha(h_ext, h_int, labels, grid_step=0.01)
     assert [a for a, _ in blend.metric_curve] == list(alpha_grid(0.01))
     for alpha, score in blend.metric_curve:
-        assert score == brier_score(alpha * h_ext + (1 - alpha) * h_int, labels, CLASSES4)
+        assert score == brier_score(alpha * h_ext + (1 - alpha) * h_int, labels)
     with pytest.raises(DimensionMismatch):
-        select_alpha(h_ext, h_int, labels[:-1] + keys([9]), CLASSES4, grid_step=0.01)
+        select_alpha(h_ext, h_int, keys([*labels[:-1], 9]), grid_step=0.01)
 
 
 def test_binary_auc_equals_rankdata_reference_bit_for_bit_with_ties():
@@ -226,11 +218,26 @@ def test_select_alpha_auc_curve_is_multiclass_auc_bit_for_bit():
     labels = keys([3, 0, 3, 1, 0, 1, 3, 0, 1, 1, 3, 0])  # unsorted, class 2 absent
     h_ext = rng.dirichlet(np.ones(4), size=len(labels))
     h_int = np.round(rng.dirichlet(np.ones(4), size=len(labels)), 1)  # tied scores
-    blend = select_alpha(h_ext, h_int, labels, CLASSES4, metric="auc", grid_step=0.01)
+    blend = select_alpha(h_ext, h_int, labels, metric="auc", grid_step=0.01)
     assert [a for a, _ in blend.metric_curve] == list(alpha_grid(0.01))
     for alpha, score in blend.metric_curve:
-        assert score == multiclass_auc(alpha * h_ext + (1 - alpha) * h_int, labels, CLASSES4)
+        assert score == multiclass_auc(alpha * h_ext + (1 - alpha) * h_int, labels)
     with pytest.raises(DimensionMismatch):
-        select_alpha(h_ext, h_int, labels[:-1] + keys([9]), CLASSES4, metric="auc")
+        select_alpha(h_ext, h_int, keys([*labels[:-1], 9]), metric="auc")
     with pytest.raises(SingleClassLabels):
-        select_alpha(h_ext, h_int, keys([1] * len(labels)), CLASSES4, metric="auc")
+        select_alpha(h_ext, h_int, keys([1] * len(labels)), metric="auc")
+
+
+@pytest.mark.parametrize("bad", [-1, 4])
+def test_out_of_range_codes_raise_dimension_mismatch(bad):
+    # a negative code must not wrap round to the last column
+    rng = np.random.default_rng(13)
+    codes = keys([0, 1, 2, 3, 0, bad])
+    h = rng.dirichlet(np.ones(4), size=len(codes))
+    with pytest.raises(DimensionMismatch):
+        brier_score(h, codes)
+    with pytest.raises(DimensionMismatch):
+        multiclass_auc(h, codes)
+    for metric in ("brier", "auc"):
+        with pytest.raises(DimensionMismatch):
+            select_alpha(h, h.copy(), codes, metric=metric, grid_step=0.5)

@@ -340,6 +340,10 @@ def rewrite(path, dotted, value):
     ("models.borrow_metric", "auc", "models.borrow_metric"),
     ("reference_group", ["9", "9"], "['9', '9']"),
     ("models.crossfit_k", 0, "crossfit_k must be at least 1; got 0"),
+    ("models.h_internal.hidden", 0, "models.h_internal: hidden must be at least 1; got 0"),
+    ("models.h_external.decay", -1, "models.h_external: decay must be at least 0; got -1.0"),
+    ("models.pi.l2", -0.5, "models.pi: l2 must be at least 0; got -0.5"),
+    ("threads", -3, "threads must be at least 1; got -3"),
 ])
 def test_bad_audit_config_exits_2_before_any_fit(tmp_path, monkeypatch, capsys,
                                                  dotted, value, named):
@@ -367,6 +371,10 @@ def test_bad_audit_config_exits_2_before_any_fit(tmp_path, monkeypatch, capsys,
     ("scenario.max_depth", 0, "max_depth must be at least 1; got 0"),
     ("scenario.positive_rate", 1.5, "positive_rate must lie in (0, 1); got 1.5"),
     ("scenario.pipeline.crossfit_k", 0, "crossfit_k must be at least 1; got 0"),
+    ("scenario.p_noise", -1, "scenario: p_noise must be at least 0; got -1"),
+    ("scenario.pipeline.h_external.hidden", 0, "hidden must be at least 1; got 0"),
+    ("scenario.pipeline.mu.l2", -1, "l2 must be at least 0; got -1.0"),
+    ("threads", 0, "threads must be at least 1; got 0"),
 ])
 def test_bad_simulate_config_exits_2_before_any_fit(tmp_path, monkeypatch, capsys,
                                                     dotted, value, named):

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from cfaudit.dataset import (AuditDataset, GroupKey, LevelSetMismatch,
-                             MissingColumn, MissingValue, NonBinaryValue,
-                             SchemaSpec, UnknownLevel, load_external,
-                             load_internal, subgroup_counts, write_internal)
+from cfaudit.dataset import (AuditDataset, ExternalDataset, GroupKey,
+                             LevelSetMismatch, MissingColumn, MissingValue,
+                             NonBinaryValue, SchemaSpec, UnknownLevel,
+                             load_external, load_internal, subgroup_counts,
+                             write_internal)
 
 
 def two_char_schema(covs=("x1",)):
@@ -35,7 +36,7 @@ def test_load_internal_valid(tmp_path):
     ])
     ds = load_internal(path, two_char_schema())
     assert ds.n == 4
-    assert len([g for g, idx in ds.group_index.items() if len(idx)]) == 4
+    assert ds.group_codes.tolist() == [0, 1, 2, 3]
     assert list(ds.d) == [0, 1, 0, 1]
     assert ds.x[1, 0] == -1.25
 
@@ -119,21 +120,42 @@ def test_roundtrip_identical(tmp_path):
     assert np.array_equal(back.x, ds.x)
 
 
-def test_group_index_partitions_rows():
-    rng = np.random.default_rng(11)
-    schema = two_char_schema()
-    n = 200
-    ds = AuditDataset(
+def random_dataset(schema, codes, seed=0):
+    rng = np.random.default_rng(seed)
+    n = len(codes)
+    return AuditDataset(
         schema=schema,
-        group_codes=rng.integers(0, 4, n),
+        group_codes=np.asarray(codes),
         d=rng.integers(0, 2, n).astype(np.int8),
         y=rng.integers(0, 2, n).astype(np.int8),
         s=rng.integers(0, 2, n).astype(np.int8),
-        x=rng.standard_normal((n, 1)),
+        x=rng.standard_normal((n, len(schema.covariates))),
     )
-    combined = np.concatenate([idx for idx in ds.group_index.values()])
-    assert len(combined) == n
-    assert np.array_equal(np.sort(combined), np.arange(n))
+
+
+@pytest.mark.parametrize("bad", [-1, 4])
+def test_audit_dataset_rejects_codes_outside_the_schema(bad):
+    # a code of -1 would index the last group wherever codes index arrays
+    codes = np.random.default_rng(12).integers(0, 4, 200)
+    codes[:5] = bad
+    with pytest.raises(ValueError, match=r"group codes must lie in \[0, 4\)"):
+        random_dataset(two_char_schema(), codes)
+
+
+def test_external_dataset_checks_lengths_columns_and_codes():
+    schema = two_char_schema(covs=("x1", "x2"))
+    with pytest.raises(ValueError, match="covariate block"):
+        ExternalDataset(schema=schema, group_codes=np.zeros(5, dtype=np.int64),
+                        x=np.zeros((3, 2)))
+    with pytest.raises(ValueError, match="covariate block"):
+        ExternalDataset(schema=schema, group_codes=np.zeros(3, dtype=np.int64),
+                        x=np.zeros((3, 1)))
+    for bad in (-1, 4):
+        with pytest.raises(ValueError, match="group codes"):
+            ExternalDataset(schema=schema, group_codes=np.array([0, bad, 1]),
+                            x=np.zeros((3, 2)))
+    assert ExternalDataset(schema=schema, group_codes=np.array([0, 3, 1]),
+                           x=np.zeros((3, 2))).n == 3
 
 
 def test_subgroup_counts_single_cell():
@@ -148,10 +170,11 @@ def test_subgroup_counts_single_cell():
         x=np.zeros((n, 1)),
     )
     counts = subgroup_counts(ds)
-    cells = counts[GroupKey(("0", "0"))]
+    assert counts.shape == (4, 2, 2, 2)
+    cells = counts[schema.group_code(GroupKey(("0", "0")))]
     assert cells[0, 0, 1] == n
     assert cells.sum() == n
-    assert sum(c.sum() for c in counts.values()) == n
+    assert counts.sum() == n
 
 
 def test_subgroup_counts_hand_tallied():
@@ -178,13 +201,13 @@ def test_subgroup_counts_hand_tallied():
         x=np.zeros((8, 1)),
     )
     counts = subgroup_counts(ds)
-    assert counts[GroupKey(("0", "0"))][0, 0, 1] == 2
-    assert counts[GroupKey(("0", "0"))][1, 1, 0] == 1
-    assert counts[GroupKey(("0", "1"))][0, 1, 1] == 2
-    assert counts[GroupKey(("1", "0"))][1, 0, 0] == 1
-    assert counts[GroupKey(("1", "1"))][0, 0, 0] == 1
-    assert counts[GroupKey(("1", "1"))][1, 1, 1] == 1
-    assert sum(c.sum() for c in counts.values()) == 8
+    assert counts[code[("0", "0")]][0, 0, 1] == 2
+    assert counts[code[("0", "0")]][1, 1, 0] == 1
+    assert counts[code[("0", "1")]][0, 1, 1] == 2
+    assert counts[code[("1", "0")]][1, 0, 0] == 1
+    assert counts[code[("1", "1")]][0, 0, 0] == 1
+    assert counts[code[("1", "1")]][1, 1, 1] == 1
+    assert counts.sum() == 8
 
 
 def test_subgroup_counts_permutation_invariant():
@@ -201,10 +224,33 @@ def test_subgroup_counts_permutation_invariant():
     )
     perm = rng.permutation(n)
     shuffled = base.take(perm)
-    c1 = subgroup_counts(base)
-    c2 = subgroup_counts(shuffled)
-    for g in schema.all_groups():
-        assert np.array_equal(c1[g], c2[g])
+    assert np.array_equal(subgroup_counts(base), subgroup_counts(shuffled))
+
+
+def _subgroup_counts_loop(ds):
+    # the per-row tally that subgroup_counts replaced, kept as its reference
+    counts = {g: np.zeros((2, 2, 2), dtype=np.int64) for g in ds.schema.all_groups()}
+    groups = ds.schema.all_groups()
+    for i in range(ds.n):
+        counts[groups[ds.group_codes[i]]][ds.d[i], ds.s[i], ds.y[i]] += 1
+    return counts
+
+
+def test_subgroup_counts_equal_the_loop_reference_with_empty_and_singleton_groups():
+    schema = SchemaSpec(characteristics=("a1", "a2"),
+                        level_sets=(("0", "1", "2"), ("0", "1")),
+                        treatment="d", outcome="y", prediction="s", covariates=("x1",))
+    for seed in range(5):
+        rng = np.random.default_rng(40 + seed)
+        codes = rng.choice([0, 1, 3, 5], size=90)  # codes 2 and 4 empty
+        codes[int(rng.integers(0, 90))] = 4  # then 4 a singleton
+        ds = random_dataset(schema, codes, seed)
+        counts = subgroup_counts(ds)
+        reference = _subgroup_counts_loop(ds)
+        assert counts.dtype == np.int64
+        assert len(counts) == len(reference)
+        for got, want in zip(counts, reference.values()):
+            assert np.array_equal(got, want)
 
 
 def test_group_codes_index_all_groups_in_product_order():

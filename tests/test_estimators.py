@@ -34,7 +34,7 @@ def exact_nuisances(ds, propensity=None):
     return NuisanceEstimates(
         propensity=np.zeros(n) if propensity is None else np.asarray(propensity, float),
         mu0_s1=y, mu0_s0=y, mu0_all=y,
-        group_prob=onehot, groups=tuple(ds.schema.all_groups()),
+        group_prob=onehot,
     )
 
 
@@ -111,7 +111,6 @@ def test_membership_ratio_single_group_is_one():
         mu0_s0=rng.uniform(0.2, 0.8, n),
         mu0_all=rng.uniform(0.2, 0.8, n),
         group_prob=np.ones((n, 1)),
-        groups=(GroupKey(("only",)),),
     )
     for metric in ("cFPR", "cFNR"):
         assert membership_ratio(ds, nuis, GroupKey(("only",)), metric) == pytest.approx(1.0, abs=1e-12)
@@ -127,7 +126,7 @@ def test_membership_ratio_matched_constant_h_is_one():
     mu = np.full(n, 0.6)  # constant, so weights cancel
     nuis = NuisanceEstimates(
         propensity=np.zeros(n), mu0_s1=mu, mu0_s0=mu, mu0_all=mu,
-        group_prob=np.full((n, 2), 0.5), groups=tuple(schema.all_groups()),
+        group_prob=np.full((n, 2), 0.5),
     )
     ratio = membership_ratio(ds, nuis, GroupKey(("p",)), "cFNR")
     assert ratio == pytest.approx(1.0, abs=1e-12)
@@ -146,7 +145,6 @@ def test_membership_ratio_eight_row_hand_values():
     nuis = NuisanceEstimates(
         propensity=np.zeros(8), mu0_s1=mu0_s0, mu0_s0=mu0_s0, mu0_all=mu0_all,
         group_prob=np.column_stack([h_p, 1.0 - h_p]),
-        groups=tuple(schema.all_groups()),
     )
     num_top = sum(mu0_s0[i] * (codes[i] == 0) * (1 - s[i]) for i in range(8))
     num_bot = sum(mu0_s0[i] * (1 - s[i]) for i in range(8))
@@ -166,7 +164,7 @@ def test_proposed_equals_overall_for_single_group():
         propensity=np.zeros(n),
         mu0_s1=rng.uniform(0.2, 0.8, n), mu0_s0=rng.uniform(0.2, 0.8, n),
         mu0_all=rng.uniform(0.2, 0.8, n),
-        group_prob=np.ones((n, 1)), groups=(GroupKey(("only",)),),
+        group_prob=np.ones((n, 1)),
     )
     for metric in ("cFPR", "cFNR"):
         ov = overall_rate(ds, nuis.propensity, metric)
@@ -193,7 +191,6 @@ def _ratio_engineered_nuisances(schema, n, target_ratio):
         propensity=np.zeros(n),
         mu0_s1=np.full(n, 0.5), mu0_s0=np.full(n, 0.5), mu0_all=np.full(n, 0.5),
         group_prob=np.column_stack([np.full(n, h_p), np.full(n, 1.0 - h_p)]),
-        groups=tuple(schema.all_groups()),
     )
 
 
@@ -317,7 +314,7 @@ def test_estimate_all_cardinality_and_consistency():
         propensity=rng.uniform(0.2, 0.8, n),
         mu0_s1=rng.uniform(0.1, 0.9, n), mu0_s0=rng.uniform(0.1, 0.9, n),
         mu0_all=rng.uniform(0.1, 0.9, n),
-        group_prob=h, groups=tuple(schema.all_groups()),
+        group_prob=h,
     )
     borrowed = rng.dirichlet(np.ones(k), size=n)
     report = estimate_all(ds, nuis, borrowed_group_prob=borrowed)
@@ -360,3 +357,11 @@ def test_report_serialization_rows():
                             "defined", "clipped"}
     undefined = [r for r in json_rows if not r["defined"]]
     assert undefined and all(r["value"] is None for r in undefined)
+
+
+def test_membership_ratio_checks_the_column_count():
+    # column j of group_prob is group code j, so the width must be the schema's
+    ds = build(one_char_schema(), [0, 1], [0, 0], [1, 1], [0, 1])
+    nuis = exact_nuisances(ds).with_group_prob(np.ones((2, 1)))
+    with pytest.raises(ValueError, match="1 columns; the schema has 2 groups"):
+        membership_ratio(ds, nuis, GroupKey(("p",)), "cFNR")

@@ -60,8 +60,34 @@ def test_stratified_resample_preserves_group_counts():
     for _ in range(5):
         res = stratified_resample(ds, rng)
         assert res.n == ds.n
-        for g, idx in ds.group_index.items():
-            assert len(res.group_index[g]) == len(idx)
+        assert np.array_equal(np.bincount(res.group_codes, minlength=3),
+                              np.bincount(ds.group_codes, minlength=3))
+
+
+def _stratified_resample_loop(ds, rng):
+    # the per-group index walk that stratified_resample replaced, kept as its
+    # reference
+    chosen = []
+    for code in range(len(ds.schema.all_groups())):
+        idx = np.flatnonzero(ds.group_codes == code)
+        if len(idx) == 0:
+            continue
+        chosen.append(idx[rng.integers(0, len(idx), size=len(idx))])
+    return ds.take(np.concatenate(chosen))
+
+
+def test_stratified_resample_draws_as_the_loop_reference_with_empty_and_singleton_groups():
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        codes = rng.choice([0, 1, 3, 5], size=80)  # codes 2 and 4 empty
+        codes[int(rng.integers(0, 80))] = 4  # then 4 a singleton
+        base = random_dataset(n=80, seed=seed, groups=6)
+        ds = AuditDataset(schema=base.schema, group_codes=codes, d=base.d, y=base.y,
+                          s=base.s, x=base.x)
+        got = stratified_resample(ds, np.random.default_rng(100 + seed))
+        want = _stratified_resample_loop(ds, np.random.default_rng(100 + seed))
+        for name in ("group_codes", "d", "y", "s", "x"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
 
 
 def test_bootstrap_same_seed_bit_identical():

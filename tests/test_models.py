@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from cfaudit.dataset import AuditDataset, GroupKey, SchemaSpec
-from cfaudit.models import (BinarySpec, DegenerateLabels, DimensionMismatch,
+from cfaudit.dataset import AuditDataset, SchemaSpec
+from cfaudit.models import (PROB_EPS, BinarySpec, DegenerateLabels, DimensionMismatch,
                             InfeasibleFolds, MulticlassConfig, NuisanceSpec,
                             Separation, constant_multiclass, cross_fit,
-                            fit_logistic, fit_multiclass, make_crossfit_plan,
-                            mlp_objective, predict_binary, predict_multiclass,
-                            _lbfgs, _softmax, softmax_objective)
+                            fit_group_membership, fit_logistic, fit_multiclass,
+                            make_crossfit_plan, mlp_objective, predict_binary,
+                            predict_group_probs, predict_multiclass, _lbfgs,
+                            _softmax, softmax_objective)
 
 
 def test_logistic_recovers_known_coefficients():
@@ -86,7 +87,7 @@ def test_predict_binary_dimension_mismatch():
 
 
 def _keys(values):
-    return [GroupKey((str(v),)) for v in values]
+    return np.asarray(values, dtype=np.int64)
 
 
 def test_multiclass_separable_accuracy():
@@ -96,19 +97,18 @@ def test_multiclass_separable_accuracy():
     model = fit_multiclass(x, labels, MulticlassConfig(epochs=400, lr=1.0))
     probs = predict_multiclass(model, x)
     pred = np.argmax(probs, axis=1)
-    truth = np.array([model.classes.index(g) for g in labels])
-    assert np.mean(pred == truth) >= 0.99
+    assert np.mean(model.classes[pred] == labels) >= 0.99
 
 
 def test_multiclass_no_signal_collapses_to_base_rates():
     rng = np.random.default_rng(2)
     n = 4000
     x = rng.standard_normal((n, 2))
-    labels = _keys(rng.random(n) < 0.4)  # False ~ 0.6, True ~ 0.4
+    labels = _keys(rng.random(n) < 0.4)  # 0 ~ 0.6, 1 ~ 0.4
     model = fit_multiclass(x, labels, MulticlassConfig(epochs=600, lr=1.0))
     probs = predict_multiclass(model, x)
-    col_false = model.classes.index(GroupKey(("False",)))
-    assert np.all(np.abs(probs[:, col_false] - 0.6) < 0.05)
+    assert list(model.classes) == [0, 1]
+    assert np.all(np.abs(probs[:, 0] - 0.6) < 0.05)
 
 
 def test_multiclass_deterministic_given_seed():
@@ -126,7 +126,7 @@ def test_multiclass_degenerate_labels():
     x = np.zeros((5, 2))
     with pytest.raises(DegenerateLabels):
         fit_multiclass(x, _keys([1] * 5), MulticlassConfig())
-    fallback = constant_multiclass([GroupKey(("1",))])
+    fallback = constant_multiclass([1])
     probs = predict_multiclass(fallback, x)
     assert np.all(probs == 1.0)
 
@@ -146,13 +146,39 @@ def test_predict_multiclass_rows_sum_to_one_fuzz():
         n, p, k = rng.integers(5, 40), rng.integers(1, 6), rng.integers(2, 5)
         x = rng.standard_normal((n, p))
         labels = _keys(rng.integers(0, k, n))
-        if len(set(labels)) < 2:
+        if len(np.unique(labels)) < 2:
             continue
         cfg = MulticlassConfig(kind="mlp-1hidden", hidden=5, decay=0.5,
                                epochs=20, seed=trial)
         probs = predict_multiclass(fit_multiclass(x, labels, cfg), x)
         assert np.all(np.abs(probs.sum(axis=1) - 1.0) < 1e-9)
         assert np.all(probs >= 0.0)
+
+
+def test_membership_classes_are_sorted_codes_at_their_columns():
+    # levels not in string order: sorting labels by level strings would put
+    # "child" and "mid" before "young"
+    schema = SchemaSpec(characteristics=("age",),
+                        level_sets=(("young", "mid", "old", "child"),),
+                        treatment="d", outcome="y", prediction="s", covariates=("x1", "x2"))
+    rng = np.random.default_rng(21)
+    x = rng.standard_normal((60, 2))
+    codes = rng.choice([3, 0, 2], size=60)  # "mid" absent
+    model = fit_group_membership(x, codes, MulticlassConfig(epochs=30))
+    assert model.classes.tolist() == [0, 2, 3]
+    expected = np.full((60, schema.n_groups), PROB_EPS)
+    expected[:, [0, 2, 3]] = np.clip(predict_multiclass(model, x), PROB_EPS, None)
+    expected /= expected.sum(axis=1, keepdims=True)
+    assert np.array_equal(predict_group_probs(model, x, schema.n_groups), expected)
+    with pytest.raises(DimensionMismatch):
+        predict_group_probs(model, x, 3)
+
+    single = fit_group_membership(x, np.full(60, 2), MulticlassConfig(epochs=30))
+    assert single.kind == "constant" and single.classes.tolist() == [2]
+    probs = predict_group_probs(single, x, schema.n_groups)
+    assert np.argmax(probs, axis=1).tolist() == [2] * 60
+    with pytest.raises(DimensionMismatch):
+        fit_multiclass(x, codes[:-1], MulticlassConfig(epochs=30))
 
 
 # Plain-numpy references: axis=1 row reductions and fresh arrays every epoch.
@@ -169,7 +195,7 @@ def _reference_sigmoid(z):
 def _reference_fit(x, labels, cfg):
     xb = np.hstack([np.ones((x.shape[0], 1)), x])
     n = xb.shape[0]
-    classes = sorted(set(labels), key=lambda g: g.levels)
+    classes = sorted(set(labels.tolist()))
     y = np.zeros((n, len(classes)))
     y[np.arange(n), [classes.index(g) for g in labels]] = 1.0
     rng = np.random.default_rng(cfg.seed)
@@ -226,7 +252,7 @@ def test_softmax_bit_equal_to_row_reductions():
 def _design(x, labels, classes):
     xb = np.hstack([np.ones((x.shape[0], 1)), x])
     y = np.zeros((x.shape[0], len(classes)))
-    y[np.arange(x.shape[0]), [classes.index(g) for g in labels]] = 1.0
+    y[np.arange(x.shape[0]), np.searchsorted(classes, labels)] = 1.0
     return xb, y
 
 
@@ -244,7 +270,7 @@ def test_fit_and_predict_multiclass_bit_equal_to_reference(cfg, k):
     new_x = rng.standard_normal((40, 5))
     if cfg.kind == "softmax-linear":
         # L-BFGS: at the optimum, below the reference gradient descent, repeatable
-        xb, y = _design(x, labels, list(model.classes))
+        xb, y = _design(x, labels, model.classes)
         loss, grad = softmax_objective(model.params[0], xb, y, cfg.decay)
         assert np.max(np.abs(grad)) < 0.01
         assert loss <= softmax_objective(expected[0], xb, y, cfg.decay)[0]
@@ -265,7 +291,7 @@ def test_mlp_reports_its_epochs_and_final_objective():
     labels = _keys(rng.integers(0, 3, 80))
     cfg = MulticlassConfig(kind="mlp-1hidden", hidden=4, decay=0.5, epochs=15, seed=2)
     model = fit_multiclass(x, labels, cfg)
-    xb, y = _design(x, labels, list(model.classes))
+    xb, y = _design(x, labels, model.classes)
     assert not model.converged and model.iterations == 15
     assert model.objective == mlp_objective(model.params, xb, y, cfg.decay)[0]
 
@@ -417,6 +443,35 @@ def test_crossfit_k2_hand_traced():
         train = np.flatnonzero(plan.fold != fold)
         manual = _fit_binary_spec(design[train], ds.d[train], _spec().pi)
         assert np.allclose(nuis.propensity[hold], predict_binary(manual, design[hold]))
+
+
+def _propensity_design_loop(ds):
+    # the per-code loop that _propensity_design replaced, kept as its reference
+    n_groups = len(ds.schema.all_groups())
+    onehot = np.zeros((ds.n, n_groups - 1))
+    for code in range(1, n_groups):
+        onehot[:, code - 1] = ds.group_codes == code
+    return np.hstack([onehot, ds.x, ds.s[:, None].astype(np.float64)])
+
+
+@pytest.mark.parametrize("k", [1, 2, 6])
+def test_propensity_design_bit_equal_to_loop_reference(k):
+    from cfaudit.models import _propensity_design
+    rng = np.random.default_rng(30 + k)
+    schema = SchemaSpec(characteristics=("a",), level_sets=(tuple(map(str, range(k))),),
+                        treatment="d", outcome="y", prediction="s", covariates=("x0", "x1"))
+    # with six groups, code 2 is empty and code 4 a single row
+    codes = rng.choice([c for c in range(k) if c not in (2, 4)], size=40)
+    if k > 4:
+        codes[17] = 4
+    ds = AuditDataset(schema=schema, group_codes=codes,
+                      d=rng.integers(0, 2, 40).astype(np.int8),
+                      y=rng.integers(0, 2, 40).astype(np.int8),
+                      s=rng.integers(0, 2, 40).astype(np.int8),
+                      x=rng.standard_normal((40, 2)))
+    design = _propensity_design(ds)
+    assert design.shape == (40, k - 1 + 3)
+    assert np.array_equal(design, _propensity_design_loop(ds))
 
 
 def test_crossfit_reproducible():

@@ -45,15 +45,18 @@ pipeline = PipelineConfig(
 )
 result = run_pipeline(internal, None, pipeline, seed=7)
 
+# the report's cells come in report_keys order: per method, per metric, the
+# overall rate and then each group code
+cells = dict(zip(result.report.keys(), result.report.entries))
 print(f"\n{'group':>8} {'metric':>6} {'comparison':>12} {'proposed':>10}")
 for metric in ("cFNR", "cFPR"):
-    for group in [None] + list(SIM_GROUPS):
-        cmp_ = result.report.lookup(group, metric, "comparison")
-        label = "overall" if group is None else group.label()
+    for group in [None] + list(range(len(SIM_GROUPS))):
+        cmp_ = cells[(group, metric, "comparison")]
+        label = "overall" if group is None else SIM_GROUPS[group].label()
         if group is None:
             prop_txt = ""
         else:
-            prop = result.report.lookup(group, metric, "proposed-internal")
+            prop = cells[(group, metric, "proposed-internal")]
             prop_txt = f"{prop.value:10.3f}" if prop.defined else "   (undef)"
         cmp_txt = f"{cmp_.value:12.3f}" if cmp_.defined else "  inestimable"
         print(f"{label:>8} {metric:>6} {cmp_txt} {prop_txt}")

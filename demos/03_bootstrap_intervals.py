@@ -37,9 +37,9 @@ results = bootstrap_estimates(internal, None, pipeline, B=B, seed=2024, level=0.
 
 print(f"95% bootstrap t-intervals from B={B} stratified replicates\n")
 print(f"{'group':>8} {'method':>18} {'point':>7} {'interval':>18} {'NA':>4} {'trunc':>6}")
-for group in SIM_GROUPS:
+for code, group in enumerate(SIM_GROUPS):
     for method in ("comparison", "proposed-internal"):
-        res = results[(group, "cFNR", method)]
+        res = results[(code, "cFNR", method)]
         if res.point is None or res.lower is None:
             print(f"{group.label():>8} {method:>18} {'--':>7} {'(no interval)':>18} "
                   f"{res.na_count:>4}")

@@ -9,10 +9,9 @@ from .dataset import (AuditDataset, DataError, ExternalDataset, GroupKey,
                       NonBinaryValue, SchemaSpec, UnknownLevel, load_external,
                       load_internal, subgroup_counts, write_external,
                       write_internal)
-from .estimators import (DeltaEstimate, ErrorRateEstimate, ErrorRateReport,
-                         NuisanceEstimates, UndefinedOperand, comparison_rate,
-                         delta, estimate_all, membership_ratio, overall_rate,
-                         proposed_rate)
+from .estimators import (ErrorRateEstimate, ErrorRateReport, NuisanceEstimates,
+                         comparison_rate, estimate_all, membership_ratio,
+                         overall_rate, proposed_rate, report_keys)
 from .inference import BootstrapResult, bootstrap_estimates, stratified_resample
 from .models import (BinaryModel, BinarySpec, CrossFitPlan, DegenerateLabels,
                      MulticlassConfig, MulticlassModel, NuisanceSpec,

@@ -19,12 +19,12 @@ import scipy
 from . import __version__
 from .borrowing import BORROW_METRICS, grid_intervals
 from .config import ConfigError, check_at_least, check_choice, decode, encode
-from .dataset import (DataError, GroupKey, SchemaSpec, load_external,
-                      load_internal, subgroup_counts)
-from .estimators import METRICS, UndefinedOperand, delta
+from .dataset import (DataError, SchemaSpec, load_external, load_internal,
+                      subgroup_counts)
+from .estimators import METRICS, group_label, report_keys
 from .inference import bootstrap_estimates
 from .pipeline import PipelineConfig, run_pipeline
-from .simlab import ScenarioConfig, run_scenario
+from .simlab import ScenarioConfig, run_scenario, sim_schema
 
 REPORT_SCHEMA_PATH = Path(__file__).with_name("report_schema.json")
 
@@ -248,11 +248,11 @@ def cmd_audit(cfg: AuditConfig) -> int:
         schema = SchemaSpec.from_json(cfg.schema)
     except ValueError as err:
         raise ConfigError(f"schema {cfg.schema}: {err}") from None
-    groups = schema.all_groups()
-    reference = groups[0] if len(groups) > 1 else None
+    labels = [group.label() for group in schema.all_groups()]
+    reference = 0 if len(labels) > 1 else None  # a group code
     if cfg.reference_group is not None:
-        reference = GroupKey(cfg.reference_group)
-        if reference not in groups:
+        reference = schema.level_codes.get(cfg.reference_group)
+        if reference is None:
             raise ConfigError(f"reference_group {list(cfg.reference_group)} is not a "
                               "group of the schema")
 
@@ -266,7 +266,7 @@ def cmd_audit(cfg: AuditConfig) -> int:
                                         B=cfg.bootstrap.B, seed=cfg.seed,
                                         level=cfg.bootstrap.level, n_jobs=cfg.threads)
 
-    estimates = result.report.to_json_rows()
+    estimates = result.report.to_json_rows(labels)
     for row, entry in zip(estimates, result.report.entries):
         boot = intervals.get((entry.group, entry.metric, entry.method))
         if boot is not None:
@@ -277,32 +277,24 @@ def cmd_audit(cfg: AuditConfig) -> int:
                 "truncated_high": boot.truncated_high if boot.lower is not None else None,
             })
 
+    # each defined group's difference from the reference, methods in name order
     deltas = []
     if reference is not None:
-        methods = {e.method for e in result.report.entries}
+        methods = pipeline.reported_methods(external is not None)
+        table = result.report.values(report_keys(len(labels), methods)).reshape(
+            len(methods), len(METRICS), 1 + len(labels))  # overall, then each code
         for method in sorted(methods):
-            for metric in METRICS:
-                try:
-                    ref_est = result.report.lookup(reference, metric, method)
-                except KeyError:
-                    continue
-                for group in groups:
-                    if group == reference:
-                        continue
-                    try:
-                        rate = result.report.lookup(group, metric, method)
-                        d = delta(rate, ref_est)
-                    except (KeyError, UndefinedOperand):
-                        continue
-                    deltas.append({
-                        "metric": d.metric, "method": method,
-                        "group": group.label(), "reference": reference.label(),
-                        "value": d.value,
-                    })
+            for metric, rates in zip(METRICS, table[methods.index(method)]):
+                for code, label in enumerate(labels):
+                    value = rates[1 + code] - rates[1 + reference]
+                    if code != reference and not np.isnan(value):
+                        deltas.append({"metric": f"delta_{metric}", "method": method,
+                                       "group": label, "reference": labels[reference],
+                                       "value": float(value)})
 
     counts_json = {}
-    for group, cells in zip(groups, subgroup_counts(internal)):
-        counts_json[group.label()] = {
+    for label, cells in zip(labels, subgroup_counts(internal)):
+        counts_json[label] = {
             f"d{d_}_s{s_}_y{y_}": int(cells[d_, s_, y_])
             for d_ in (0, 1) for s_ in (0, 1) for y_ in (0, 1)
         }
@@ -312,7 +304,7 @@ def cmd_audit(cfg: AuditConfig) -> int:
         "n_external": external.n if external is not None else None,
         "alpha": result.alpha,
         "borrow_metric": pipeline.borrow_metric if result.alpha is not None else None,
-        "reference_group": reference.label() if reference is not None else None,
+        "reference_group": labels[reference] if reference is not None else None,
         "estimates": estimates,
         "deltas": deltas,
         "subgroup_counts": counts_json,
@@ -343,6 +335,7 @@ def cmd_simulate(cfg: SimulateConfig) -> int:
     scenario, points = _scenario_points(cfg.scenario, cfg.seed)
     sweep_names = sorted(points[0][0])
     results = [(point, run_scenario(config, n_jobs=cfg.threads)) for point, config in points]
+    labels = [group.label() for group in sim_schema(points[0][1]).all_groups()]
 
     cfg.out.mkdir(parents=True, exist_ok=True)
 
@@ -351,13 +344,12 @@ def cmd_simulate(cfg: SimulateConfig) -> int:
     rep_rows = [rep_header]
     for point, res in results:
         point_cells = [_f(point[name]) for name in sweep_names]
-        for row in res.rows:
-            rep_rows.append(point_cells + [
-                str(row.replication),
-                "overall" if row.group is None else row.group.label(),
-                row.metric, row.method, _f(row.value), str(row.defined),
-                _f(res.alphas[row.replication]),
-            ])
+        for rep, (values, alpha) in enumerate(zip(res.values, res.alphas)):
+            for (group, metric, method), value in zip(res.cells, values):
+                rep_rows.append(point_cells + [
+                    str(rep), group_label(group, labels), metric, method,
+                    _f(value), str(not np.isnan(value)), _f(alpha),
+                ])
     _write_csv(cfg.out / "replications.csv", rep_rows)
 
     agg_header = sweep_names + ["group", "metric", "method", "replications",
@@ -369,7 +361,7 @@ def cmd_simulate(cfg: SimulateConfig) -> int:
         mean_alpha = res.mean_alpha()
         for entry in res.aggregate():
             agg_rows.append(point_cells + [
-                entry["group"], entry["metric"], entry["method"],
+                group_label(entry["group"], labels), entry["metric"], entry["method"],
                 str(entry["replications"]), str(entry["na_count"]),
                 _f(entry["na_frac"]), _f(entry["mean"]), _f(entry["p2.5"]),
                 _f(entry["p97.5"]), _f(entry["oracle"]), _f(mean_alpha),

@@ -92,6 +92,10 @@ class SchemaSpec:
             raise ValueError("one level set required per characteristic")
         if not self.characteristics:
             raise ValueError("at least one protected characteristic required")
+        for char, levels in zip(self.characteristics, self.level_sets):
+            repeated = [level for i, level in enumerate(levels) if level in levels[:i]]
+            if repeated:
+                raise ValueError(f"characteristic {char!r} repeats level {repeated[0]!r}")
         if not self.external_covariates:
             object.__setattr__(self, "external_covariates", self.covariates)
         unknown = set(self.external_covariates) - set(self.covariates)
@@ -110,9 +114,6 @@ class SchemaSpec:
     @property
     def n_groups(self) -> int:
         return len(self.level_codes)
-
-    def group_code(self, key: GroupKey) -> int:
-        return self.level_codes[key.levels]
 
     @classmethod
     def from_json(cls, path) -> "SchemaSpec":

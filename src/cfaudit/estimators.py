@@ -20,17 +20,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dataset import AuditDataset, GroupKey
+from .dataset import AuditDataset
 
 METRICS = ("cFPR", "cFNR")
 METHODS = ("comparison", "proposed-internal", "proposed-borrowing")
 
 # weighted sums below this are treated as exactly zero
 SUM_FLOOR = 1e-300
-
-
-class UndefinedOperand(Exception):
-    pass
 
 
 @dataclass
@@ -69,23 +65,11 @@ class NuisanceEstimates:
 class ErrorRateEstimate:
     metric: str  # "cFPR" | "cFNR"
     method: str
-    group: GroupKey | None  # None = overall
+    group: int | None  # group code; None = overall
     value: float | None  # clipped to [0, 1]; None when undefined
     raw_value: float | None = None  # unclipped, for diagnostics
     defined: bool = True
     clipped: bool = False
-
-    def group_label(self) -> str:
-        return "overall" if self.group is None else self.group.label()
-
-
-@dataclass
-class DeltaEstimate:
-    metric: str  # "delta_cFPR" | "delta_cFNR"
-    method: str
-    group_a: GroupKey
-    group_b: GroupKey
-    value: float
 
 
 def _undefined(metric, method, group) -> ErrorRateEstimate:
@@ -114,7 +98,7 @@ def _cell_indicators(ds: AuditDataset, metric: str):
     return numer, denom
 
 
-def comparison_rate(ds: AuditDataset, propensity, group: GroupKey,
+def comparison_rate(ds: AuditDataset, propensity, group: int,
                     metric: str) -> ErrorRateEstimate:
     """Cell-restricted weighted estimator for one group.
 
@@ -123,7 +107,7 @@ def comparison_rate(ds: AuditDataset, propensity, group: GroupKey,
     when the group contributes no denominator weight.
     """
     numer, denom = _cell_indicators(ds, metric)
-    in_group = (ds.group_codes == ds.schema.group_code(group)).astype(np.float64)
+    in_group = (ds.group_codes == group).astype(np.float64)
     weights = 1.0 / (1.0 - np.asarray(propensity, dtype=np.float64))
     value, ok = _weighted_ratio(numer * in_group, denom * in_group, weights)
     if not ok:
@@ -144,7 +128,7 @@ def overall_rate(ds: AuditDataset, propensity, metric: str,
                              value=value, raw_value=value)
 
 
-def membership_ratio(ds: AuditDataset, nuis: NuisanceEstimates, group: GroupKey,
+def membership_ratio(ds: AuditDataset, nuis: NuisanceEstimates, group: int,
                      metric: str) -> float:
     """Plug-in estimate of the group-membership probability ratio.
 
@@ -157,9 +141,8 @@ def membership_ratio(ds: AuditDataset, nuis: NuisanceEstimates, group: GroupKey,
     if nuis.group_prob.shape[1] != ds.schema.n_groups:
         raise ValueError(f"group_prob has {nuis.group_prob.shape[1]} columns; the schema "
                          f"has {ds.schema.n_groups} groups")
-    code = ds.schema.group_code(group)
-    in_group = (ds.group_codes == code).astype(np.float64)
-    h_col = nuis.group_prob[:, code]
+    in_group = (ds.group_codes == group).astype(np.float64)
+    h_col = nuis.group_prob[:, group]
     if metric == "cFNR":
         mu_strat = nuis.mu0_s0
         mu_all = nuis.mu0_all
@@ -184,7 +167,7 @@ def membership_ratio(ds: AuditDataset, nuis: NuisanceEstimates, group: GroupKey,
 
 
 def proposed_rate(ds: AuditDataset, nuis: NuisanceEstimates,
-                  overall: ErrorRateEstimate, group: GroupKey,
+                  overall: ErrorRateEstimate, group: int,
                   method: str = "proposed-internal") -> ErrorRateEstimate:
     """Proposed group estimator: overall rate times the membership ratio.
 
@@ -207,37 +190,38 @@ def proposed_rate(ds: AuditDataset, nuis: NuisanceEstimates,
                              value=value, raw_value=raw, clipped=value != raw)
 
 
-def delta(rate_a: ErrorRateEstimate, rate_b: ErrorRateEstimate) -> DeltaEstimate:
-    """Between-group difference of two defined estimates of the same kind."""
-    if not (rate_a.defined and rate_b.defined):
-        raise UndefinedOperand("both estimates must be defined")
-    if rate_a.metric != rate_b.metric or rate_a.method != rate_b.method:
-        raise ValueError("estimates must share metric and method")
-    if rate_a.group is None or rate_b.group is None:
-        raise ValueError("delta compares two groups, not overall rates")
-    return DeltaEstimate(
-        metric=f"delta_{rate_a.metric}",
-        method=rate_a.method,
-        group_a=rate_a.group,
-        group_b=rate_b.group,
-        value=rate_a.value - rate_b.value,
-    )
+def report_keys(n_groups: int, methods) -> list[tuple[int | None, str, str]]:
+    """The report's cells in order: (group code or None, metric, method) for
+    each method, then each metric, the overall rate first, then group codes
+    0..n_groups-1."""
+    return [(group, metric, method) for method in methods for metric in METRICS
+            for group in (None, *range(n_groups))]
+
+
+def group_label(group: int | None, labels) -> str:
+    """A cell's group as written: "overall", or the label of its code."""
+    return "overall" if group is None else labels[group]
 
 
 @dataclass
 class ErrorRateReport:
     entries: list[ErrorRateEstimate] = field(default_factory=list)
 
-    def lookup(self, group: GroupKey | None, metric: str, method: str) -> ErrorRateEstimate:
-        for e in self.entries:
-            if e.group == group and e.metric == metric and e.method == method:
-                return e
-        raise KeyError((group, metric, method))
+    def keys(self) -> list[tuple[int | None, str, str]]:
+        return [(e.group, e.metric, e.method) for e in self.entries]
 
-    def to_json_rows(self) -> list[dict]:
+    def values(self, keys=None) -> np.ndarray:
+        """Each entry's value in order, NaN where undefined. Given keys, the
+        cells the caller expects, raises unless the report has exactly those."""
+        if keys is not None and self.keys() != keys:
+            raise RuntimeError("the report's cells differ from the expected cells")
+        return np.array([e.value if e.defined else np.nan for e in self.entries])
+
+    def to_json_rows(self, labels) -> list[dict]:
+        """One row per entry, naming group code c by labels[c]."""
         return [
             {
-                "group": e.group_label(),
+                "group": group_label(e.group, labels),
                 "metric": e.metric,
                 "method": e.method,
                 "value": e.value,
@@ -252,30 +236,26 @@ class ErrorRateReport:
 def estimate_all(ds: AuditDataset, nuis: NuisanceEstimates,
                  methods=METHODS, borrowed_group_prob: np.ndarray | None = None,
                  ) -> ErrorRateReport:
-    """Full report: one estimate per (overall + each schema group) x metric x
-    method, in deterministic order. Component failures become undefined
-    entries; the report itself always completes.
+    """Full report: one estimate per cell of report_keys(n_groups, methods),
+    in that order. Component failures become undefined entries; the report
+    itself always completes.
 
     borrowed_group_prob supplies the blended group-membership matrix used by
-    the "proposed-borrowing" method.
+    the "proposed-borrowing" method, which needs it.
     """
+    by_method = {method: nuis for method in methods}
+    if "proposed-borrowing" in by_method:
+        if borrowed_group_prob is None:
+            raise ValueError("proposed-borrowing needs borrowed_group_prob")
+        by_method["proposed-borrowing"] = nuis.with_group_prob(borrowed_group_prob)
     report = ErrorRateReport()
-    groups = ds.schema.all_groups()
-    for method in methods:
-        if method == "proposed-borrowing":
-            if borrowed_group_prob is None:
-                continue
-            nuis_m = nuis.with_group_prob(borrowed_group_prob)
+    for group, metric, method in report_keys(ds.schema.n_groups, methods):
+        nuis_m = by_method[method]
+        if group is None:
+            estimate = overall = overall_rate(ds, nuis_m.propensity, metric, method=method)
+        elif method == "comparison":
+            estimate = comparison_rate(ds, nuis_m.propensity, group, metric)
         else:
-            nuis_m = nuis
-        for metric in METRICS:
-            overall = overall_rate(ds, nuis_m.propensity, metric, method=method)
-            report.entries.append(overall)
-            for group in groups:
-                if method == "comparison":
-                    report.entries.append(
-                        comparison_rate(ds, nuis_m.propensity, group, metric))
-                else:
-                    report.entries.append(
-                        proposed_rate(ds, nuis_m, overall, group, method=method))
+            estimate = proposed_rate(ds, nuis_m, overall, group, method=method)
+        report.entries.append(estimate)
     return report

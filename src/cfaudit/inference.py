@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import AuditDataset, ExternalDataset, GroupKey
+from .dataset import AuditDataset, ExternalDataset
 from .models import ModelError
 from .pipeline import PipelineConfig, run_pipeline
 
@@ -52,21 +52,16 @@ def stratified_resample(ds: AuditDataset, rng) -> AuditDataset:
 
 
 def _replicate_values(args):
+    """One replicate's value per cell of keys, the point run's cells."""
     internal, external, config, child_seq, keys = args
     rng = np.random.default_rng(child_seq)
     resampled = stratified_resample(internal, rng)
     pipeline_seed = int(rng.integers(0, 2**31 - 1))
-    values = np.full(len(keys), np.nan)
     try:
         result = run_pipeline(resampled, external, config, pipeline_seed)
     except (ModelError, np.linalg.LinAlgError):
-        return values  # whole replicate inestimable
-    lookup = {}
-    for e in result.report.entries:
-        lookup[(e.group, e.metric, e.method)] = e.value if e.defined else np.nan
-    for j, key in enumerate(keys):
-        values[j] = lookup.get(key, np.nan)
-    return values
+        return np.full(len(keys), np.nan)  # whole replicate inestimable
+    return result.report.values(keys)
 
 
 def _t_multiplier(B: int, level: float) -> float:
@@ -79,10 +74,11 @@ def _t_multiplier(B: int, level: float) -> float:
 def bootstrap_estimates(internal: AuditDataset, external: ExternalDataset | None,
                         config: PipelineConfig, B: int, seed: int,
                         level: float = 0.95, n_jobs: int = 1,
-                        ) -> dict[tuple[GroupKey | None, str, str], BootstrapResult]:
+                        ) -> dict[tuple[int | None, str, str], BootstrapResult]:
     """Bootstrap every cell of the estimate report.
 
-    Returns a map (group-or-None, metric, method) -> BootstrapResult. The
+    Returns a map (group code or None, metric, method) -> BootstrapResult, in
+    report order. A replicate whose report has other cells raises. The
     interval is point +/- t_{B-1, 1-(1-level)/2} * se, truncated to [0, 1];
     it is absent (None bounds) when the point estimate is undefined or every
     replicate came back NA.
@@ -90,9 +86,7 @@ def bootstrap_estimates(internal: AuditDataset, external: ExternalDataset | None
     if B < 2:
         raise ValueError("B must be at least 2")
     point_run = run_pipeline(internal, external, config, seed)
-    keys = [(e.group, e.metric, e.method) for e in point_run.report.entries]
-    points = {key: (e.value if e.defined else None)
-              for key, e in zip(keys, point_run.report.entries)}
+    keys = point_run.report.keys()
 
     root = np.random.SeedSequence(seed)
     children = root.spawn(B)  # SeedSequence pickles, so tasks work across processes
@@ -107,10 +101,10 @@ def bootstrap_estimates(internal: AuditDataset, external: ExternalDataset | None
 
     t_mult = _t_multiplier(B, level)
     out = {}
-    for j, key in enumerate(keys):
+    for j, (key, entry) in enumerate(zip(keys, point_run.report.entries)):
         reps = matrix[:, j]
         na_count = int(np.sum(np.isnan(reps)))
-        point = points[key]
+        point = entry.value if entry.defined else None
         if point is None or na_count == B:
             out[key] = BootstrapResult(point=point, replicates=reps, se=None,
                                        lower=None, upper=None, B=B,

@@ -555,10 +555,12 @@ def cross_fit(ds: AuditDataset, spec: NuisanceSpec, k=1, seed=0,
               plan: CrossFitPlan | None = None) -> NuisanceEstimates:
     """Out-of-fold nuisance predictions for every row.
 
-    With k == 1 each model is fit once on the full sample and predicts in
-    sample (the GLM path). With k >= 2 each row is predicted by models
-    trained on its fold's complement. The group-membership model is always
-    fit once on the full sample.
+    Each (held-out rows, training rows) pair fits the models on its training
+    rows and predicts its held-out rows. With k == 1 the one pair is (all
+    rows, all rows): each model is fit once and predicts in sample (the GLM
+    path). With k >= 2 each fold is held out once and predicted by models
+    trained on its complement. The group-membership model is always fit once
+    on the full sample.
     """
     pi_design = _propensity_design(ds)
     n = ds.n
@@ -568,25 +570,19 @@ def cross_fit(ds: AuditDataset, spec: NuisanceSpec, k=1, seed=0,
     mu0_all = np.empty(n)
 
     if k == 1:
-        all_idx = np.arange(n)
-        pi_model = _fit_binary_spec(pi_design, ds.d, spec.pi)
-        propensity[:] = predict_binary(pi_model, pi_design)
-        mu_by_s, mu_star = _fit_outcome_models(ds, all_idx, spec.mu)
-        mu0_s0[:] = predict_binary(mu_by_s[0], ds.x)
-        mu0_s1[:] = predict_binary(mu_by_s[1], ds.x)
-        mu0_all[:] = predict_binary(mu_star, ds.x)
+        pairs = [(np.arange(n), np.arange(n))]
     else:
         if plan is None:
             plan = make_crossfit_plan(ds, k, seed)
-        for f in range(plan.k):
-            hold = np.flatnonzero(plan.fold == f)
-            train = np.flatnonzero(plan.fold != f)
-            pi_model = _fit_binary_spec(pi_design[train], ds.d[train], spec.pi)
-            propensity[hold] = predict_binary(pi_model, pi_design[hold])
-            mu_by_s, mu_star = _fit_outcome_models(ds, train, spec.mu)
-            mu0_s0[hold] = predict_binary(mu_by_s[0], ds.x[hold])
-            mu0_s1[hold] = predict_binary(mu_by_s[1], ds.x[hold])
-            mu0_all[hold] = predict_binary(mu_star, ds.x[hold])
+        pairs = [(np.flatnonzero(plan.fold == f), np.flatnonzero(plan.fold != f))
+                 for f in range(plan.k)]
+    for hold, train in pairs:
+        pi_model = _fit_binary_spec(pi_design[train], ds.d[train], spec.pi)
+        propensity[hold] = predict_binary(pi_model, pi_design[hold])
+        mu_by_s, mu_star = _fit_outcome_models(ds, train, spec.mu)
+        mu0_s0[hold] = predict_binary(mu_by_s[0], ds.x[hold])
+        mu0_s1[hold] = predict_binary(mu_by_s[1], ds.x[hold])
+        mu0_all[hold] = predict_binary(mu_star, ds.x[hold])
 
     h_model = fit_group_membership(ds.x, ds.group_codes, spec.h)
     return NuisanceEstimates(

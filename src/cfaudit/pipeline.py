@@ -37,6 +37,12 @@ class PipelineConfig:
         grid_intervals(self.alpha_grid_step)
         check_at_least("crossfit_k", self.crossfit_k, 1)
 
+    def reported_methods(self, external: bool) -> tuple[str, ...]:
+        """The methods a run reports: proposed-borrowing only when borrowing
+        is on and the run has external data."""
+        return tuple(m for m in self.methods
+                     if m != "proposed-borrowing" or (external and self.borrow))
+
 
 @dataclass
 class PipelineResult:
@@ -68,11 +74,11 @@ def run_pipeline(internal: AuditDataset, external: ExternalDataset | None,
     )
     nuis = cross_fit(internal, spec, k=config.crossfit_k, seed=crossfit_seed)
 
-    methods = tuple(config.methods)
+    methods = config.reported_methods(external is not None)
     blend = None
     alpha = None
     borrowed = None
-    if external is not None and config.borrow and "proposed-borrowing" in methods:
+    if "proposed-borrowing" in methods:
         if external.n == 0:
             # nothing to borrow from: the blend degenerates to the internal model
             alpha = 0.0
@@ -89,8 +95,6 @@ def run_pipeline(internal: AuditDataset, external: ExternalDataset | None,
                                  grid_step=config.alpha_grid_step)
             alpha = blend.alpha
             borrowed = blend.h_star
-    else:
-        methods = tuple(m for m in methods if m != "proposed-borrowing")
 
     report = estimate_all(internal, nuis, methods=methods,
                           borrowed_group_prob=borrowed)

@@ -23,6 +23,7 @@ import numpy as np
 
 from .config import check_at_least
 from .dataset import AuditDataset, ExternalDataset, GroupKey, SchemaSpec
+from .estimators import report_keys
 from .models import BinarySpec, ModelError, MulticlassConfig, _softmax, sigmoid
 from .pipeline import PipelineConfig, run_pipeline
 
@@ -477,7 +478,7 @@ class OracleTruth:
     """True counterfactual error rates counted from (s, y0, group); NaN marks
     groups with an empty conditioning event."""
 
-    rates: dict  # (GroupKey | None, metric) -> float
+    rates: dict  # (group code or None, metric) -> float
 
     def get(self, group, metric) -> float:
         return self.rates[(group, metric)]
@@ -499,10 +500,10 @@ def oracle_error_rates(validation: Population, model: RiskModel) -> OracleTruth:
     rates = {}
     rates[(None, "cFPR")] = _count_rate(s, ~y0)
     rates[(None, "cFNR")] = _count_rate(~s, y0)
-    for code, group in enumerate(SIM_GROUPS):
+    for code in range(len(SIM_GROUPS)):
         in_group = validation.group_codes == code
-        rates[(group, "cFPR")] = _count_rate(s, ~y0 & in_group)
-        rates[(group, "cFNR")] = _count_rate(~s, y0 & in_group)
+        rates[(code, "cFPR")] = _count_rate(s, ~y0 & in_group)
+        rates[(code, "cFNR")] = _count_rate(~s, y0 & in_group)
     return OracleTruth(rates=rates)
 
 
@@ -524,35 +525,22 @@ def to_external_dataset(pop: Population, schema: SchemaSpec) -> ExternalDataset:
 
 
 @dataclass
-class ReplicationRow:
-    replication: int
-    group: GroupKey | None
-    metric: str
-    method: str
-    value: float  # NaN when inestimable
-    defined: bool
-
-
-@dataclass
 class ScenarioResult:
     config: ScenarioConfig
     oracle: OracleTruth
-    rows: list  # ReplicationRow
+    cells: list  # (group code or None, metric, method) per column of values
+    values: np.ndarray  # (replications, cells); NaN where inestimable
     alphas: list  # per replication; NaN when borrowing did not run
 
     def aggregate(self) -> list[dict]:
         """Per cell: mean and 95%-tile interval of the defined replicates,
         plus the NA share; oracle truth attached for plotting."""
-        by_cell = {}
-        for row in self.rows:
-            by_cell.setdefault((row.group, row.metric, row.method), []).append(row.value)
         out = []
-        for (group, metric, method), values in by_cell.items():
-            arr = np.asarray(values, dtype=np.float64)
+        for (group, metric, method), arr in zip(self.cells, self.values.T):
             good = arr[~np.isnan(arr)]
             na = int(np.sum(np.isnan(arr)))
             entry = {
-                "group": "overall" if group is None else group.label(),
+                "group": group,
                 "metric": metric,
                 "method": method,
                 "replications": len(arr),
@@ -575,59 +563,32 @@ class ScenarioResult:
         return float(np.mean(good)) if good.size else np.nan
 
 
-def _expected_cells(cfg: ScenarioConfig, borrowing_active: bool):
-    methods = [m for m in cfg.pipeline.methods
-               if borrowing_active or m != "proposed-borrowing"]
-    cells = []
-    for method in methods:
-        for metric in ("cFPR", "cFNR"):
-            cells.append((None, metric, method))
-            for group in SIM_GROUPS:
-                cells.append((group, metric, method))
-    return cells
-
-
-def _borrowing_active(cfg: ScenarioConfig) -> bool:
-    return cfg.pipeline.borrow and "proposed-borrowing" in cfg.pipeline.methods
-
-
 def _run_replication(args):
-    cfg, model, schema, rep, child = args
+    """One replication's value per cell of cells, and its alpha."""
+    cfg, model, schema, child, cells = args
     sub = child.spawn(3)
     internal_seed, external_seed = sub[0], sub[1]
     pipeline_seed = int(sub[2].generate_state(1)[0] % (2**31 - 1))
-    cells = _expected_cells(cfg, _borrowing_active(cfg))
     try:
         internal = to_audit_dataset(
             generate_population(cfg, "internal", internal_seed, risk_model=model), schema)
         external = None
-        if _borrowing_active(cfg):
+        if "proposed-borrowing" in cfg.pipeline.reported_methods(external=True):
             external = to_external_dataset(
                 generate_population(cfg, "external", external_seed), schema)
         result = run_pipeline(internal, external, cfg.pipeline, pipeline_seed)
     except (ModelError, np.linalg.LinAlgError):
-        rows = [ReplicationRow(rep, g, metric, method, np.nan, False)
-                for g, metric, method in cells]
-        return rows, np.nan
-
-    lookup = {(e.group, e.metric, e.method): e for e in result.report.entries}
-    rows = []
-    for g, metric, method in cells:
-        e = lookup.get((g, metric, method))
-        if e is None or not e.defined:
-            rows.append(ReplicationRow(rep, g, metric, method, np.nan, False))
-        else:
-            rows.append(ReplicationRow(rep, g, metric, method, float(e.value), True))
+        return np.full(len(cells), np.nan), np.nan
     alpha = result.alpha if result.alpha is not None else np.nan
-    return rows, alpha
+    return result.report.values(cells), alpha
 
 
 def run_scenario(cfg: ScenarioConfig, n_jobs: int = 1) -> ScenarioResult:
     """Full scenario: one shared risk model, oracle truth from the validation
     draw, then independent estimation replications (fresh internal and, when
     borrowing, external data each time). A replication whose model fit fails
-    (ModelError, LinAlgError) becomes NA rows; any other exception is a bug
-    and propagates. Deterministic for a fixed seed and any n_jobs."""
+    (ModelError, LinAlgError) becomes a row of NA; any other exception is a
+    bug and propagates. Deterministic for a fixed seed and any n_jobs."""
     root = np.random.SeedSequence(cfg.seed)
     children = root.spawn(3 + cfg.replications)
     schema = sim_schema(cfg)
@@ -639,7 +600,8 @@ def run_scenario(cfg: ScenarioConfig, n_jobs: int = 1) -> ScenarioResult:
     validation = generate_population(cfg, "validation", children[1])
     oracle = oracle_error_rates(validation, model)
 
-    tasks = [(cfg, model, schema, rep, children[3 + rep])
+    cells = report_keys(schema.n_groups, cfg.pipeline.reported_methods(external=True))
+    tasks = [(cfg, model, schema, children[3 + rep], cells)
              for rep in range(cfg.replications)]
     if n_jobs > 1:
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
@@ -647,8 +609,6 @@ def run_scenario(cfg: ScenarioConfig, n_jobs: int = 1) -> ScenarioResult:
     else:
         results = [_run_replication(task) for task in tasks]
 
-    rows, alphas = [], []
-    for rep_rows, alpha in results:
-        rows.extend(rep_rows)
-        alphas.append(alpha)
-    return ScenarioResult(config=cfg, oracle=oracle, rows=rows, alphas=alphas)
+    values, alphas = zip(*results)
+    return ScenarioResult(config=cfg, oracle=oracle, cells=cells,
+                          values=np.vstack(values), alphas=list(alphas))

@@ -15,7 +15,7 @@ import pytest
 import cfaudit as cf
 from cfaudit.borrowing import alpha_grid, brier_score, multiclass_auc, select_alpha
 from cfaudit.cli import main as cli_main
-from cfaudit.dataset import AuditDataset, GroupKey, SchemaSpec
+from cfaudit.dataset import AuditDataset, SchemaSpec
 from cfaudit.estimators import (NuisanceEstimates, comparison_rate,
                                 overall_rate, proposed_rate)
 from cfaudit.inference import bootstrap_estimates
@@ -72,8 +72,8 @@ def test_criterion_01_ratio_identity_exact_counting():
             truth = oracle_error_rates(pop, stump_model())
             s = s_flag.astype(bool)
             t = y0.astype(bool)
-            for g_idx, group in enumerate(SIM_GROUPS):
-                in_g = codes == g_idx
+            for group in range(len(SIM_GROUPS)):
+                in_g = codes == group
                 # false negatives: condition on y0 = 1
                 if np.any(t & in_g) and np.any(t & ~s):
                     ratio = ((np.sum(in_g & t & ~s) / np.sum(t & ~s))
@@ -96,7 +96,7 @@ def test_criterion_02_estimator_agreement_clean_data():
                             level_sets=(("0", "1"), ("0", "1")),
                             treatment="d", outcome="y", prediction="s",
                             covariates=("x1",))
-        groups = tuple(schema.all_groups())
+        groups = range(schema.n_groups)
         for seed in range(20):
             rng = np.random.default_rng(2000 + seed)
             n = 1000
@@ -134,11 +134,9 @@ def test_criterion_03_consistency_randomized_treatment():
         cfg = ScenarioConfig(n_internal=50000, replications=20, seed=301,
                              coefficients=coeffs, pipeline=pipe)
         res = run_scenario(cfg)
-        majority = SIM_GROUPS[0]
+        majority = 0
         truth = res.oracle.get(majority, "cFNR")
-        values = [r.value for r in res.rows
-                  if r.group == majority and r.metric == "cFNR"
-                  and r.method == "proposed-internal"]
+        values = res.values[:, res.cells.index((majority, "cFNR", "proposed-internal"))]
         assert len(values) == 20
         assert not any(np.isnan(values))
         gap = abs(float(np.mean(values)) - truth)
@@ -154,27 +152,27 @@ def test_criterion_04_small_sample_pattern():
             h_external=MulticlassConfig(kind="softmax-linear", epochs=200, lr=1.0),
             crossfit_k=1, alpha_grid_step=0.01,
         )
-        minority = SIM_GROUPS[3]
+        minority = 3
         widths = {}
         na = {}
-        comparison_na_by_group = {g: [] for g in SIM_GROUPS}
+        comparison_na_by_group = {g: [] for g in range(len(SIM_GROUPS))}
         for n_int in (100, 200, 500):
             cfg = ScenarioConfig(n_internal=n_int, replications=200, seed=401,
                                  pipeline=pipe)
             agg = {(row["group"], row["metric"], row["method"]): row
                    for row in run_scenario(cfg).aggregate()}
             for method in ("comparison", "proposed-internal", "proposed-borrowing"):
-                row = agg[(minority.label(), "cFNR", method)]
+                row = agg[(minority, "cFNR", method)]
                 na[(n_int, method)] = row["na_count"]
                 if row["p97.5"] is not None:
                     widths[(n_int, method)] = row["p97.5"] - row["p2.5"]
-            for g in SIM_GROUPS:
+            for g in comparison_na_by_group:
                 comparison_na_by_group[g].append(
-                    agg[(g.label(), "cFNR", "comparison")]["na_count"])
+                    agg[(g, "cFNR", "comparison")]["na_count"])
         print(f"  minority cFNR NA counts: {na}")
         print(f"  minority cFNR widths: { {k: round(v, 3) for k, v in widths.items()} }")
         print(f"  comparison NA by group over the sweep: "
-              f"{ {g.label(): v for g, v in comparison_na_by_group.items()} }")
+              f"{ {SIM_GROUPS[g].label(): v for g, v in comparison_na_by_group.items()} }")
         assert na[(100, "comparison")] >= 1
         for n_int in (100, 200, 500):
             assert na[(n_int, "proposed-internal")] == 0
@@ -184,7 +182,7 @@ def test_criterion_04_small_sample_pattern():
                 assert widths[(n_int, "proposed-borrowing")] <= widths[(n_int, "comparison")]
         # comparison NA frequency never increases with the sample size
         for g, counts in comparison_na_by_group.items():
-            assert counts == sorted(counts, reverse=True), (g.label(), counts)
+            assert counts == sorted(counts, reverse=True), (SIM_GROUPS[g].label(), counts)
 
 
 def test_criterion_05_borrowing_responds_to_agreement():
@@ -333,7 +331,7 @@ def test_criterion_10_bootstrap_determinism_and_truncation():
                              s=np.zeros(m, dtype=np.int8),
                              x=np.ones((m, 1)))
         res = bootstrap_estimates(const, None, fast, B=8, seed=3)[
-            (GroupKey(("0",)), "cFNR", "comparison")]
+            (0, "cFNR", "comparison")]
         assert res.se == 0.0
         assert res.lower == res.upper == res.point == 1.0
 

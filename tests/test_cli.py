@@ -98,6 +98,43 @@ def test_audit_full_run_reports_alpha_and_deltas(tmp_path):
     assert total == report["n_internal"]
 
 
+def test_deltas_are_the_defined_differences_from_the_reference(tmp_path):
+    make_audit_files(tmp_path)
+    # no untreated y = 1 row in group 1|1 leaves its comparison cFNR undefined;
+    # no y = 0 row in the reference 0|1 leaves the reference's comparison cFPR undefined
+    rows = list(csv.reader(open(tmp_path / "internal.csv")))
+    col = {name: i for i, name in enumerate(rows[0])}
+    for row in rows[1:]:
+        group = (row[col["a1"]], row[col["a2"]])
+        if group == ("1", "1"):
+            row[col["y"]] = "0"
+        elif group == ("0", "1"):
+            row[col["y"]] = "1"
+    with open(tmp_path / "internal.csv", "w", newline="") as f:
+        csv.writer(f).writerows(rows)
+    assert main(["--config", str(audit_config(tmp_path, reference_group=["0", "1"]))]) == 0
+    report = read_report(tmp_path)
+    est = {(e["group"], e["metric"], e["method"]): e for e in report["estimates"]}
+    assert not est[("1|1", "cFNR", "comparison")]["defined"]
+    assert not est[("0|1", "cFPR", "comparison")]["defined"]
+
+    expected = []
+    for method in sorted({e["method"] for e in report["estimates"]}):
+        for metric in ("cFPR", "cFNR"):
+            ref = est[("0|1", metric, method)]
+            for group in ("0|0", "1|0", "1|1"):
+                rate = est[(group, metric, method)]
+                if rate["defined"] and ref["defined"]:
+                    expected.append({"metric": f"delta_{metric}", "method": method,
+                                     "group": group, "reference": "0|1",
+                                     "value": rate["value"] - ref["value"]})
+    assert report["reference_group"] == "0|1"
+    assert report["deltas"] == expected
+    assert not any(d["method"] == "comparison" and d["metric"] == "delta_cFPR"
+                   for d in report["deltas"])
+    assert len(expected) == 3 * 2 * 3 - 3 - 1  # every cell but the undefined ones
+
+
 def test_report_json_validates_against_shipped_schema(tmp_path):
     make_audit_files(tmp_path)
     assert main(["--config", str(audit_config(tmp_path, bootstrap_b=6))]) == 0
@@ -389,6 +426,8 @@ def test_bad_simulate_config_exits_2_before_any_fit(tmp_path, monkeypatch, capsy
     (lambda schema: schema.pop("treatment"), "schema: missing required key 'treatment'"),
     (lambda schema: schema["characteristics"][0].pop("levels"),
      "characteristics[0]: missing required key 'levels'"),
+    (lambda schema: schema["characteristics"][1].update(levels=["0", "1", "1"]),
+     "characteristic 'a2' repeats level '1'"),
 ])
 def test_schema_without_a_required_key_exits_2_before_any_fit(tmp_path, monkeypatch, capsys,
                                                               drop, named):

@@ -171,7 +171,7 @@ def test_subgroup_counts_single_cell():
     )
     counts = subgroup_counts(ds)
     assert counts.shape == (4, 2, 2, 2)
-    cells = counts[schema.group_code(GroupKey(("0", "0")))]
+    cells = counts[schema.level_codes[("0", "0")]]
     assert cells[0, 0, 1] == n
     assert cells.sum() == n
     assert counts.sum() == n
@@ -257,5 +257,5 @@ def test_group_codes_index_all_groups_in_product_order():
     schema = two_char_schema()
     groups = schema.all_groups()
     assert groups[2] == GroupKey(("1", "0")) and groups[0] == GroupKey(("0", "0"))
-    assert [schema.group_code(g) for g in groups] == list(range(len(groups)))
+    assert [schema.level_codes[g.levels] for g in groups] == list(range(len(groups)))
     assert schema.level_codes == {g.levels: code for code, g in enumerate(groups)}

@@ -17,8 +17,11 @@ def test_every_demo_is_collected():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
 def test_demo_exits_0(demo, tmp_path):
-    # TMPDIR keeps the files a demo writes in a temporary directory under tmp_path
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "TMPDIR": str(tmp_path)}
+    # a dedicated TMPDIR shows whether the demo removes the temporary files it makes
+    tmpdir = tmp_path / "tmp"
+    tmpdir.mkdir()
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "TMPDIR": str(tmpdir)}
     proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+    assert list(tmpdir.iterdir()) == []

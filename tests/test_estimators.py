@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from cfaudit.dataset import AuditDataset, GroupKey, SchemaSpec
-from cfaudit.estimators import (NuisanceEstimates, UndefinedOperand,
-                                comparison_rate, delta, estimate_all,
-                                membership_ratio, overall_rate, proposed_rate)
+from cfaudit.dataset import AuditDataset, SchemaSpec
+from cfaudit.estimators import (METHODS, NuisanceEstimates, comparison_rate,
+                                estimate_all, membership_ratio, overall_rate,
+                                proposed_rate, report_keys)
 
 
 def one_char_schema(levels=("p", "q")):
@@ -42,7 +42,7 @@ def test_comparison_constant_weights_reduce_to_empirical_rate():
     schema = one_char_schema()
     # one group, all untreated: two (Y=1,S=0) rows, two (Y=1,S=1) rows
     ds = build(schema, [0, 0, 0, 0], [0, 0, 0, 0], [1, 1, 1, 1], [0, 0, 1, 1])
-    est = comparison_rate(ds, np.full(4, 0.5), GroupKey(("p",)), "cFNR")
+    est = comparison_rate(ds, np.full(4, 0.5), 0, "cFNR")
     assert est.defined
     assert est.value == pytest.approx(0.5, abs=1e-15)
 
@@ -51,14 +51,14 @@ def test_comparison_hand_weighted_case():
     # two untreated Y=1 rows: (S=0, pi=0.5 -> weight 2), (S=1, pi=0.75 -> weight 4)
     schema = one_char_schema()
     ds = build(schema, [0, 0], [0, 0], [1, 1], [0, 1])
-    est = comparison_rate(ds, np.array([0.5, 0.75]), GroupKey(("p",)), "cFNR")
+    est = comparison_rate(ds, np.array([0.5, 0.75]), 0, "cFNR")
     assert est.value == pytest.approx(1.0 / 3.0, abs=1e-15)
 
 
 def test_comparison_undefined_when_cell_empty():
     schema = one_char_schema()
     ds = build(schema, [0, 0, 1, 1], [0, 0, 0, 0], [0, 0, 1, 1], [1, 1, 0, 0])
-    est = comparison_rate(ds, np.full(4, 0.5), GroupKey(("p",)), "cFNR")
+    est = comparison_rate(ds, np.full(4, 0.5), 0, "cFNR")
     assert not est.defined
     assert est.value is None
 
@@ -72,7 +72,7 @@ def test_overall_equals_comparison_for_single_group():
     pi = rng.uniform(0.1, 0.9, n)
     for metric in ("cFPR", "cFNR"):
         ov = overall_rate(ds, pi, metric)
-        cmp_ = comparison_rate(ds, pi, GroupKey(("only",)), metric)
+        cmp_ = comparison_rate(ds, pi, 0, metric)
         if ov.defined:
             assert ov.value == cmp_.value
 
@@ -113,7 +113,7 @@ def test_membership_ratio_single_group_is_one():
         group_prob=np.ones((n, 1)),
     )
     for metric in ("cFPR", "cFNR"):
-        assert membership_ratio(ds, nuis, GroupKey(("only",)), metric) == pytest.approx(1.0, abs=1e-12)
+        assert membership_ratio(ds, nuis, 0, metric) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_membership_ratio_matched_constant_h_is_one():
@@ -128,7 +128,7 @@ def test_membership_ratio_matched_constant_h_is_one():
         propensity=np.zeros(n), mu0_s1=mu, mu0_s0=mu, mu0_all=mu,
         group_prob=np.full((n, 2), 0.5),
     )
-    ratio = membership_ratio(ds, nuis, GroupKey(("p",)), "cFNR")
+    ratio = membership_ratio(ds, nuis, 0, "cFNR")
     assert ratio == pytest.approx(1.0, abs=1e-12)
 
 
@@ -151,7 +151,7 @@ def test_membership_ratio_eight_row_hand_values():
     den_top = sum(mu0_all[i] * h_p[i] for i in range(8))
     den_bot = sum(mu0_all[i] for i in range(8))
     expected = (num_top / num_bot) / (den_top / den_bot)
-    got = membership_ratio(ds, nuis, GroupKey(("p",)), "cFNR")
+    got = membership_ratio(ds, nuis, 0, "cFNR")
     assert got == pytest.approx(expected, abs=1e-12)
 
 
@@ -168,7 +168,7 @@ def test_proposed_equals_overall_for_single_group():
     )
     for metric in ("cFPR", "cFNR"):
         ov = overall_rate(ds, nuis.propensity, metric)
-        prop = proposed_rate(ds, nuis, ov, GroupKey(("only",)))
+        prop = proposed_rate(ds, nuis, ov, 0)
         assert prop.value == pytest.approx(ov.value, abs=1e-12)
 
 
@@ -178,7 +178,7 @@ def test_proposed_zero_overall_pins_groups_at_zero():
     nuis = exact_nuisances(ds)
     ov = overall_rate(ds, nuis.propensity, "cFNR")
     assert ov.value == 0.0
-    for g in schema.all_groups():
+    for g in range(schema.n_groups):
         prop = proposed_rate(ds, nuis, ov, g)
         assert prop.defined and prop.value == 0.0
 
@@ -200,10 +200,10 @@ def test_proposed_clipping_records_raw_value():
     n = 6
     ds = build(schema, [0] * n, [0] * n, [1] * n, [0] * n)
     nuis = _ratio_engineered_nuisances(schema, n, target_ratio=2.0)
-    assert membership_ratio(ds, nuis, GroupKey(("p",)), "cFNR") == pytest.approx(2.0, abs=1e-12)
+    assert membership_ratio(ds, nuis, 0, "cFNR") == pytest.approx(2.0, abs=1e-12)
     inflated = ErrorRateEstimate(metric="cFNR", method="proposed-internal",
                                  group=None, value=0.9, raw_value=0.9)
-    prop = proposed_rate(ds, nuis, inflated, GroupKey(("p",)))
+    prop = proposed_rate(ds, nuis, inflated, 0)
     assert prop.raw_value == pytest.approx(1.8, abs=1e-12)
     assert prop.value == 1.0
     assert prop.clipped
@@ -219,7 +219,7 @@ def test_proposed_multiplication_hand_value():
     from cfaudit.estimators import ErrorRateEstimate
     ov = ErrorRateEstimate(metric="cFNR", method="proposed-internal",
                            group=None, value=0.4, raw_value=0.4)
-    prop = proposed_rate(ds, nuis, ov, GroupKey(("p",)))
+    prop = proposed_rate(ds, nuis, ov, 0)
     assert prop.raw_value == pytest.approx(0.52, abs=1e-12)
     assert prop.value == pytest.approx(0.52, abs=1e-12)
     assert not prop.clipped
@@ -235,7 +235,7 @@ def test_exact_count_agreement_untreated_data():
     nuis = exact_nuisances(ds)
     for metric in ("cFPR", "cFNR"):
         ov = overall_rate(ds, nuis.propensity, metric)
-        for g in schema.all_groups():
+        for g in range(schema.n_groups):
             cmp_ = comparison_rate(ds, nuis.propensity, g, metric)
             prop = proposed_rate(ds, nuis, ov, g)
             if cmp_.defined:
@@ -256,45 +256,11 @@ def test_weight_scale_invariance():
             a = overall_rate(ds, pi, metric)
             b = overall_rate(ds, pi_scaled, metric)
             assert b.value == pytest.approx(a.value, rel=1e-12)
-            for g in schema.all_groups():
+            for g in range(schema.n_groups):
                 ca = comparison_rate(ds, pi, g, metric)
                 cb = comparison_rate(ds, pi_scaled, g, metric)
                 if ca.defined:
                     assert cb.value == pytest.approx(ca.value, rel=1e-12)
-
-
-def test_delta_basic_and_antisymmetric():
-    from cfaudit.estimators import ErrorRateEstimate
-    a = ErrorRateEstimate(metric="cFNR", method="comparison",
-                          group=GroupKey(("p",)), value=0.3, raw_value=0.3)
-    b = ErrorRateEstimate(metric="cFNR", method="comparison",
-                          group=GroupKey(("q",)), value=0.1, raw_value=0.1)
-    d = delta(a, b)
-    assert d.value == pytest.approx(0.2)
-    assert d.metric == "delta_cFNR"
-
-    equal = delta(a, a)
-    assert equal.value == 0.0
-
-    rng = np.random.default_rng(5)
-    for _ in range(25):
-        va, vb = rng.random(2)
-        ra = ErrorRateEstimate(metric="cFPR", method="comparison",
-                               group=GroupKey(("p",)), value=va, raw_value=va)
-        rb = ErrorRateEstimate(metric="cFPR", method="comparison",
-                               group=GroupKey(("q",)), value=vb, raw_value=vb)
-        assert delta(ra, rb).value == pytest.approx(-delta(rb, ra).value, abs=1e-15)
-
-
-def test_delta_undefined_operand():
-    from cfaudit.estimators import ErrorRateEstimate
-    a = ErrorRateEstimate(metric="cFNR", method="comparison",
-                          group=GroupKey(("p",)), value=0.3, raw_value=0.3)
-    bad = ErrorRateEstimate(metric="cFNR", method="comparison",
-                            group=GroupKey(("q",)), value=None, raw_value=None,
-                            defined=False)
-    with pytest.raises(UndefinedOperand):
-        delta(a, bad)
 
 
 def test_estimate_all_cardinality_and_consistency():
@@ -319,21 +285,25 @@ def test_estimate_all_cardinality_and_consistency():
     borrowed = rng.dirichlet(np.ones(k), size=n)
     report = estimate_all(ds, nuis, borrowed_group_prob=borrowed)
     assert len(report.entries) == (4 + 1) * 2 * 3
+    position = report_keys(4, METHODS).index
+
+    def lookup(*key):
+        return report.entries[position(key)]
 
     # entries match individually invoked operations
     for metric in ("cFPR", "cFNR"):
         ov = overall_rate(ds, nuis.propensity, metric)
-        assert report.lookup(None, metric, "comparison").value == ov.value
-        for g in schema.all_groups():
+        assert lookup(None, metric, "comparison").value == ov.value
+        for g in range(schema.n_groups):
             cmp_ = comparison_rate(ds, nuis.propensity, g, metric)
-            assert report.lookup(g, metric, "comparison").value == cmp_.value
+            assert lookup(g, metric, "comparison").value == cmp_.value
             prop = proposed_rate(ds, nuis, ov, g)
-            assert report.lookup(g, metric, "proposed-internal").value == prop.value
+            assert lookup(g, metric, "proposed-internal").value == prop.value
             prop_b = proposed_rate(ds, nuis.with_group_prob(borrowed),
                                    overall_rate(ds, nuis.propensity, metric,
                                                 method="proposed-borrowing"),
                                    g, method="proposed-borrowing")
-            assert report.lookup(g, metric, "proposed-borrowing").value == prop_b.value
+            assert lookup(g, metric, "proposed-borrowing").value == prop_b.value
 
 
 def test_estimate_all_absent_group_undefined_comparison():
@@ -341,7 +311,7 @@ def test_estimate_all_absent_group_undefined_comparison():
     ds = build(schema, [0, 0, 0], [0, 0, 0], [1, 0, 1], [0, 1, 1])
     nuis = exact_nuisances(ds)
     report = estimate_all(ds, nuis, methods=("comparison",))
-    missing = report.lookup(GroupKey(("q",)), "cFNR", "comparison")
+    missing = report.entries[report_keys(2, ("comparison",)).index((1, "cFNR", "comparison"))]
     assert not missing.defined
 
 
@@ -350,7 +320,7 @@ def test_report_serialization_rows():
     ds = build(schema, [0, 0, 1], [0, 0, 0], [1, 0, 1], [0, 1, 1])
     nuis = exact_nuisances(ds)
     report = estimate_all(ds, nuis, methods=("comparison", "proposed-internal"))
-    json_rows = report.to_json_rows()
+    json_rows = report.to_json_rows(["p", "q"])
     assert len(json_rows) == len(report.entries)
     for row in json_rows:
         assert set(row) == {"group", "metric", "method", "value", "raw_value",
@@ -364,4 +334,46 @@ def test_membership_ratio_checks_the_column_count():
     ds = build(one_char_schema(), [0, 1], [0, 0], [1, 1], [0, 1])
     nuis = exact_nuisances(ds).with_group_prob(np.ones((2, 1)))
     with pytest.raises(ValueError, match="1 columns; the schema has 2 groups"):
-        membership_ratio(ds, nuis, GroupKey(("p",)), "cFNR")
+        membership_ratio(ds, nuis, 0, "cFNR")
+
+
+def test_report_order_is_report_keys_for_levels_out_of_string_order():
+    # codes follow the schema's level order, not the levels' string order
+    schema = SchemaSpec(characteristics=("age", "region"),
+                        level_sets=(("young", "mid", "old"), ("s", "n")),
+                        treatment="d", outcome="y", prediction="s", covariates=("x1",))
+    rng = np.random.default_rng(7)
+    n = 120
+    ds = build(schema, rng.integers(0, 6, n), rng.integers(0, 2, n),
+               rng.integers(0, 2, n), rng.integers(0, 2, n))
+    nuis = exact_nuisances(ds, propensity=rng.uniform(0.1, 0.8, n))
+    report = estimate_all(ds, nuis, borrowed_group_prob=nuis.group_prob)
+    keys = report_keys(6, METHODS)
+    assert report.keys() == keys
+    assert keys[:7] == [(None, "cFPR", "comparison")] + [
+        (code, "cFPR", "comparison") for code in range(6)]
+    for (group, metric, method), e in zip(keys, report.entries):
+        if group is not None and method == "comparison":
+            assert e.value == comparison_rate(ds, nuis.propensity, group, metric).value
+    labels = [g.label() for g in schema.all_groups()]
+    assert labels[:3] == ["young|s", "young|n", "mid|s"]
+    rows = report.to_json_rows(labels)
+    assert [r["group"] for r in rows[:4]] == ["overall", "young|s", "young|n", "mid|s"]
+    values = report.values()
+    assert np.array_equal(values, [e.value if e.defined else np.nan for e in report.entries],
+                          equal_nan=True)
+
+
+def test_estimate_all_needs_the_borrowed_matrix_for_borrowing():
+    ds = build(one_char_schema(), [0, 1], [0, 0], [1, 1], [0, 1])
+    with pytest.raises(ValueError, match="borrowed_group_prob"):
+        estimate_all(ds, exact_nuisances(ds))
+
+
+def test_report_values_check_the_expected_cells():
+    ds = build(one_char_schema(), [0, 1], [0, 0], [1, 1], [0, 1])
+    report = estimate_all(ds, exact_nuisances(ds), methods=("comparison",))
+    keys = report_keys(2, ("comparison",))
+    assert np.array_equal(report.values(keys), report.values(), equal_nan=True)
+    with pytest.raises(RuntimeError, match="differ"):
+        report.values(report_keys(2, ("comparison", "proposed-internal")))

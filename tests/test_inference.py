@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from scipy.stats import t as t_dist
 
-from cfaudit.dataset import AuditDataset, ExternalDataset, GroupKey, SchemaSpec
-from cfaudit import models
+from cfaudit.dataset import AuditDataset, ExternalDataset, SchemaSpec
+from cfaudit import inference, models
 from cfaudit.inference import (_replicate_values, _t_multiplier, bootstrap_estimates,
                                stratified_resample)
 from cfaudit.models import BinarySpec, ModelError, MulticlassConfig
@@ -103,7 +103,7 @@ def test_bootstrap_same_seed_bit_identical():
 def test_bootstrap_zero_variance_collapses_interval():
     ds = constant_dataset()
     out = bootstrap_estimates(ds, None, fast_config(), B=6, seed=1)
-    key = (GroupKey(("0",)), "cFNR", "comparison")
+    key = (0, "cFNR", "comparison")
     res = out[key]
     # every row identical: the empirical cFNR is exactly 1 in every replicate
     assert res.point == 1.0
@@ -157,7 +157,7 @@ def test_bootstrap_na_replicates_excluded_from_se():
         x=rng.standard_normal((n, 1)),
     )
     out = bootstrap_estimates(ds, None, fast_config(), B=40, seed=11)
-    res = out[(GroupKey(("small",)), "cFNR", "comparison")]
+    res = out[(1, "cFNR", "comparison")]
     assert res.na_count > 0
     good = res.replicates[~np.isnan(res.replicates)]
     if len(good) > 1:
@@ -166,8 +166,7 @@ def test_bootstrap_na_replicates_excluded_from_se():
 
 def test_replicate_na_only_for_model_errors(monkeypatch):
     ds = random_dataset(seed=5)
-    keys = [(e.group, e.metric, e.method)
-            for e in run_pipeline(ds, None, fast_config(), 1).report.entries]
+    keys = run_pipeline(ds, None, fast_config(), 1).report.keys()
     task = (ds, None, fast_config(), np.random.SeedSequence(2), keys)
 
     def failing_fit(error):
@@ -179,6 +178,23 @@ def test_replicate_na_only_for_model_errors(monkeypatch):
     assert np.all(np.isnan(_replicate_values(task)))
     monkeypatch.setattr(models, "fit_multiclass", failing_fit(TypeError))
     with pytest.raises(TypeError):
+        _replicate_values(task)
+
+
+def test_replicate_with_other_cells_than_the_point_run_raises(monkeypatch):
+    ds = random_dataset(seed=5)
+    keys = run_pipeline(ds, None, fast_config(), 1).report.keys()
+    task = (ds, None, fast_config(), np.random.SeedSequence(2), keys)
+    assert _replicate_values(task).shape == (len(keys),)
+
+    def without_proposed(*args, **kwargs):
+        result = run_pipeline(*args, **kwargs)
+        result.report.entries = [e for e in result.report.entries
+                                 if e.method != "proposed-internal"]
+        return result
+
+    monkeypatch.setattr(inference, "run_pipeline", without_proposed)
+    with pytest.raises(RuntimeError, match="differ"):
         _replicate_values(task)
 
 
@@ -241,8 +257,7 @@ def test_bootstrap_interval_coverage_under_randomized_treatment():
     """Nominal 95% intervals for the majority-group ratio-form false-negative
     rate cover the oracle truth in at least 85% of 200 simulation
     replications (randomized treatment, correctly specified GLM nuisances)."""
-    from cfaudit.dataset import GroupKey
-    from cfaudit.simlab import (SIM_GROUPS, ScenarioConfig,
+    from cfaudit.simlab import (ScenarioConfig,
                                 default_coefficients, generate_population,
                                 oracle_error_rates, sim_schema,
                                 to_audit_dataset, train_risk_model)
@@ -261,7 +276,7 @@ def test_bootstrap_interval_coverage_under_randomized_treatment():
     train = generate_population(cfg, "train", children[0])
     model = train_risk_model(train.x, train.y, seed=children[2])
     validation = generate_population(cfg, "validation", children[1])
-    truth = oracle_error_rates(validation, model).get(SIM_GROUPS[0], "cFNR")
+    truth = oracle_error_rates(validation, model).get(0, "cFNR")
     schema = sim_schema(cfg)
 
     covered, usable = 0, 0
@@ -271,7 +286,7 @@ def test_bootstrap_interval_coverage_under_randomized_treatment():
             generate_population(cfg, "internal", sub[0], risk_model=model), schema)
         boot_seed = int(sub[1].generate_state(1)[0] % (2**31 - 1))
         out = bootstrap_estimates(internal, None, pipe, B=100, seed=boot_seed)
-        res = out[(SIM_GROUPS[0], "cFNR", "proposed-internal")]
+        res = out[(0, "cFNR", "proposed-internal")]
         if res.lower is None:
             continue
         usable += 1

@@ -482,6 +482,60 @@ def test_crossfit_reproducible():
     assert np.array_equal(a.group_prob, b.group_prob)
 
 
+def _cross_fit_two_branch(ds, spec, k, seed):
+    # the (all rows, all rows) branch and the fold loop that cross_fit's one
+    # loop over (held-out rows, training rows) pairs replaced, kept as its reference
+    from cfaudit.models import _fit_binary_spec, _fit_outcome_models, _propensity_design
+    pi_design = _propensity_design(ds)
+    n = ds.n
+    out = {name: np.empty(n) for name in ("propensity", "mu0_s1", "mu0_s0", "mu0_all")}
+    if k == 1:
+        all_idx = np.arange(n)
+        pi_model = _fit_binary_spec(pi_design, ds.d, spec.pi)
+        out["propensity"][:] = predict_binary(pi_model, pi_design)
+        mu_by_s, mu_star = _fit_outcome_models(ds, all_idx, spec.mu)
+        out["mu0_s0"][:] = predict_binary(mu_by_s[0], ds.x)
+        out["mu0_s1"][:] = predict_binary(mu_by_s[1], ds.x)
+        out["mu0_all"][:] = predict_binary(mu_star, ds.x)
+    else:
+        plan = make_crossfit_plan(ds, k, seed)
+        for f in range(plan.k):
+            hold = np.flatnonzero(plan.fold == f)
+            train = np.flatnonzero(plan.fold != f)
+            pi_model = _fit_binary_spec(pi_design[train], ds.d[train], spec.pi)
+            out["propensity"][hold] = predict_binary(pi_model, pi_design[hold])
+            mu_by_s, mu_star = _fit_outcome_models(ds, train, spec.mu)
+            out["mu0_s0"][hold] = predict_binary(mu_by_s[0], ds.x[hold])
+            out["mu0_s1"][hold] = predict_binary(mu_by_s[1], ds.x[hold])
+            out["mu0_all"][hold] = predict_binary(mu_star, ds.x[hold])
+    return out
+
+
+def _audit_wide_internal(tmp_path, seed):
+    """The internal dataset of the audit-wide benchmark workload (24 groups)."""
+    import importlib.util
+    from pathlib import Path
+
+    from cfaudit.dataset import load_internal
+
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    workloads.write_inputs("audit-wide", seed, tmp_path)
+    return load_internal(tmp_path / "internal.csv", SchemaSpec.from_json(tmp_path / "schema.json"))
+
+
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_crossfit_bit_equal_to_two_branch_reference(tmp_path, k):
+    ds = _audit_wide_internal(tmp_path, seed=1)
+    spec = NuisanceSpec(pi=BinarySpec(l2=0.01), mu=BinarySpec(l2=0.01),
+                        h=MulticlassConfig(epochs=2))
+    nuis = cross_fit(ds, spec, k=k, seed=17)
+    for name, want in _cross_fit_two_branch(ds, spec, k, seed=17).items():
+        assert np.array_equal(getattr(nuis, name), want), name
+
+
 def test_crossfit_infeasible_folds():
     n = 8
     schema = SchemaSpec(characteristics=("a",), level_sets=(("0",),),

@@ -3,8 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cfaudit import models
-from cfaudit.dataset import GroupKey
+from cfaudit import models, simlab
 from cfaudit.models import BinarySpec, ModelError, MulticlassConfig
 from cfaudit.pipeline import PipelineConfig
 from cfaudit.simlab import (SIM_GROUPS, WALK_CELLS, DegenerateOutcome,
@@ -121,9 +120,9 @@ def test_oracle_constant_predictions():
     pop = generate_population(cfg, "validation", 8)
     always = oracle_error_rates(pop, constant_model(1.0))
     never = oracle_error_rates(pop, constant_model(0.0))
-    for g in list(SIM_GROUPS) + [None]:
+    for g in list(range(len(SIM_GROUPS))) + [None]:
         counts = np.bincount(pop.group_codes, minlength=4)
-        if g is not None and counts[SIM_GROUPS.index(g)] == 0:
+        if g is not None and counts[g] == 0:
             continue
         assert always.get(g, "cFNR") == 0.0
         assert always.get(g, "cFPR") == 1.0
@@ -140,8 +139,8 @@ def test_oracle_hand_built_twelve_records():
     pop = Population(role="validation", x=x, group_codes=codes, y0=y0,
                      y1=y0.copy(), d=np.zeros(12, np.int8), y=y0.copy())
     truth = oracle_error_rates(pop, stump_on_first_covariate())
-    maj = SIM_GROUPS[0]
-    minority = SIM_GROUPS[3]
+    maj = 0
+    minority = 3
     # majority: y0=1 rows have s = 1,1,0 -> cFNR = 1/3; y0=0 rows s = 1,0,0 -> cFPR = 1/3
     assert truth.get(maj, "cFNR") == pytest.approx(1 / 3)
     assert truth.get(maj, "cFPR") == pytest.approx(1 / 3)
@@ -149,8 +148,8 @@ def test_oracle_hand_built_twelve_records():
     assert truth.get(minority, "cFNR") == pytest.approx(2 / 3)
     assert truth.get(minority, "cFPR") == pytest.approx(1.0)
     # group (0,1): y0 = 0,0 with s = 1,0 -> cFPR = 1/2, cFNR undefined
-    assert truth.get(SIM_GROUPS[1], "cFPR") == pytest.approx(0.5)
-    assert np.isnan(truth.get(SIM_GROUPS[1], "cFNR"))
+    assert truth.get(1, "cFPR") == pytest.approx(0.5)
+    assert np.isnan(truth.get(1, "cFNR"))
     # overall: 6 positives with s = 1,1,0,1,0,0 -> cFNR = 3/6
     assert truth.get(None, "cFNR") == pytest.approx(0.5)
 
@@ -163,16 +162,16 @@ def test_oracle_satisfies_ratio_identity_and_decomposition():
     s = model.predict(pop.x).astype(bool)
     y0 = pop.y0.astype(bool)
     # identity: group rate equals overall rate times the membership ratio
-    for g_idx, g in enumerate(SIM_GROUPS):
-        in_g = pop.group_codes == g_idx
+    for g in range(len(SIM_GROUPS)):
+        in_g = pop.group_codes == g
         if not np.any(y0 & in_g) or not np.any(y0 & ~s):
             continue
         ratio = (np.sum(in_g & y0 & ~s) / np.sum(y0 & ~s)) / (np.sum(in_g & y0) / np.sum(y0))
         assert truth.get(g, "cFNR") == pytest.approx(truth.get(None, "cFNR") * ratio, abs=1e-12)
     # decomposition: group rates average back to the overall rate
     total = 0.0
-    for g_idx, g in enumerate(SIM_GROUPS):
-        in_g = pop.group_codes == g_idx
+    for g in range(len(SIM_GROUPS)):
+        in_g = pop.group_codes == g
         if np.any(y0 & in_g):
             total += (np.sum(in_g & y0) / np.sum(y0)) * truth.get(g, "cFNR")
     assert total == pytest.approx(truth.get(None, "cFNR"), abs=1e-12)
@@ -182,13 +181,12 @@ def test_run_scenario_single_replication_aggregates_match():
     cfg = small_cfg(replications=1)
     res = run_scenario(cfg)
     agg = res.aggregate()
-    by_key = {(r.group, r.metric, r.method): r for r in res.rows}
-    for row in agg:
-        key_group = None if row["group"] == "overall" else GroupKey(tuple(row["group"].split("|")))
-        rep_row = by_key[(key_group, row["metric"], row["method"])]
-        if rep_row.defined:
-            assert row["mean"] == pytest.approx(rep_row.value)
-            assert row["p2.5"] == pytest.approx(rep_row.value)
+    assert res.values.shape == (1, len(res.cells)) and len(agg) == len(res.cells)
+    for row, cell, value in zip(agg, res.cells, res.values[0]):
+        assert (row["group"], row["metric"], row["method"]) == cell
+        if not np.isnan(value):
+            assert row["mean"] == pytest.approx(value)
+            assert row["p2.5"] == pytest.approx(value)
         else:
             assert row["na_count"] == 1
 
@@ -197,11 +195,8 @@ def test_run_scenario_reproducible():
     cfg = small_cfg()
     r1 = run_scenario(cfg)
     r2 = run_scenario(cfg)
-    v1 = [(str(r.group), r.metric, r.method, r.value) for r in r1.rows]
-    v2 = [(str(r.group), r.metric, r.method, r.value) for r in r2.rows]
-    for a, b in zip(v1, v2):
-        assert a[:3] == b[:3]
-        assert (np.isnan(a[3]) and np.isnan(b[3])) or a[3] == b[3]
+    assert r1.cells == r2.cells
+    assert np.array_equal(r1.values, r2.values, equal_nan=True)
     assert r1.alphas == r2.alphas
 
 
@@ -210,8 +205,8 @@ def test_run_scenario_alpha_recorded_when_borrowing():
     res = run_scenario(cfg)
     assert len(res.alphas) == cfg.replications
     assert all(not np.isnan(a) for a in res.alphas)
-    borrow_rows = [r for r in res.rows if r.method == "proposed-borrowing"]
-    assert borrow_rows
+    borrow_cells = [cell for cell in res.cells if cell[2] == "proposed-borrowing"]
+    assert borrow_cells
 
 
 def test_replication_na_only_for_model_errors(monkeypatch):
@@ -223,7 +218,7 @@ def test_replication_na_only_for_model_errors(monkeypatch):
     cfg = small_cfg(replications=1)
     monkeypatch.setattr(models, "fit_multiclass", failing_fit(ModelError))
     res = run_scenario(cfg)
-    assert res.rows and not any(r.defined for r in res.rows)
+    assert res.values.size and np.all(np.isnan(res.values))
     assert np.isnan(res.alphas[0])
     monkeypatch.setattr(models, "fit_multiclass", failing_fit(TypeError))
     with pytest.raises(TypeError):
@@ -238,8 +233,22 @@ def test_run_scenario_without_borrowing_skips_method():
     )
     cfg = small_cfg(pipeline=pipe)
     res = run_scenario(cfg)
-    assert all(r.method != "proposed-borrowing" for r in res.rows)
+    assert all(method != "proposed-borrowing" for _, _, method in res.cells)
     assert all(np.isnan(a) for a in res.alphas)
+
+
+def test_replication_with_other_cells_than_expected_raises(monkeypatch):
+    real_run = simlab.run_pipeline
+
+    def without_proposed(*args, **kwargs):
+        result = real_run(*args, **kwargs)
+        result.report.entries = [e for e in result.report.entries
+                                 if e.method != "proposed-internal"]
+        return result
+
+    monkeypatch.setattr(simlab, "run_pipeline", without_proposed)
+    with pytest.raises(RuntimeError, match="differ"):
+        run_scenario(small_cfg(replications=1))
 
 
 def test_default_coefficients_shapes_with_interactions():

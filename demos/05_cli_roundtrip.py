@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from cfaudit.cli import main
+from cfaudit.config import encode
 from cfaudit.dataset import write_external, write_internal
 from cfaudit.simlab import (ScenarioConfig, generate_population, sim_schema,
                             to_audit_dataset, to_external_dataset,
@@ -59,7 +60,7 @@ with tempfile.TemporaryDirectory(prefix="cfaudit_demo_") as tmp:
         generate_population(cfg, "external", children[3]), schema),
         workdir / "external.csv")
     with open(workdir / "schema.json", "w") as f:
-        json.dump(schema.to_dict(), f, indent=2)
+        json.dump(encode(schema), f, indent=2)
 
     with open(workdir / "run.json", "w") as f:
         json.dump(run_config, f, indent=2)

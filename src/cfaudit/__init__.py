@@ -4,8 +4,8 @@ borrowing, stratified bootstrap intervals, and a simulation laboratory with
 an exact-counting ground truth."""
 
 from .borrowing import BlendedMembership, brier_score, multiclass_auc, select_alpha
-from .dataset import (AuditDataset, DataError, ExternalDataset, GroupKey,
-                      LevelSetMismatch, MissingColumn, MissingValue,
+from .dataset import (AuditDataset, Characteristic, DataError, ExternalDataset,
+                      GroupKey, LevelSetMismatch, MissingColumn, MissingValue,
                       NonBinaryValue, SchemaSpec, UnknownLevel, load_external,
                       load_internal, subgroup_counts, write_external,
                       write_internal)

@@ -33,11 +33,6 @@ class BlendedMembership:
     metric_used: str  # "brier" | "auc"
     metric_curve: list[tuple[float, float]]  # (alpha, score) over the grid
 
-    def curve_csv_rows(self) -> list[list[str]]:
-        rows = [["alpha", "score"]]
-        rows += [[repr(a), repr(s)] for a, s in self.metric_curve]
-        return rows
-
 
 def _columns(codes, shape) -> np.ndarray:
     """Group codes as column indices of a probability matrix of shape (rows, K)."""

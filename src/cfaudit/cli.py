@@ -23,6 +23,7 @@ from .dataset import (DataError, SchemaSpec, load_external, load_internal,
                       subgroup_counts)
 from .estimators import METRICS, group_label, report_keys
 from .inference import bootstrap_estimates
+from .models import ModelError
 from .pipeline import PipelineConfig, run_pipeline
 from .simlab import ScenarioConfig, run_scenario, sim_schema
 
@@ -246,7 +247,7 @@ def _write_manifest(out: Path, mode: str, resolved_config: dict, seed: int,
 def cmd_audit(cfg: AuditConfig) -> int:
     try:
         schema = SchemaSpec.from_json(cfg.schema)
-    except ValueError as err:
+    except (ConfigError, ValueError) as err:  # ValueError: not JSON
         raise ConfigError(f"schema {cfg.schema}: {err}") from None
     labels = [group.label() for group in schema.all_groups()]
     reference = 0 if len(labels) > 1 else None  # a group code
@@ -411,6 +412,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except (DataError, OSError) as err:
         print(f"data error: {err}", file=sys.stderr)
+        return EXIT_DATA
+    except ModelError as err:
+        print(f"model error: {err}", file=sys.stderr)
         return EXIT_DATA
 
 

@@ -12,10 +12,13 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+
+from .config import decode
 
 
 class DataError(Exception):
@@ -55,32 +58,33 @@ class GroupKey:
     def label(self) -> str:
         return "|".join(self.levels)
 
-    def __len__(self) -> int:
-        return len(self.levels)
 
-    def __iter__(self):
-        return iter(self.levels)
+@dataclass(frozen=True)
+class Characteristic:
+    """A protected characteristic: its column name and its levels, in order."""
 
+    name: str
+    levels: tuple[str, ...]
 
-def _require(raw, keys, where: str) -> None:
-    if not isinstance(raw, dict):
-        raise ValueError(f"{where}: expected an object, got {raw!r}")
-    for key in keys:
-        if key not in raw:
-            raise ValueError(f"{where}: missing required key {key!r}")
+    def __post_init__(self):
+        if not self.levels:
+            raise ValueError(f"characteristic {self.name!r} has no levels")
+        repeated = [level for i, level in enumerate(self.levels) if level in self.levels[:i]]
+        if repeated:
+            raise ValueError(f"characteristic {self.name!r} repeats level {repeated[0]!r}")
 
 
 @dataclass(frozen=True)
 class SchemaSpec:
-    """Column layout of a dataset: protected characteristics with their level
-    sets, the D/Y/S column names, and covariate columns.
+    """The schema file, and the column layout of both CSV files: protected
+    characteristics with their level sets, the D/Y/S column names, and
+    covariate columns.
 
     ``external_covariates`` is the declared subset of ``covariates`` shared
     with external data; it defaults to the full covariate list.
     """
 
-    characteristics: tuple[str, ...]
-    level_sets: tuple[tuple[str, ...], ...]
+    characteristics: tuple[Characteristic, ...]
     treatment: str
     outcome: str
     prediction: str
@@ -88,19 +92,46 @@ class SchemaSpec:
     external_covariates: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if len(self.characteristics) != len(self.level_sets):
-            raise ValueError("one level set required per characteristic")
         if not self.characteristics:
             raise ValueError("at least one protected characteristic required")
-        for char, levels in zip(self.characteristics, self.level_sets):
-            repeated = [level for i, level in enumerate(levels) if level in levels[:i]]
-            if repeated:
-                raise ValueError(f"characteristic {char!r} repeats level {repeated[0]!r}")
+        keys = ([f"characteristics[{i}].name" for i in range(len(self.characteristics))]
+                + ["treatment", "outcome", "prediction"]
+                + [f"covariates[{j}]" for j in range(len(self.covariates))])
+        first = {}  # column -> the key that names it first
+        for key, column in zip(keys, self.internal_columns):
+            if column in first:
+                raise ValueError(f"column {column!r} is both {first[column]} and {key}")
+            first[column] = key
         if not self.external_covariates:
             object.__setattr__(self, "external_covariates", self.covariates)
         unknown = set(self.external_covariates) - set(self.covariates)
         if unknown:
             raise ValueError(f"external covariates not in internal schema: {sorted(unknown)}")
+
+    @property
+    def characteristic_names(self) -> tuple[str, ...]:
+        return tuple(c.name for c in self.characteristics)
+
+    @property
+    def level_sets(self) -> tuple[tuple[str, ...], ...]:
+        return tuple(c.levels for c in self.characteristics)
+
+    @property
+    def internal_columns(self) -> tuple[str, ...]:
+        """The internal CSV's columns: characteristics, D, Y, S, covariates."""
+        return (*self.characteristic_names, self.treatment, self.outcome, self.prediction,
+                *self.covariates)
+
+    @property
+    def external_columns(self) -> tuple[str, ...]:
+        """The external CSV's columns: characteristics, external covariates."""
+        return (*self.characteristic_names, *self.external_covariates)
+
+    @cached_property
+    def shared_index(self) -> tuple[int, ...]:
+        """Position in ``covariates`` of each external covariate."""
+        position = {c: j for j, c in enumerate(self.covariates)}
+        return tuple(position[c] for c in self.external_covariates)
 
     def all_groups(self) -> list[GroupKey]:
         """Every combination of characteristic levels, in level-set product order."""
@@ -117,41 +148,9 @@ class SchemaSpec:
 
     @classmethod
     def from_json(cls, path) -> "SchemaSpec":
+        """Decode a schema file strictly; raises ConfigError naming the key path."""
         with open(path, "r", encoding="utf-8") as f:
-            raw = json.load(f)
-        return cls.from_dict(raw)
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "SchemaSpec":
-        """Raises ValueError naming the first required key the schema lacks."""
-        _require(raw, ("characteristics", "treatment", "outcome", "prediction",
-                       "covariates"), "schema")
-        for i, c in enumerate(raw["characteristics"]):
-            _require(c, ("name", "levels"), f"characteristics[{i}]")
-        chars = tuple(c["name"] for c in raw["characteristics"])
-        levels = tuple(tuple(str(v) for v in c["levels"]) for c in raw["characteristics"])
-        return cls(
-            characteristics=chars,
-            level_sets=levels,
-            treatment=raw["treatment"],
-            outcome=raw["outcome"],
-            prediction=raw["prediction"],
-            covariates=tuple(raw["covariates"]),
-            external_covariates=tuple(raw.get("external_covariates", raw["covariates"])),
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "characteristics": [
-                {"name": c, "levels": list(ls)}
-                for c, ls in zip(self.characteristics, self.level_sets)
-            ],
-            "treatment": self.treatment,
-            "outcome": self.outcome,
-            "prediction": self.prediction,
-            "covariates": list(self.covariates),
-            "external_covariates": list(self.external_covariates),
-        }
+            return decode(cls, json.load(f), "schema")
 
 
 def _check_codes(codes, n_groups: int, error=ValueError) -> np.ndarray:
@@ -224,22 +223,24 @@ class ExternalDataset:
         return self.n
 
 
-def _read_rows(path):
+def _read_cells(path, columns) -> list[list[str]]:
+    """The stripped cells of each data row of a CSV file, in the order of
+    columns. Raises MissingColumn for a column the header lacks and
+    MissingValue for a row with fewer cells than the header."""
     with open(path, "r", encoding="utf-8", newline="") as f:
-        reader = csv.reader(f)
-        rows = list(reader)
+        rows = list(csv.reader(f))
     if not rows:
         raise MissingColumn(f"{path}: empty file, header row required")
-    return rows[0], rows[1:]
-
-
-def _column_map(header, needed, path):
-    positions = {}
-    for name in needed:
+    header = rows[0]
+    for name in columns:
         if name not in header:
             raise MissingColumn(f"{path}: missing column '{name}'")
-        positions[name] = header.index(name)
-    return positions
+    for row_num, row in enumerate(rows[1:], 1):
+        if len(row) < len(header):
+            raise MissingValue(f"row {row_num} has {len(row)} cells; "
+                               f"the header has {len(header)}")
+    pos = [header.index(name) for name in columns]
+    return [[row[p].strip() for p in pos] for row in rows[1:]]
 
 
 def _parse_binary(cell, column, row_num):
@@ -251,26 +252,27 @@ def _parse_binary(cell, column, row_num):
 
 
 def _parse_float(cell, column, row_num):
+    """A finite float; nan and inf are rejected as non-numeric."""
     if cell == "":
         raise MissingValue(f"empty {column} cell in row {row_num}")
     try:
-        return float(cell)
+        value = float(cell)
     except ValueError:
-        raise NonNumericValue(f"non-numeric value '{cell}' for {column} in row {row_num}") from None
+        value = math.nan
+    if not math.isfinite(value):
+        raise NonNumericValue(f"non-numeric value '{cell}' for {column} in row {row_num}")
+    return value
 
 
-def _group_code(row, pos, schema: SchemaSpec, row_num, unknown, message) -> int:
+def _group_code(cells, schema: SchemaSpec, row_num, unknown, message) -> int:
     """Group code of a row's level cells. A level outside the schema raises
     the error class unknown with message formatted from cell, char and row."""
-    levels = []
-    for char, level_set in zip(schema.characteristics, schema.level_sets):
-        cell = row[pos[char]].strip()
+    for char, cell in zip(schema.characteristics, cells):
         if cell == "":
-            raise MissingValue(f"empty {char} cell in row {row_num}")
-        if cell not in level_set:
-            raise unknown(message.format(cell=cell, char=char, row=row_num))
-        levels.append(cell)
-    return schema.level_codes[tuple(levels)]
+            raise MissingValue(f"empty {char.name} cell in row {row_num}")
+        if cell not in char.levels:
+            raise unknown(message.format(cell=cell, char=char.name, row=row_num))
+    return schema.level_codes[tuple(cells)]
 
 
 def load_internal(path, schema: SchemaSpec) -> AuditDataset:
@@ -279,13 +281,8 @@ def load_internal(path, schema: SchemaSpec) -> AuditDataset:
     Raises MissingColumn, NonBinaryValue, UnknownLevel, MissingValue, or
     NonNumericValue with the offending row number (1-based, header excluded).
     """
-    header, rows = _read_rows(path)
-    needed = (
-        list(schema.characteristics)
-        + [schema.treatment, schema.outcome, schema.prediction]
-        + list(schema.covariates)
-    )
-    pos = _column_map(header, needed, path)
+    rows = _read_cells(path, schema.internal_columns)
+    k = len(schema.characteristics)
 
     n = len(rows)
     group_codes = np.empty(n, dtype=np.int64)
@@ -296,13 +293,12 @@ def load_internal(path, schema: SchemaSpec) -> AuditDataset:
 
     for i, row in enumerate(rows):
         row_num = i + 1
-        group_codes[i] = _group_code(row, pos, schema, row_num, UnknownLevel,
+        group_codes[i] = _group_code(row[:k], schema, row_num, UnknownLevel,
                                      "unknown level '{cell}' for {char} in row {row}")
-        d[i] = _parse_binary(row[pos[schema.treatment]].strip(), schema.treatment, row_num)
-        y[i] = _parse_binary(row[pos[schema.outcome]].strip(), schema.outcome, row_num)
-        s[i] = _parse_binary(row[pos[schema.prediction]].strip(), schema.prediction, row_num)
-        for j, cov in enumerate(schema.covariates):
-            x[i, j] = _parse_float(row[pos[cov]].strip(), cov, row_num)
+        d[i], y[i], s[i] = [_parse_binary(cell, name, row_num) for cell, name in
+                            zip(row[k:], (schema.treatment, schema.outcome, schema.prediction))]
+        x[i] = [_parse_float(cell, name, row_num)
+                for cell, name in zip(row[k + 3:], schema.covariates)]
 
     return AuditDataset(schema=schema, group_codes=group_codes, d=d, y=y, s=s, x=x)
 
@@ -313,9 +309,8 @@ def load_external(path, schema: SchemaSpec) -> ExternalDataset:
     A group label absent from the internal schema raises LevelSetMismatch.
     A header-only file yields an empty (valid) dataset.
     """
-    header, rows = _read_rows(path)
-    needed = list(schema.characteristics) + list(schema.external_covariates)
-    pos = _column_map(header, needed, path)
+    rows = _read_cells(path, schema.external_columns)
+    k = len(schema.characteristics)
 
     n = len(rows)
     group_codes = np.empty(n, dtype=np.int64)
@@ -323,45 +318,34 @@ def load_external(path, schema: SchemaSpec) -> ExternalDataset:
 
     for i, row in enumerate(rows):
         row_num = i + 1
-        group_codes[i] = _group_code(row, pos, schema, row_num, LevelSetMismatch,
+        group_codes[i] = _group_code(row[:k], schema, row_num, LevelSetMismatch,
                                      "external level '{cell}' for {char} in row {row} "
                                      "not present in the internal schema")
-        for j, cov in enumerate(schema.external_covariates):
-            x[i, j] = _parse_float(row[pos[cov]].strip(), cov, row_num)
+        x[i] = [_parse_float(cell, name, row_num)
+                for cell, name in zip(row[k:], schema.external_covariates)]
 
     return ExternalDataset(schema=schema, group_codes=group_codes, x=x)
 
 
-def write_internal(ds: AuditDataset, path) -> None:
-    """Serialize an AuditDataset back to CSV (round-trips through load_internal)."""
-    schema = ds.schema
-    groups = schema.all_groups()
-    header = (
-        list(schema.characteristics)
-        + [schema.treatment, schema.outcome, schema.prediction]
-        + list(schema.covariates)
-    )
+def _write_rows(path, ds, columns, cells) -> None:
+    """Write a CSV with header columns: each row's group levels, then its cells."""
+    groups = ds.schema.all_groups()
     with open(path, "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f)
-        writer.writerow(header)
-        for i in range(ds.n):
-            row = list(groups[ds.group_codes[i]].levels)
-            row += [str(int(ds.d[i])), str(int(ds.y[i])), str(int(ds.s[i]))]
-            row += [repr(float(v)) for v in ds.x[i]]
-            writer.writerow(row)
+        writer.writerow(columns)
+        for code, row in zip(ds.group_codes.tolist(), cells):
+            writer.writerow([*groups[code].levels, *row])
+
+
+def write_internal(ds: AuditDataset, path) -> None:
+    """Serialize an AuditDataset back to CSV (round-trips through load_internal)."""
+    binary = np.column_stack([ds.d, ds.y, ds.s]).astype(np.int64).tolist()
+    cells = ([*map(str, dys), *map(repr, x)] for dys, x in zip(binary, ds.x.tolist()))
+    _write_rows(path, ds, ds.schema.internal_columns, cells)
 
 
 def write_external(ds: ExternalDataset, path) -> None:
-    schema = ds.schema
-    groups = schema.all_groups()
-    header = list(schema.characteristics) + list(schema.external_covariates)
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(header)
-        for i in range(ds.n):
-            row = list(groups[ds.group_codes[i]].levels)
-            row += [repr(float(v)) for v in ds.x[i]]
-            writer.writerow(row)
+    _write_rows(path, ds, ds.schema.external_columns, (map(repr, x) for x in ds.x.tolist()))
 
 
 def subgroup_counts(ds: AuditDataset) -> np.ndarray:

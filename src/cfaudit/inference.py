@@ -35,10 +35,6 @@ class BootstrapResult:
     truncated_low: bool = False
     truncated_high: bool = False
 
-    @property
-    def all_na(self) -> bool:
-        return self.na_count == self.B
-
 
 def stratified_resample(ds: AuditDataset, rng) -> AuditDataset:
     """Resample rows with replacement within each group; per-group counts are

@@ -87,8 +87,7 @@ def run_pipeline(internal: AuditDataset, external: ExternalDataset | None,
             external_model = fit_external_membership(
                 external, replace(config.h_external, seed=h_ext_seed))
             schema = internal.schema
-            shared = [schema.covariates.index(c) for c in schema.external_covariates]
-            h_ext = predict_group_probs(external_model, internal.x[:, shared],
+            h_ext = predict_group_probs(external_model, internal.x[:, schema.shared_index],
                                         schema.n_groups)
             blend = select_alpha(h_ext, nuis.group_prob, internal.group_codes,
                                  metric=config.borrow_metric,

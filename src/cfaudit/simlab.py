@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import check_at_least
-from .dataset import AuditDataset, ExternalDataset, GroupKey, SchemaSpec
+from .dataset import AuditDataset, Characteristic, ExternalDataset, GroupKey, SchemaSpec
 from .estimators import report_keys
 from .models import BinarySpec, ModelError, MulticlassConfig, _softmax, sigmoid
 from .pipeline import PipelineConfig, run_pipeline
@@ -156,8 +156,7 @@ def sim_schema(cfg: ScenarioConfig) -> SchemaSpec:
     p_total = cfg.p_informative + cfg.p_noise
     covs = tuple(f"x{j + 1}" for j in range(p_total))
     return SchemaSpec(
-        characteristics=("a1", "a2"),
-        level_sets=(SIM_LEVELS, SIM_LEVELS),
+        characteristics=(Characteristic("a1", SIM_LEVELS), Characteristic("a2", SIM_LEVELS)),
         treatment="d",
         outcome="y",
         prediction="s",
@@ -519,9 +518,8 @@ def to_audit_dataset(pop: Population, schema: SchemaSpec) -> AuditDataset:
 
 
 def to_external_dataset(pop: Population, schema: SchemaSpec) -> ExternalDataset:
-    shared = [schema.covariates.index(c) for c in schema.external_covariates]
     return ExternalDataset(schema=schema, group_codes=pop.group_codes.astype(np.int64),
-                           x=pop.x[:, shared])
+                           x=pop.x[:, schema.shared_index])
 
 
 @dataclass

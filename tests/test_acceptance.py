@@ -15,7 +15,7 @@ import pytest
 import cfaudit as cf
 from cfaudit.borrowing import alpha_grid, brier_score, multiclass_auc, select_alpha
 from cfaudit.cli import main as cli_main
-from cfaudit.dataset import AuditDataset, SchemaSpec
+from cfaudit.dataset import AuditDataset, Characteristic, SchemaSpec
 from cfaudit.estimators import (NuisanceEstimates, comparison_rate,
                                 overall_rate, proposed_rate)
 from cfaudit.inference import bootstrap_estimates
@@ -92,8 +92,8 @@ def test_criterion_01_ratio_identity_exact_counting():
 
 def test_criterion_02_estimator_agreement_clean_data():
     with criterion(2, "proposed equals comparison with exact nuisances", 1.0):
-        schema = SchemaSpec(characteristics=("a1", "a2"),
-                            level_sets=(("0", "1"), ("0", "1")),
+        schema = SchemaSpec(characteristics=(Characteristic("a1", ("0", "1")),
+                                             Characteristic("a2", ("0", "1"))),
                             treatment="d", outcome="y", prediction="s",
                             covariates=("x1",))
         groups = range(schema.n_groups)
@@ -302,7 +302,7 @@ def test_criterion_10_bootstrap_determinism_and_truncation():
             methods=("comparison", "proposed-internal"),
         )
         rng = np.random.default_rng(10)
-        schema = SchemaSpec(characteristics=("a",), level_sets=(("0", "1"),),
+        schema = SchemaSpec(characteristics=(Characteristic("a", ("0", "1")),),
                             treatment="d", outcome="y", prediction="s",
                             covariates=("x1",))
         n = 60
@@ -320,7 +320,7 @@ def test_criterion_10_bootstrap_determinism_and_truncation():
                 assert 0.0 <= out1[key].lower <= out1[key].upper <= 1.0
 
         # zero-variance degenerate dataset: every row identical
-        const_schema = SchemaSpec(characteristics=("a",), level_sets=(("0",),),
+        const_schema = SchemaSpec(characteristics=(Characteristic("a", ("0",)),),
                                   treatment="d", outcome="y", prediction="s",
                                   covariates=("x1",))
         m = 20

@@ -171,18 +171,6 @@ def test_blend_stays_row_stochastic_across_grid():
         assert np.all(blended >= 0.0)
 
 
-def test_metric_curve_recorded_and_exportable():
-    rng = np.random.default_rng(7)
-    h_ext = rng.dirichlet(np.ones(4), size=15)
-    h_int = rng.dirichlet(np.ones(4), size=15)
-    labels = keys(rng.integers(0, 4, 15))
-    blend = select_alpha(h_ext, h_int, labels, grid_step=0.1)
-    assert len(blend.metric_curve) == 11
-    rows = blend.curve_csv_rows()
-    assert rows[0] == ["alpha", "score"]
-    assert len(rows) == 12
-
-
 def test_select_alpha_brier_curve_is_brier_score_bit_for_bit():
     rng = np.random.default_rng(8)
     labels = keys([3, 0, 3, 1, 0, 1, 3, 0, 1, 1, 3, 0])  # unsorted, class 2 absent

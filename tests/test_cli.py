@@ -11,6 +11,7 @@ import pytest
 
 import cfaudit
 from cfaudit.cli import REPORT_SCHEMA_PATH, main
+from cfaudit.config import encode
 from cfaudit.dataset import write_external, write_internal
 from cfaudit.simlab import (ScenarioConfig, generate_population, sim_schema,
                             to_audit_dataset, to_external_dataset,
@@ -31,7 +32,7 @@ def make_audit_files(tmp_path, n_internal=150, n_external=400, seed=5):
     write_internal(internal, tmp_path / "internal.csv")
     write_external(external, tmp_path / "external.csv")
     with open(tmp_path / "schema.json", "w") as f:
-        json.dump(schema.to_dict(), f)
+        json.dump(encode(schema), f)
     return schema
 
 
@@ -423,9 +424,8 @@ def test_bad_simulate_config_exits_2_before_any_fit(tmp_path, monkeypatch, capsy
 
 
 @pytest.mark.parametrize("drop,named", [
-    (lambda schema: schema.pop("treatment"), "schema: missing required key 'treatment'"),
-    (lambda schema: schema["characteristics"][0].pop("levels"),
-     "characteristics[0]: missing required key 'levels'"),
+    (lambda schema: schema.pop("treatment"), "required key schema.treatment"),
+    (lambda schema: schema["characteristics"][0].pop("levels"), "characteristics[0].levels"),
     (lambda schema: schema["characteristics"][1].update(levels=["0", "1", "1"]),
      "characteristic 'a2' repeats level '1'"),
 ])
@@ -439,6 +439,120 @@ def test_schema_without_a_required_key_exits_2_before_any_fit(tmp_path, monkeypa
     assert main(["--config", str(audit_config(tmp_path))]) == 2
     assert named in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def _use_treatment_as_covariate(schema):
+    schema["covariates"][0] = "d"
+    del schema["external_covariates"]
+
+
+@pytest.mark.parametrize("change,named", [
+    (lambda schema: schema.update(external_covarites=schema.pop("external_covariates")[:5]),
+     "unknown key schema.external_covarites"),
+    (lambda schema: schema.update(covariates="x12"),
+     "schema.covariates: expected tuple, got 'x12'"),
+    (lambda schema: schema["characteristics"][0].update(levels=[0, 1]),
+     "schema.characteristics[0].levels[0]: expected str, got 0"),
+    (lambda schema: schema["characteristics"][1].update(levels=[]),
+     "schema.characteristics[1]: characteristic 'a2' has no levels"),
+    (lambda schema: schema.update(treatment=5), "schema.treatment: expected str, got 5"),
+    (lambda schema: schema["characteristics"][0].update(colour="red"),
+     "unknown key schema.characteristics[0].colour"),
+    (lambda schema: schema["characteristics"][1].update(name="a1"),
+     "column 'a1' is both characteristics[0].name and characteristics[1].name"),
+    (_use_treatment_as_covariate, "column 'd' is both treatment and covariates[0]"),
+], ids=["misspelled-key", "string-covariates", "numeric-levels", "no-levels",
+        "numeric-treatment", "unknown-characteristic-key", "repeated-characteristic",
+        "covariate-named-like-treatment"])
+def test_malformed_schema_exits_2_naming_the_file_and_key_before_any_fit(
+        tmp_path, monkeypatch, capsys, change, named):
+    make_audit_files(tmp_path)
+    fail_on_fit(monkeypatch)
+    path = tmp_path / "schema.json"
+    schema = json.loads(path.read_text())
+    change(schema)
+    path.write_text(json.dumps(schema))
+    assert main(["--config", str(audit_config(tmp_path))]) == 2
+    err = capsys.readouterr().err
+    assert f"schema {path}: " in err and named in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_missing_schema_file_exits_1(tmp_path, capsys):
+    make_audit_files(tmp_path)
+    (tmp_path / "schema.json").unlink()
+    assert main(["--config", str(audit_config(tmp_path))]) == 1
+    assert "schema.json" in capsys.readouterr().err
+
+
+def test_every_schema_the_repo_writes_decodes_strictly_and_round_trips(tmp_path, monkeypatch):
+    import re
+    import runpy
+
+    from cfaudit.config import decode
+    from cfaudit.dataset import SchemaSpec
+
+    root = Path(__file__).resolve().parents[1]
+    written = {}
+    monkeypatch.syspath_prepend(str(root / "bench"))
+    from workloads import write_inputs
+    for workload in ("audit-boot", "audit-wide"):
+        write_inputs(workload, 1, tmp_path / workload, smoke=True)
+        written[workload] = json.loads((tmp_path / workload / "schema.json").read_text())
+
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    example = re.search(r"Example schema:\s*```json\n(.*?)```", readme, re.S).group(1)
+    written["readme"] = json.loads(example)
+
+    class SchemaWritten(Exception):
+        pass
+
+    def stop_at_the_first_run(argv):  # demo 05 has written its schema next to the config
+        written["demo"] = json.loads((Path(argv[1]).parent / "schema.json").read_text())
+        raise SchemaWritten
+
+    monkeypatch.setattr("cfaudit.cli.main", stop_at_the_first_run)
+    with pytest.raises(SchemaWritten):
+        runpy.run_path(str(root / "demos" / "05_cli_roundtrip.py"))
+    written["sim_schema"] = encode(sim_schema(ScenarioConfig()))
+
+    for name, raw in written.items():
+        schema = decode(SchemaSpec, raw, "schema")
+        assert encode(schema) == raw, name
+        assert decode(SchemaSpec, encode(schema), "schema") == schema, name
+
+
+def test_non_finite_external_cell_exits_1_before_any_fit(tmp_path, monkeypatch, capsys):
+    make_audit_files(tmp_path)
+    fail_on_fit(monkeypatch)
+    rows = list(csv.reader(open(tmp_path / "external.csv")))
+    rows[3][rows[0].index("x2")] = "nan"
+    with open(tmp_path / "external.csv", "w", newline="") as f:
+        csv.writer(f).writerows(rows)
+    assert main(["--config", str(audit_config(tmp_path))]) == 1
+    assert "non-numeric value 'nan' for x2 in row 3" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_model_error_of_the_point_run_exits_1_without_traceback(tmp_path, monkeypatch, capsys):
+    from cfaudit import cli
+
+    make_audit_files(tmp_path)
+    rows = list(csv.reader(open(tmp_path / "internal.csv")))
+    with open(tmp_path / "internal.csv", "w", newline="") as f:
+        csv.writer(f).writerows(rows[:3])  # the header and two rows
+    config = rewrite(rewrite(audit_config(tmp_path), "models.pi.l2", 0), "models.mu.l2", 0)
+    assert main(["--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("model error: ") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+    def broken_pipeline(*args, **kwargs):
+        raise RuntimeError("a bug, not a model failure")
+
+    monkeypatch.setattr(cli, "run_pipeline", broken_pipeline)
+    with pytest.raises(RuntimeError, match="a bug"):
+        main(["--config", str(config)])
 
 
 def test_interaction_sweep_with_explicit_coefficients_of_the_wrong_shape(

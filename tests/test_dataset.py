@@ -1,17 +1,16 @@
 import numpy as np
 import pytest
 
-from cfaudit.dataset import (AuditDataset, ExternalDataset, GroupKey,
+from cfaudit.dataset import (AuditDataset, Characteristic, ExternalDataset, GroupKey,
                              LevelSetMismatch, MissingColumn, MissingValue,
-                             NonBinaryValue, SchemaSpec, UnknownLevel,
+                             NonBinaryValue, NonNumericValue, SchemaSpec, UnknownLevel,
                              load_external, load_internal, subgroup_counts,
                              write_internal)
 
 
 def two_char_schema(covs=("x1",)):
     return SchemaSpec(
-        characteristics=("a1", "a2"),
-        level_sets=(("0", "1"), ("0", "1")),
+        characteristics=(Characteristic("a1", ("0", "1")), Characteristic("a2", ("0", "1"))),
         treatment="d",
         outcome="y",
         prediction="s",
@@ -96,6 +95,36 @@ def test_load_external_empty_is_valid(tmp_path):
     write_csv(path, ["a1", "a2", "x1"], [])
     ext = load_external(path, two_char_schema())
     assert ext.n == 0
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "Infinity"])
+def test_loaders_reject_non_finite_covariate_cells(tmp_path, cell):
+    schema = two_char_schema(covs=("x1", "x2"))
+    internal = tmp_path / "internal.csv"
+    write_csv(internal, ["a1", "a2", "d", "y", "s", "x1", "x2"], [
+        ["0", "0", 0, 1, 0, 0.5, 1.0],
+        ["1", "0", 0, 1, 0, 0.5, cell],
+    ])
+    with pytest.raises(NonNumericValue, match=f"'{cell}' for x2 in row 2"):
+        load_internal(internal, schema)
+    external = tmp_path / "external.csv"
+    write_csv(external, ["a1", "a2", "x1", "x2"], [["0", "1", cell, 1.5]])
+    with pytest.raises(NonNumericValue, match=f"'{cell}' for x1 in row 1"):
+        load_external(external, schema)
+
+
+def test_loaders_reject_a_row_shorter_than_the_header(tmp_path):
+    internal = tmp_path / "internal.csv"
+    write_csv(internal, ["a1", "a2", "d", "y", "s", "x1"], [
+        ["0", "0", 0, 1, 0, 0.5],
+        ["1", "1", 0],
+    ])
+    with pytest.raises(MissingValue, match="row 2 has 3 cells; the header has 6"):
+        load_internal(internal, two_char_schema())
+    external = tmp_path / "external.csv"
+    write_csv(external, ["a1", "a2", "x1", "extra"], [["0", "1", 1.5]])
+    with pytest.raises(MissingValue, match="row 1 has 3 cells; the header has 4"):
+        load_external(external, two_char_schema())
 
 
 def test_roundtrip_identical(tmp_path):
@@ -237,8 +266,8 @@ def _subgroup_counts_loop(ds):
 
 
 def test_subgroup_counts_equal_the_loop_reference_with_empty_and_singleton_groups():
-    schema = SchemaSpec(characteristics=("a1", "a2"),
-                        level_sets=(("0", "1", "2"), ("0", "1")),
+    schema = SchemaSpec(characteristics=(Characteristic("a1", ("0", "1", "2")),
+                                         Characteristic("a2", ("0", "1"))),
                         treatment="d", outcome="y", prediction="s", covariates=("x1",))
     for seed in range(5):
         rng = np.random.default_rng(40 + seed)

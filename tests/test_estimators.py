@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from cfaudit.dataset import AuditDataset, SchemaSpec
+from cfaudit.dataset import AuditDataset, Characteristic, SchemaSpec
 from cfaudit.estimators import (METHODS, NuisanceEstimates, comparison_rate,
                                 estimate_all, membership_ratio, overall_rate,
                                 proposed_rate, report_keys)
 
 
 def one_char_schema(levels=("p", "q")):
-    return SchemaSpec(characteristics=("a",), level_sets=(tuple(levels),),
+    return SchemaSpec(characteristics=(Characteristic("a", tuple(levels)),),
                       treatment="d", outcome="y", prediction="s", covariates=("x1",))
 
 
@@ -265,8 +265,8 @@ def test_weight_scale_invariance():
 
 def test_estimate_all_cardinality_and_consistency():
     rng = np.random.default_rng(6)
-    schema = SchemaSpec(characteristics=("a1", "a2"),
-                        level_sets=(("0", "1"), ("0", "1")),
+    schema = SchemaSpec(characteristics=(Characteristic("a1", ("0", "1")),
+                                         Characteristic("a2", ("0", "1"))),
                         treatment="d", outcome="y", prediction="s", covariates=("x1",))
     n = 200
     ds = AuditDataset(schema=schema, group_codes=rng.integers(0, 4, n),
@@ -339,8 +339,8 @@ def test_membership_ratio_checks_the_column_count():
 
 def test_report_order_is_report_keys_for_levels_out_of_string_order():
     # codes follow the schema's level order, not the levels' string order
-    schema = SchemaSpec(characteristics=("age", "region"),
-                        level_sets=(("young", "mid", "old"), ("s", "n")),
+    schema = SchemaSpec(characteristics=(Characteristic("age", ("young", "mid", "old")),
+                                         Characteristic("region", ("s", "n"))),
                         treatment="d", outcome="y", prediction="s", covariates=("x1",))
     rng = np.random.default_rng(7)
     n = 120

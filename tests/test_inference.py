@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.stats import t as t_dist
 
-from cfaudit.dataset import AuditDataset, ExternalDataset, SchemaSpec
+from cfaudit.dataset import AuditDataset, Characteristic, ExternalDataset, SchemaSpec
 from cfaudit import inference, models
 from cfaudit.inference import (_replicate_values, _t_multiplier, bootstrap_estimates,
                                stratified_resample)
@@ -26,8 +26,7 @@ def fast_config(**kw):
 
 def random_dataset(n=60, seed=0, groups=2):
     rng = np.random.default_rng(seed)
-    schema = SchemaSpec(characteristics=("a",),
-                        level_sets=(tuple(str(i) for i in range(groups)),),
+    schema = SchemaSpec(characteristics=(Characteristic("a", tuple(map(str, range(groups)))),),
                         treatment="d", outcome="y", prediction="s",
                         covariates=("x1", "x2"))
     return AuditDataset(
@@ -41,7 +40,7 @@ def random_dataset(n=60, seed=0, groups=2):
 
 
 def constant_dataset(n=20):
-    schema = SchemaSpec(characteristics=("a",), level_sets=(("0",),),
+    schema = SchemaSpec(characteristics=(Characteristic("a", ("0",)),),
                         treatment="d", outcome="y", prediction="s",
                         covariates=("x1",))
     return AuditDataset(
@@ -144,7 +143,7 @@ def test_bootstrap_t_multiplier_uses_b_minus_one():
 def test_bootstrap_na_replicates_excluded_from_se():
     # minority group so small that some resamples lose its false-negative cell
     rng = np.random.default_rng(8)
-    schema = SchemaSpec(characteristics=("a",), level_sets=(("big", "small"),),
+    schema = SchemaSpec(characteristics=(Characteristic("a", ("big", "small")),),
                         treatment="d", outcome="y", prediction="s",
                         covariates=("x1",))
     n = 40

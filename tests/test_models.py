@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cfaudit.dataset import AuditDataset, SchemaSpec
+from cfaudit.dataset import AuditDataset, Characteristic, SchemaSpec
 from cfaudit.models import (PROB_EPS, BinarySpec, DegenerateLabels, DimensionMismatch,
                             InfeasibleFolds, MulticlassConfig, NuisanceSpec,
                             Separation, constant_multiclass, cross_fit,
@@ -158,8 +158,7 @@ def test_predict_multiclass_rows_sum_to_one_fuzz():
 def test_membership_classes_are_sorted_codes_at_their_columns():
     # levels not in string order: sorting labels by level strings would put
     # "child" and "mid" before "young"
-    schema = SchemaSpec(characteristics=("age",),
-                        level_sets=(("young", "mid", "old", "child"),),
+    schema = SchemaSpec(characteristics=(Characteristic("age", ("young", "mid", "old", "child")),),
                         treatment="d", outcome="y", prediction="s", covariates=("x1", "x2"))
     rng = np.random.default_rng(21)
     x = rng.standard_normal((60, 2))
@@ -382,7 +381,7 @@ def test_mlp_gradient_matches_central_differences():
 
 def _toy_dataset(n, seed=0, p=2):
     rng = np.random.default_rng(seed)
-    schema = SchemaSpec(characteristics=("a",), level_sets=(("0", "1"),),
+    schema = SchemaSpec(characteristics=(Characteristic("a", ("0", "1")),),
                         treatment="d", outcome="y", prediction="s",
                         covariates=tuple(f"x{i}" for i in range(p)))
     return AuditDataset(
@@ -458,7 +457,7 @@ def _propensity_design_loop(ds):
 def test_propensity_design_bit_equal_to_loop_reference(k):
     from cfaudit.models import _propensity_design
     rng = np.random.default_rng(30 + k)
-    schema = SchemaSpec(characteristics=("a",), level_sets=(tuple(map(str, range(k))),),
+    schema = SchemaSpec(characteristics=(Characteristic("a", tuple(map(str, range(k)))),),
                         treatment="d", outcome="y", prediction="s", covariates=("x0", "x1"))
     # with six groups, code 2 is empty and code 4 a single row
     codes = rng.choice([c for c in range(k) if c not in (2, 4)], size=40)
@@ -538,7 +537,7 @@ def test_crossfit_bit_equal_to_two_branch_reference(tmp_path, k):
 
 def test_crossfit_infeasible_folds():
     n = 8
-    schema = SchemaSpec(characteristics=("a",), level_sets=(("0",),),
+    schema = SchemaSpec(characteristics=(Characteristic("a", ("0",)),),
                         treatment="d", outcome="y", prediction="s", covariates=("x0",))
     ds = AuditDataset(
         schema=schema,

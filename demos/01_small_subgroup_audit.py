@@ -41,7 +41,6 @@ pipeline = PipelineConfig(
     h_internal=MulticlassConfig(kind="softmax-linear", epochs=300, lr=1.0),
     crossfit_k=1,
     borrow=False,
-    methods=("comparison", "proposed-internal"),
 )
 result = run_pipeline(internal, None, pipeline, seed=7)
 

@@ -22,7 +22,7 @@ from cfaudit.simlab import (ScenarioConfig, generate_population, sim_schema,
                             train_risk_model)
 
 membership_config = MulticlassConfig(kind="mlp-1hidden", hidden=25, decay=1.0,
-                                     epochs=120, lr=2.0, seed=5)
+                                     epochs=120, lr=2.0)
 
 print(f"{'b':>5} {'alpha':>7} {'brier internal':>15} {'brier external':>15}")
 for b in (1.0, 0.5, 0.0, -0.5, -1.0):
@@ -39,10 +39,10 @@ for b in (1.0, 0.5, 0.0, -0.5, -1.0):
 
     # membership models take group codes; column j of h is group code j
     codes = internal.group_codes
-    model_int = fit_multiclass(internal.x, codes, membership_config)
+    model_int = fit_multiclass(internal.x, codes, membership_config, seed=5)
     h_int = predict_group_probs(model_int, internal.x, schema.n_groups)
     # the simulated external data shares every covariate with the internal data
-    model_ext = fit_external_membership(external, membership_config)
+    model_ext = fit_external_membership(external, membership_config, seed=5)
     h_ext = predict_group_probs(model_ext, internal.x, schema.n_groups)
 
     blend = select_alpha(h_ext, h_int, codes, metric="brier", grid_step=0.01)

@@ -29,7 +29,6 @@ pipeline = PipelineConfig(
     pi=BinarySpec(l2=0.01), mu=BinarySpec(l2=0.01),
     h_internal=MulticlassConfig(kind="softmax-linear", epochs=200, lr=1.0),
     crossfit_k=1, borrow=False,
-    methods=("comparison", "proposed-internal"),
 )
 
 B = 200

@@ -27,10 +27,7 @@ class SingleClassLabels(ModelError):
 @dataclass
 class BlendedMembership:
     alpha: float
-    h_internal: np.ndarray
-    h_external: np.ndarray
     h_star: np.ndarray  # alpha * external + (1 - alpha) * internal
-    metric_used: str  # "brier" | "auc"
     metric_curve: list[tuple[float, float]]  # (alpha, score) over the grid
 
 
@@ -144,11 +141,4 @@ def select_alpha(h_external, h_internal, codes, metric="brier",
             best_alpha, best_score = float(alpha), score
 
     h_star = best_alpha * h_external + (1.0 - best_alpha) * h_internal
-    return BlendedMembership(
-        alpha=best_alpha,
-        h_internal=h_internal,
-        h_external=h_external,
-        h_star=h_star,
-        metric_used=metric,
-        metric_curve=curve,
-    )
+    return BlendedMembership(alpha=best_alpha, h_star=h_star, metric_curve=curve)

@@ -6,9 +6,6 @@ the dataclass does not declare and any value of the wrong JSON type, naming
 the dotted key path and the value, so a misspelt or mistyped setting stops a
 run before anything is fitted instead of being ignored. Booleans must be JSON
 booleans, and a float setting accepts a JSON integer.
-
-A field whose metadata holds ``{"config": False}`` is set by the program at
-run time and is neither encoded nor decodable.
 """
 
 from __future__ import annotations
@@ -38,14 +35,10 @@ def check_at_least(name: str, value, low) -> None:
         raise ValueError(f"{name} must be at least {low}; got {value!r}")
 
 
-def _settable(cls) -> list[dataclasses.Field]:
-    return [f for f in dataclasses.fields(cls) if f.init and f.metadata.get("config", True)]
-
-
 def encode(value):
     """The JSON form of a config dataclass, or of a value inside one."""
     if dataclasses.is_dataclass(value):
-        return {f.name: encode(getattr(value, f.name)) for f in _settable(value)}
+        return {f.name: encode(getattr(value, f.name)) for f in dataclasses.fields(value)}
     if isinstance(value, np.ndarray):
         return value.tolist()
     if isinstance(value, (tuple, list)):
@@ -65,13 +58,13 @@ def decode(cls, raw, path: str = ""):
     if not isinstance(raw, dict):
         raise ConfigError(f"{path or 'config'}: expected an object, got {raw!r}")
     hints = typing.get_type_hints(cls)
-    settable = {f.name: f for f in _settable(cls)}
+    fields = {f.name: f for f in dataclasses.fields(cls)}
     kwargs = {}
     for key, value in raw.items():
-        if key not in settable:
+        if key not in fields:
             raise ConfigError(f"unknown key {_join(path, key)}")
         kwargs[key] = _decode_value(hints[key], value, _join(path, key))
-    for name, f in settable.items():
+    for name, f in fields.items():
         if (name not in kwargs and f.default is dataclasses.MISSING
                 and f.default_factory is dataclasses.MISSING):
             raise ConfigError(f"missing required key {_join(path, name)}")

@@ -49,6 +49,10 @@ class NonNumericValue(DataError):
     pass
 
 
+class DuplicateColumn(DataError):
+    pass
+
+
 @dataclass(frozen=True)
 class GroupKey:
     """A realized protected-characteristic vector; hashable, usable as a dict key."""
@@ -81,7 +85,7 @@ class SchemaSpec:
     covariate columns.
 
     ``external_covariates`` is the declared subset of ``covariates`` shared
-    with external data; it defaults to the full covariate list.
+    with external data; None, the default, shares the full covariate list.
     """
 
     characteristics: tuple[Characteristic, ...]
@@ -89,7 +93,7 @@ class SchemaSpec:
     outcome: str
     prediction: str
     covariates: tuple[str, ...]
-    external_covariates: tuple[str, ...] = ()
+    external_covariates: tuple[str, ...] | None = None
 
     def __post_init__(self):
         if not self.characteristics:
@@ -102,8 +106,11 @@ class SchemaSpec:
             if column in first:
                 raise ValueError(f"column {column!r} is both {first[column]} and {key}")
             first[column] = key
-        if not self.external_covariates:
+        if self.external_covariates is None:
             object.__setattr__(self, "external_covariates", self.covariates)
+        elif not self.external_covariates:
+            raise ValueError("external_covariates must name at least one covariate; "
+                             "leave the key out to share them all")
         unknown = set(self.external_covariates) - set(self.covariates)
         if unknown:
             raise ValueError(f"external covariates not in internal schema: {sorted(unknown)}")
@@ -219,14 +226,12 @@ class ExternalDataset:
     def n(self) -> int:
         return len(self.group_codes)
 
-    def __len__(self) -> int:
-        return self.n
-
 
 def _read_cells(path, columns) -> list[list[str]]:
     """The stripped cells of each data row of a CSV file, in the order of
-    columns. Raises MissingColumn for a column the header lacks and
-    MissingValue for a row with fewer cells than the header."""
+    columns. Raises MissingColumn for a column the header lacks,
+    DuplicateColumn for one it names more than once, and MissingValue for a
+    row with more or fewer cells than the header."""
     with open(path, "r", encoding="utf-8", newline="") as f:
         rows = list(csv.reader(f))
     if not rows:
@@ -235,8 +240,10 @@ def _read_cells(path, columns) -> list[list[str]]:
     for name in columns:
         if name not in header:
             raise MissingColumn(f"{path}: missing column '{name}'")
+        if header.count(name) > 1:
+            raise DuplicateColumn(f"{path}: the header names column '{name}' more than once")
     for row_num, row in enumerate(rows[1:], 1):
-        if len(row) < len(header):
+        if len(row) != len(header):
             raise MissingValue(f"row {row_num} has {len(row)} cells; "
                                f"the header has {len(header)}")
     pos = [header.index(name) for name in columns]

@@ -11,14 +11,12 @@ a bug and propagates.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dataset import AuditDataset, ExternalDataset
-from .models import ModelError
-from .pipeline import PipelineConfig, run_pipeline
+from .pipeline import PipelineConfig, map_tasks, run_cells, run_pipeline
 
 
 @dataclass
@@ -30,8 +28,6 @@ class BootstrapResult:
     upper: float | None
     B: int
     na_count: int
-    level: float
-    seed: int
     truncated_low: bool = False
     truncated_high: bool = False
 
@@ -53,11 +49,8 @@ def _replicate_values(args):
     rng = np.random.default_rng(child_seq)
     resampled = stratified_resample(internal, rng)
     pipeline_seed = int(rng.integers(0, 2**31 - 1))
-    try:
-        result = run_pipeline(resampled, external, config, pipeline_seed)
-    except (ModelError, np.linalg.LinAlgError):
-        return np.full(len(keys), np.nan)  # whole replicate inestimable
-    return result.report.values(keys)
+    values, _ = run_cells(resampled, external, config, pipeline_seed, keys)
+    return values
 
 
 def _t_multiplier(B: int, level: float) -> float:
@@ -87,13 +80,7 @@ def bootstrap_estimates(internal: AuditDataset, external: ExternalDataset | None
     root = np.random.SeedSequence(seed)
     children = root.spawn(B)  # SeedSequence pickles, so tasks work across processes
     tasks = [(internal, external, config, child, keys) for child in children]
-
-    if n_jobs > 1:
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            replicate_rows = list(pool.map(_replicate_values, tasks))
-    else:
-        replicate_rows = [_replicate_values(task) for task in tasks]
-    matrix = np.vstack(replicate_rows)  # (B, cells)
+    matrix = np.vstack(map_tasks(_replicate_values, tasks, n_jobs))  # (B, cells)
 
     t_mult = _t_multiplier(B, level)
     out = {}
@@ -104,7 +91,7 @@ def bootstrap_estimates(internal: AuditDataset, external: ExternalDataset | None
         if point is None or na_count == B:
             out[key] = BootstrapResult(point=point, replicates=reps, se=None,
                                        lower=None, upper=None, B=B,
-                                       na_count=na_count, level=level, seed=seed)
+                                       na_count=na_count)
             continue
         good = reps[~np.isnan(reps)]
         se = float(np.std(good, ddof=1)) if len(good) > 1 else 0.0
@@ -114,7 +101,7 @@ def bootstrap_estimates(internal: AuditDataset, external: ExternalDataset | None
         upper = min(raw_hi, 1.0)
         out[key] = BootstrapResult(
             point=point, replicates=reps, se=se, lower=lower, upper=upper,
-            B=B, na_count=na_count, level=level, seed=seed,
+            B=B, na_count=na_count,
             truncated_low=raw_lo < 0.0, truncated_high=raw_hi > 1.0,
         )
     return out

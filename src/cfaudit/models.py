@@ -158,7 +158,6 @@ class MulticlassConfig:
     decay: float = 0.0  # weight-decay coefficient on the sum of squared weights
     epochs: int = 500  # L-BFGS iteration cap (softmax-linear); epochs (mlp-1hidden)
     lr: float = 0.5  # gradient-descent step of mlp-1hidden only
-    seed: int = field(default=0, metadata={"config": False})  # derived from the run seed
 
     def __post_init__(self):
         check_choice("kind", self.kind, MULTICLASS_KINDS)
@@ -171,7 +170,6 @@ class MulticlassModel:
     kind: str  # "softmax-linear" | "mlp-1hidden" | "constant"
     classes: np.ndarray  # sorted int labels; column j of a prediction is classes[j]
     params: tuple  # (w,) linear; (w1, w2) mlp; (probs,) constant
-    config: MulticlassConfig | None = None
     converged: bool = False  # the MLP's gradient descent never claims convergence
     iterations: int = 0  # optimizer iterations (MLP: epochs) actually run
     objective: float | None = None  # final objective; None for the constant model
@@ -370,12 +368,13 @@ def _xavier_uniform(rng, fan_in, fan_out):
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
-def fit_multiclass(x, labels, config: MulticlassConfig) -> MulticlassModel:
+def fit_multiclass(x, labels, config: MulticlassConfig, seed=0) -> MulticlassModel:
     """Fit class probabilities P(label | x) on full batches of int labels.
 
     softmax-linear minimises softmax_objective by L-BFGS from zero weights,
     for at most config.epochs iterations; mlp-1hidden runs config.epochs
-    gradient-descent epochs of step config.lr from a seeded initialization.
+    gradient-descent epochs of step config.lr from an initialization drawn
+    from seed.
     Classes are the sorted unique labels, and training is deterministic.
     Raises DegenerateLabels when only one class is present;
     fit_group_membership falls back to constant_multiclass then.
@@ -390,18 +389,18 @@ def fit_multiclass(x, labels, config: MulticlassConfig) -> MulticlassModel:
     y_onehot = np.zeros((n, len(classes)))
     y_onehot[np.arange(n), columns] = 1.0
 
-    rng = np.random.default_rng(config.seed)
     if config.kind == "softmax-linear":
         buf = _buffers(n, len(classes))
         w, loss, converged, iterations = _lbfgs(
             lambda w: softmax_objective(w, xb, y_onehot, config.decay, buf),
             np.zeros((xb.shape[1], len(classes))), config.epochs)
-        return MulticlassModel(kind=config.kind, classes=classes, params=(w,), config=config,
+        return MulticlassModel(kind=config.kind, classes=classes, params=(w,),
                                converged=converged, iterations=iterations,
                                objective=float(loss))
 
     if config.kind == "mlp-1hidden":
         h = config.hidden
+        rng = np.random.default_rng(seed)
         w1 = _xavier_uniform(rng, xb.shape[1], h)
         w2 = _xavier_uniform(rng, h + 1, len(classes))
         buf = _buffers(n, len(classes), h)
@@ -410,7 +409,7 @@ def fit_multiclass(x, labels, config: MulticlassConfig) -> MulticlassModel:
             w1 -= (config.lr / n) * g1
             w2 -= (config.lr / n) * g2
         loss, _ = mlp_objective((w1, w2), xb, y_onehot, config.decay, buf)
-        return MulticlassModel(kind=config.kind, classes=classes, params=(w1, w2), config=config,
+        return MulticlassModel(kind=config.kind, classes=classes, params=(w1, w2),
                                iterations=config.epochs, objective=float(loss))
 
     raise ValueError(f"unknown multiclass kind: {config.kind!r}")
@@ -467,7 +466,6 @@ def predict_group_probs(model: MulticlassModel, x, n_groups: int) -> np.ndarray:
 class CrossFitPlan:
     k: int
     fold: np.ndarray  # (n,) fold id per row
-    seed: int
 
     def __post_init__(self):
         sizes = np.bincount(self.fold, minlength=self.k)
@@ -479,7 +477,6 @@ class CrossFitPlan:
 class BinarySpec:
     kind: str = "logistic-IRLS"  # the only binary fit
     l2: float = 0.0
-    max_iter: int = 100
 
     def __post_init__(self):
         check_choice("kind", self.kind, ("logistic-IRLS",))
@@ -491,10 +488,7 @@ class NuisanceSpec:
     pi: BinarySpec = field(default_factory=BinarySpec)
     mu: BinarySpec = field(default_factory=BinarySpec)
     h: MulticlassConfig = field(default_factory=MulticlassConfig)
-
-
-def _fit_binary_spec(x, y, spec: BinarySpec) -> BinaryModel:
-    return fit_logistic(x, y, l2=spec.l2, max_iter=spec.max_iter)
+    h_seed: int = 0  # the membership fit's seed
 
 
 def _propensity_design(ds: AuditDataset) -> np.ndarray:
@@ -518,36 +512,40 @@ def _complement_feasible(ds, train_mask) -> bool:
     return True
 
 
-def make_crossfit_plan(ds: AuditDataset, k, seed, max_redraws=10) -> CrossFitPlan:
+# Fold draws make_crossfit_plan tries before it gives up.
+MAX_REDRAWS = 10
+
+
+def make_crossfit_plan(ds: AuditDataset, k, seed) -> CrossFitPlan:
     """Random fold assignment with sizes differing by at most one.
 
     Each fold's training complement must contain both treatment arms and
     both outcome classes among untreated rows; infeasible draws are retried
-    up to max_redraws times before InfeasibleFolds.
+    up to MAX_REDRAWS times before InfeasibleFolds.
     """
     rng = np.random.default_rng(seed)
-    for _ in range(max_redraws):
+    for _ in range(MAX_REDRAWS):
         fold = _draw_plan(ds.n, k, rng)
         ok = all(
             _complement_feasible(ds, fold != f) for f in range(k)
         )
         if ok:
-            return CrossFitPlan(k=k, fold=fold, seed=seed)
-    raise InfeasibleFolds(f"no feasible {k}-fold split after {max_redraws} draws")
+            return CrossFitPlan(k=k, fold=fold)
+    raise InfeasibleFolds(f"no feasible {k}-fold split after {MAX_REDRAWS} draws")
 
 
 def _fit_outcome_models(ds, train_idx, spec: BinarySpec):
     """mu models on untreated training rows: one per prediction stratum plus
     the unstratified version. Empty strata fall back to the unstratified fit."""
     untreated = train_idx[ds.d[train_idx] == 0]
-    mu_star = _fit_binary_spec(ds.x[untreated], ds.y[untreated], spec)
+    mu_star = fit_logistic(ds.x[untreated], ds.y[untreated], l2=spec.l2)
     mu_by_s = {}
     for s_val in (0, 1):
         stratum = untreated[ds.s[untreated] == s_val]
         if stratum.size == 0:
             mu_by_s[s_val] = mu_star
         else:
-            mu_by_s[s_val] = _fit_binary_spec(ds.x[stratum], ds.y[stratum], spec)
+            mu_by_s[s_val] = fit_logistic(ds.x[stratum], ds.y[stratum], l2=spec.l2)
     return mu_by_s, mu_star
 
 
@@ -577,14 +575,14 @@ def cross_fit(ds: AuditDataset, spec: NuisanceSpec, k=1, seed=0,
         pairs = [(np.flatnonzero(plan.fold == f), np.flatnonzero(plan.fold != f))
                  for f in range(plan.k)]
     for hold, train in pairs:
-        pi_model = _fit_binary_spec(pi_design[train], ds.d[train], spec.pi)
+        pi_model = fit_logistic(pi_design[train], ds.d[train], l2=spec.pi.l2)
         propensity[hold] = predict_binary(pi_model, pi_design[hold])
         mu_by_s, mu_star = _fit_outcome_models(ds, train, spec.mu)
         mu0_s0[hold] = predict_binary(mu_by_s[0], ds.x[hold])
         mu0_s1[hold] = predict_binary(mu_by_s[1], ds.x[hold])
         mu0_all[hold] = predict_binary(mu_star, ds.x[hold])
 
-    h_model = fit_group_membership(ds.x, ds.group_codes, spec.h)
+    h_model = fit_group_membership(ds.x, ds.group_codes, spec.h, spec.h_seed)
     return NuisanceEstimates(
         propensity=propensity,
         mu0_s1=mu0_s1,
@@ -594,11 +592,11 @@ def cross_fit(ds: AuditDataset, spec: NuisanceSpec, k=1, seed=0,
     )
 
 
-def fit_group_membership(x, group_codes, config: MulticlassConfig) -> MulticlassModel:
+def fit_group_membership(x, group_codes, config: MulticlassConfig, seed=0) -> MulticlassModel:
     """Fit P(group | x) on rows labelled by group code; degenerate labels fall
     back to the constant model of their frequencies."""
     try:
-        return fit_multiclass(x, group_codes, config)
+        return fit_multiclass(x, group_codes, config, seed)
     except DegenerateLabels:
         present, counts = np.unique(group_codes, return_counts=True)
         return constant_multiclass(present, counts.astype(np.float64))

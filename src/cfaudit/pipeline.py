@@ -1,10 +1,12 @@
 """End-to-end estimation pipeline shared by the CLI, the bootstrap, and the
 simulation lab: nuisance fitting (optionally cross-fit), external borrowing,
-and the full estimator report."""
+and the full estimator report; and the replicate runner that the bootstrap
+and the simulation lab map over their tasks."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -13,7 +15,7 @@ from .config import check_at_least, check_choice
 from .dataset import AuditDataset, ExternalDataset
 from .estimators import (METHODS, ErrorRateReport, NuisanceEstimates,
                          estimate_all)
-from .models import (BinarySpec, MulticlassConfig, MulticlassModel,
+from .models import (BinarySpec, ModelError, MulticlassConfig, MulticlassModel,
                      NuisanceSpec, cross_fit, fit_group_membership,
                      predict_group_probs)
 
@@ -28,19 +30,16 @@ class PipelineConfig:
     borrow: bool = True
     borrow_metric: str = "brier"
     alpha_grid_step: float = 0.001
-    methods: tuple[str, ...] = METHODS
 
     def __post_init__(self):
         check_choice("borrow_metric", self.borrow_metric, BORROW_METRICS)
-        for method in self.methods:
-            check_choice("methods", method, METHODS)
         grid_intervals(self.alpha_grid_step)
         check_at_least("crossfit_k", self.crossfit_k, 1)
 
     def reported_methods(self, external: bool) -> tuple[str, ...]:
         """The methods a run reports: proposed-borrowing only when borrowing
         is on and the run has external data."""
-        return tuple(m for m in self.methods
+        return tuple(m for m in METHODS
                      if m != "proposed-borrowing" or (external and self.borrow))
 
 
@@ -52,10 +51,10 @@ class PipelineResult:
     blend: BlendedMembership | None
 
 
-def fit_external_membership(external: ExternalDataset,
-                            config: MulticlassConfig) -> MulticlassModel:
+def fit_external_membership(external: ExternalDataset, config: MulticlassConfig,
+                            seed: int) -> MulticlassModel:
     """Train the membership model on the external rows (external covariates only)."""
-    return fit_group_membership(external.x, external.group_codes, config)
+    return fit_group_membership(external.x, external.group_codes, config, seed)
 
 
 def run_pipeline(internal: AuditDataset, external: ExternalDataset | None,
@@ -67,11 +66,7 @@ def run_pipeline(internal: AuditDataset, external: ExternalDataset | None,
     h_int_seed = int(children[1].generate_state(1)[0])
     h_ext_seed = int(children[2].generate_state(1)[0])
 
-    spec = NuisanceSpec(
-        pi=config.pi,
-        mu=config.mu,
-        h=replace(config.h_internal, seed=h_int_seed),
-    )
+    spec = NuisanceSpec(pi=config.pi, mu=config.mu, h=config.h_internal, h_seed=h_int_seed)
     nuis = cross_fit(internal, spec, k=config.crossfit_k, seed=crossfit_seed)
 
     methods = config.reported_methods(external is not None)
@@ -84,8 +79,7 @@ def run_pipeline(internal: AuditDataset, external: ExternalDataset | None,
             alpha = 0.0
             borrowed = nuis.group_prob
         else:
-            external_model = fit_external_membership(
-                external, replace(config.h_external, seed=h_ext_seed))
+            external_model = fit_external_membership(external, config.h_external, h_ext_seed)
             schema = internal.schema
             h_ext = predict_group_probs(external_model, internal.x[:, schema.shared_index],
                                         schema.n_groups)
@@ -98,3 +92,25 @@ def run_pipeline(internal: AuditDataset, external: ExternalDataset | None,
     report = estimate_all(internal, nuis, methods=methods,
                           borrowed_group_prob=borrowed)
     return PipelineResult(report=report, nuisances=nuis, alpha=alpha, blend=blend)
+
+
+def run_cells(internal: AuditDataset, external: ExternalDataset | None,
+              config: PipelineConfig, seed: int, cells) -> tuple[np.ndarray, float]:
+    """One replicate: the run's value per cell of cells and its alpha, NaN
+    when borrowing did not run. A model fit that fails (ModelError,
+    LinAlgError) makes the whole replicate NaN; any other exception is a bug
+    and propagates."""
+    try:
+        result = run_pipeline(internal, external, config, seed)
+    except (ModelError, np.linalg.LinAlgError):
+        return np.full(len(cells), np.nan), np.nan
+    alpha = result.alpha if result.alpha is not None else np.nan
+    return result.report.values(cells), alpha
+
+
+def map_tasks(fn, tasks: list, n_jobs: int) -> list:
+    """[fn(task) for task in tasks], in n_jobs worker processes when n_jobs > 1."""
+    if n_jobs > 1:
+        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
+            return list(pool.map(fn, tasks))
+    return [fn(task) for task in tasks]

@@ -16,7 +16,6 @@ group) over a large validation draw, never from any estimator.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,8 +23,8 @@ import numpy as np
 from .config import check_at_least
 from .dataset import AuditDataset, Characteristic, ExternalDataset, GroupKey, SchemaSpec
 from .estimators import report_keys
-from .models import BinarySpec, ModelError, MulticlassConfig, _softmax, sigmoid
-from .pipeline import PipelineConfig, run_pipeline
+from .models import BinarySpec, MulticlassConfig, _softmax, sigmoid
+from .pipeline import PipelineConfig, map_tasks, run_cells
 
 SIM_LEVELS = ("0", "1")
 SIM_GROUPS = tuple(GroupKey(levels) for levels in itertools.product(SIM_LEVELS, SIM_LEVELS))
@@ -167,7 +166,6 @@ def sim_schema(cfg: ScenarioConfig) -> SchemaSpec:
 
 @dataclass
 class Population:
-    role: str  # "train" | "validation" | "internal" | "external"
     x: np.ndarray
     group_codes: np.ndarray
     y0: np.ndarray | None = None
@@ -222,7 +220,7 @@ def generate_population(cfg: ScenarioConfig, role: str, seed,
     group_design = _design(cfg, x)
     codes = _sample_categorical(_softmax(group_design @ group_coef.T), rng)
     if role == "external":
-        return Population(role=role, x=x, group_codes=codes)
+        return Population(x=x, group_codes=codes)
 
     a1 = np.array([int(g.levels[0]) for g in SIM_GROUPS])[codes]
     a2 = np.array([int(g.levels[1]) for g in SIM_GROUPS])[codes]
@@ -237,14 +235,12 @@ def generate_population(cfg: ScenarioConfig, role: str, seed,
         d_design = _design(cfg, x, extra_cols=(a1, a2, s))
         d = (rng.random(n) < sigmoid(d_design @ cfg.coefficients.treatment)).astype(np.int8)
         y = (d * y1 + (1 - d) * y0).astype(np.int8)
-        return Population(role=role, x=x, group_codes=codes,
-                          y0=y0, y1=y1, d=d, y=y, s=s)
+        return Population(x=x, group_codes=codes, y0=y0, y1=y1, d=d, y=y, s=s)
 
     # train / validation: untreated world
     d = np.zeros(n, dtype=np.int8)
     s = risk_model.predict(x) if risk_model is not None else None
-    return Population(role=role, x=x, group_codes=codes,
-                      y0=y0, y1=y1, d=d, y=y0.copy(), s=s)
+    return Population(x=x, group_codes=codes, y0=y0, y1=y1, d=d, y=y0.copy(), s=s)
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +388,6 @@ class RiskModel:
     trees: list
     threshold: float
     max_depth: int
-    seed: int
 
     def predict_score(self, x) -> np.ndarray:
         """Mean leaf value over the trees for each row of x.
@@ -460,8 +455,7 @@ def train_risk_model(x, y, n_trees=100, max_depth=4, positive_rate=0.2,
         rng = np.random.default_rng(child)
         boot = rng.integers(0, len(y), size=len(y))
         trees.append(_grow_tree(x[boot], y[boot], max_depth))
-    model = RiskModel(trees=trees, threshold=0.0, max_depth=max_depth,
-                      seed=seed if isinstance(seed, int) else -1)
+    model = RiskModel(trees=trees, threshold=0.0, max_depth=max_depth)
     scores = model.predict_score(x)
     k = min(int(np.floor(len(y) * (1.0 - positive_rate))), len(y) - 1)
     model.threshold = float(np.sort(scores)[k])
@@ -524,7 +518,6 @@ def to_external_dataset(pop: Population, schema: SchemaSpec) -> ExternalDataset:
 
 @dataclass
 class ScenarioResult:
-    config: ScenarioConfig
     oracle: OracleTruth
     cells: list  # (group code or None, metric, method) per column of values
     values: np.ndarray  # (replications, cells); NaN where inestimable
@@ -567,18 +560,13 @@ def _run_replication(args):
     sub = child.spawn(3)
     internal_seed, external_seed = sub[0], sub[1]
     pipeline_seed = int(sub[2].generate_state(1)[0] % (2**31 - 1))
-    try:
-        internal = to_audit_dataset(
-            generate_population(cfg, "internal", internal_seed, risk_model=model), schema)
-        external = None
-        if "proposed-borrowing" in cfg.pipeline.reported_methods(external=True):
-            external = to_external_dataset(
-                generate_population(cfg, "external", external_seed), schema)
-        result = run_pipeline(internal, external, cfg.pipeline, pipeline_seed)
-    except (ModelError, np.linalg.LinAlgError):
-        return np.full(len(cells), np.nan), np.nan
-    alpha = result.alpha if result.alpha is not None else np.nan
-    return result.report.values(cells), alpha
+    internal = to_audit_dataset(
+        generate_population(cfg, "internal", internal_seed, risk_model=model), schema)
+    external = None
+    if "proposed-borrowing" in cfg.pipeline.reported_methods(external=True):
+        external = to_external_dataset(
+            generate_population(cfg, "external", external_seed), schema)
+    return run_cells(internal, external, cfg.pipeline, pipeline_seed, cells)
 
 
 def run_scenario(cfg: ScenarioConfig, n_jobs: int = 1) -> ScenarioResult:
@@ -601,12 +589,6 @@ def run_scenario(cfg: ScenarioConfig, n_jobs: int = 1) -> ScenarioResult:
     cells = report_keys(schema.n_groups, cfg.pipeline.reported_methods(external=True))
     tasks = [(cfg, model, schema, children[3 + rep], cells)
              for rep in range(cfg.replications)]
-    if n_jobs > 1:
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            results = list(pool.map(_run_replication, tasks))
-    else:
-        results = [_run_replication(task) for task in tasks]
-
-    values, alphas = zip(*results)
-    return ScenarioResult(config=cfg, oracle=oracle, cells=cells,
+    values, alphas = zip(*map_tasks(_run_replication, tasks, n_jobs))
+    return ScenarioResult(oracle=oracle, cells=cells,
                           values=np.vstack(values), alphas=list(alphas))

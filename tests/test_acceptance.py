@@ -54,7 +54,7 @@ def stump_model():
     tree = _Tree(feature=np.array([0, -1, -1]), threshold=np.zeros(3),
                  left=np.array([1, 1, 2]), right=np.array([2, 1, 2]),
                  value=np.array([0.5, 0.0, 1.0]))
-    return RiskModel(trees=[tree], threshold=0.5, max_depth=1, seed=0)
+    return RiskModel(trees=[tree], threshold=0.5, max_depth=1)
 
 
 def test_criterion_01_ratio_identity_exact_counting():
@@ -67,7 +67,7 @@ def test_criterion_01_ratio_identity_exact_counting():
             s_flag = rng.integers(0, 2, n)
             x = np.zeros((n, 10))
             x[:, 0] = 2.0 * s_flag - 1.0  # the stump reproduces s_flag exactly
-            pop = Population(role="validation", x=x, group_codes=codes, y0=y0,
+            pop = Population(x=x, group_codes=codes, y0=y0,
                              y1=y0.copy(), d=np.zeros(n, np.int8), y=y0.copy())
             truth = oracle_error_rates(pop, stump_model())
             s = s_flag.astype(bool)
@@ -128,7 +128,7 @@ def test_criterion_03_consistency_randomized_treatment():
         pipe = PipelineConfig(
             pi=BinarySpec(l2=0.01), mu=BinarySpec(l2=0.01),
             h_internal=MulticlassConfig(kind="softmax-linear", epochs=400, lr=2.0),
-            borrow=False, methods=("comparison", "proposed-internal"),
+            borrow=False,
             crossfit_k=1,
         )
         cfg = ScenarioConfig(n_internal=50000, replications=20, seed=301,
@@ -299,7 +299,6 @@ def test_criterion_10_bootstrap_determinism_and_truncation():
             pi=BinarySpec(l2=0.5), mu=BinarySpec(l2=0.5),
             h_internal=MulticlassConfig(epochs=20, lr=0.5),
             crossfit_k=1, borrow=False,
-            methods=("comparison", "proposed-internal"),
         )
         rng = np.random.default_rng(10)
         schema = SchemaSpec(characteristics=(Characteristic("a", ("0", "1")),),

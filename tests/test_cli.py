@@ -177,7 +177,7 @@ def test_exit_code_missing_config():
 
 
 def test_audit_bootstrap_with_external_data_reproduces_across_threads(tmp_path, monkeypatch):
-    from cfaudit import cli, inference
+    from cfaudit import cli, inference, pipeline
     make_audit_files(tmp_path)
     cfgpath = audit_config(tmp_path, bootstrap_b=3)
     runs = []
@@ -189,6 +189,7 @@ def test_audit_bootstrap_with_external_data_reproduces_across_threads(tmp_path, 
 
     monkeypatch.setattr(cli, "run_pipeline", counting_run)
     monkeypatch.setattr(inference, "run_pipeline", counting_run)
+    monkeypatch.setattr(pipeline, "run_pipeline", counting_run)
     assert main(["--config", str(cfgpath), "--out", str(tmp_path / "t1"),
                  "--threads", "1"]) == 0
     assert len(runs) > 3  # the point run and every replicate
@@ -369,7 +370,8 @@ def rewrite(path, dotted, value):
     ("bootstrap.b", 3, "unknown key bootstrap.b"),
     ("bootstrap.B", 1, "B must be 0 (no intervals) or at least 2"),
     ("borrowing.enabled", "no", "borrowing.enabled: expected bool, got 'no'"),
-    ("models.methods", ["comparison", "fancy"], "'fancy'"),
+    ("models.methods", ["comparison", "proposed-internal", "proposed-borrowing"],
+     "unknown key models.methods"),
     ("borrowing.metric", "brierr", "'brierr'"),
     ("models.h_internal.kind", "mlp", "'mlp'"),
     ("models.pi.kind", "logistic-gd", "'logistic-gd'"),
@@ -382,6 +384,7 @@ def rewrite(path, dotted, value):
     ("models.h_external.decay", -1, "models.h_external: decay must be at least 0; got -1.0"),
     ("models.pi.l2", -0.5, "models.pi: l2 must be at least 0; got -0.5"),
     ("threads", -3, "threads must be at least 1; got -3"),
+    ("models.pi.max_iter", 100, "unknown key models.pi.max_iter"),
 ])
 def test_bad_audit_config_exits_2_before_any_fit(tmp_path, monkeypatch, capsys,
                                                  dotted, value, named):
@@ -396,7 +399,8 @@ def test_bad_audit_config_exits_2_before_any_fit(tmp_path, monkeypatch, capsys,
     ("scenario.n_intenral", 50, "unknown key scenario.n_intenral"),
     ("scenario.pipeline.h_internal.decy", 1, "unknown key scenario.pipeline.h_internal.decy"),
     ("sweep", {"b": [0.0, 1.0]}, "unknown key sweep"),
-    ("scenario.pipeline.methods", ["comparison", "fancy"], "'fancy'"),
+    ("scenario.pipeline.methods", ["comparison", "proposed-internal"],
+     "unknown key scenario.pipeline.methods"),
     ("scenario.pipeline.borrow", "false", "scenario.pipeline.borrow: expected bool"),
     ("scenario.pipeline.borrow_metric", "brierr", "'brierr'"),
     ("scenario.pipeline.h_internal.kind", "mlp", "'mlp'"),
@@ -461,9 +465,11 @@ def _use_treatment_as_covariate(schema):
     (lambda schema: schema["characteristics"][1].update(name="a1"),
      "column 'a1' is both characteristics[0].name and characteristics[1].name"),
     (_use_treatment_as_covariate, "column 'd' is both treatment and covariates[0]"),
+    (lambda schema: schema.update(external_covariates=[]),
+     "schema: external_covariates must name at least one covariate"),
 ], ids=["misspelled-key", "string-covariates", "numeric-levels", "no-levels",
         "numeric-treatment", "unknown-characteristic-key", "repeated-characteristic",
-        "covariate-named-like-treatment"])
+        "covariate-named-like-treatment", "no-external-covariates"])
 def test_malformed_schema_exits_2_naming_the_file_and_key_before_any_fit(
         tmp_path, monkeypatch, capsys, change, named):
     make_audit_files(tmp_path)
@@ -520,6 +526,25 @@ def test_every_schema_the_repo_writes_decodes_strictly_and_round_trips(tmp_path,
         schema = decode(SchemaSpec, raw, "schema")
         assert encode(schema) == raw, name
         assert decode(SchemaSpec, encode(schema), "schema") == schema, name
+
+
+def test_each_config_type_encodes_exactly_its_fields():
+    import dataclasses
+
+    from cfaudit.cli import AuditConfig, SimulateConfig
+    from cfaudit.models import BinarySpec, MulticlassConfig
+    from cfaudit.pipeline import PipelineConfig
+
+    configs = [
+        PipelineConfig(), MulticlassConfig(), BinarySpec(), ScenarioConfig(),
+        AuditConfig(mode="audit", seed=1, out=Path("out"), internal=Path("internal.csv"),
+                    schema=Path("schema.json")),
+        SimulateConfig(mode="simulate", seed=1, out=Path("out"), scenario={}),
+        sim_schema(ScenarioConfig()),
+    ]
+    for config in configs:
+        names = [f.name for f in dataclasses.fields(config)]
+        assert list(encode(config)) == names, type(config).__name__
 
 
 def test_non_finite_external_cell_exits_1_before_any_fit(tmp_path, monkeypatch, capsys):

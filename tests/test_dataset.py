@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from cfaudit.dataset import (AuditDataset, Characteristic, ExternalDataset, GroupKey,
-                             LevelSetMismatch, MissingColumn, MissingValue,
+from cfaudit.dataset import (AuditDataset, Characteristic, DataError, DuplicateColumn,
+                             ExternalDataset, GroupKey, LevelSetMismatch,
+                             MissingColumn, MissingValue,
                              NonBinaryValue, NonNumericValue, SchemaSpec, UnknownLevel,
                              load_external, load_internal, subgroup_counts,
                              write_internal)
@@ -121,10 +122,34 @@ def test_loaders_reject_a_row_shorter_than_the_header(tmp_path):
     ])
     with pytest.raises(MissingValue, match="row 2 has 3 cells; the header has 6"):
         load_internal(internal, two_char_schema())
+    write_csv(internal, ["a1", "a2", "d", "y", "s", "x1"], [
+        ["1", "0", 1, 0, 1, 2.5, 9.0],
+    ])
+    with pytest.raises(MissingValue, match="row 1 has 7 cells; the header has 6"):
+        load_internal(internal, two_char_schema())
     external = tmp_path / "external.csv"
     write_csv(external, ["a1", "a2", "x1", "extra"], [["0", "1", 1.5]])
     with pytest.raises(MissingValue, match="row 1 has 3 cells; the header has 4"):
         load_external(external, two_char_schema())
+
+
+def test_loaders_reject_a_header_naming_a_schema_column_twice(tmp_path):
+    schema = two_char_schema(covs=("x1", "x2"))
+    internal = tmp_path / "internal.csv"
+    write_csv(internal, ["a1", "a2", "d", "y", "s", "x1", "x1", "x2"], [
+        ["0", "0", 0, 1, 0, 0.5, 9.0, 1.5],
+    ])
+    with pytest.raises(DuplicateColumn, match="column 'x1' more than once") as err:
+        load_internal(internal, schema)
+    assert isinstance(err.value, DataError)
+    external = tmp_path / "external.csv"
+    write_csv(external, ["a1", "a1", "a2", "x1", "x2"], [["0", "0", "1", 1.5, 2.5]])
+    with pytest.raises(DuplicateColumn, match="column 'a1' more than once"):
+        load_external(external, schema)
+    # a repeated column outside the schema is not read, so it is no error
+    write_csv(external, ["a1", "a2", "x1", "x2", "note", "note"],
+              [["0", "1", 1.5, 2.5, "a", "b"]])
+    assert load_external(external, schema).x.tolist() == [[1.5, 2.5]]
 
 
 def test_roundtrip_identical(tmp_path):

@@ -3,7 +3,7 @@ import pytest
 from scipy.stats import t as t_dist
 
 from cfaudit.dataset import AuditDataset, Characteristic, ExternalDataset, SchemaSpec
-from cfaudit import inference, models
+from cfaudit import models, pipeline
 from cfaudit.inference import (_replicate_values, _t_multiplier, bootstrap_estimates,
                                stratified_resample)
 from cfaudit.models import BinarySpec, ModelError, MulticlassConfig
@@ -18,7 +18,6 @@ def fast_config(**kw):
         h_external=MulticlassConfig(epochs=20, lr=0.5),
         crossfit_k=1,
         borrow=False,
-        methods=("comparison", "proposed-internal"),
     )
     base.update(kw)
     return PipelineConfig(**base)
@@ -192,7 +191,7 @@ def test_replicate_with_other_cells_than_the_point_run_raises(monkeypatch):
                                  if e.method != "proposed-internal"]
         return result
 
-    monkeypatch.setattr(inference, "run_pipeline", without_proposed)
+    monkeypatch.setattr(pipeline, "run_pipeline", without_proposed)
     with pytest.raises(RuntimeError, match="differ"):
         _replicate_values(task)
 
@@ -219,8 +218,7 @@ def borrowing_case(n=60, n_ext=90, seed=12):
     rng = np.random.default_rng(seed + 1)
     external = ExternalDataset(schema=ds.schema, group_codes=rng.integers(0, 2, n_ext),
                                x=rng.standard_normal((n_ext, 2)))
-    config = fast_config(borrow=True, alpha_grid_step=0.05,
-                         methods=("comparison", "proposed-internal", "proposed-borrowing"))
+    config = fast_config(borrow=True, alpha_grid_step=0.05)
     return ds, external, config
 
 
@@ -268,7 +266,6 @@ def test_bootstrap_interval_coverage_under_randomized_treatment():
         pi=BinarySpec(l2=0.01), mu=BinarySpec(l2=0.01),
         h_internal=MulticlassConfig(kind="softmax-linear", epochs=200, lr=2.0),
         crossfit_k=1, borrow=False,
-        methods=("comparison", "proposed-internal"),
     )
     root = np.random.SeedSequence(cfg.seed)
     children = root.spawn(3 + 200)

@@ -115,9 +115,9 @@ def test_multiclass_deterministic_given_seed():
     rng = np.random.default_rng(4)
     x = rng.standard_normal((200, 3))
     labels = _keys(rng.integers(0, 3, 200))
-    cfg = MulticlassConfig(kind="mlp-1hidden", hidden=7, decay=1.0, epochs=50, seed=12)
-    m1 = fit_multiclass(x, labels, cfg)
-    m2 = fit_multiclass(x, labels, cfg)
+    cfg = MulticlassConfig(kind="mlp-1hidden", hidden=7, decay=1.0, epochs=50)
+    m1 = fit_multiclass(x, labels, cfg, seed=12)
+    m2 = fit_multiclass(x, labels, cfg, seed=12)
     for p1, p2 in zip(m1.params, m2.params):
         assert np.array_equal(p1, p2)
 
@@ -148,9 +148,8 @@ def test_predict_multiclass_rows_sum_to_one_fuzz():
         labels = _keys(rng.integers(0, k, n))
         if len(np.unique(labels)) < 2:
             continue
-        cfg = MulticlassConfig(kind="mlp-1hidden", hidden=5, decay=0.5,
-                               epochs=20, seed=trial)
-        probs = predict_multiclass(fit_multiclass(x, labels, cfg), x)
+        cfg = MulticlassConfig(kind="mlp-1hidden", hidden=5, decay=0.5, epochs=20)
+        probs = predict_multiclass(fit_multiclass(x, labels, cfg, seed=trial), x)
         assert np.all(np.abs(probs.sum(axis=1) - 1.0) < 1e-9)
         assert np.all(probs >= 0.0)
 
@@ -191,13 +190,13 @@ def _reference_sigmoid(z):
     return 1.0 / (1.0 + np.exp(-z))
 
 
-def _reference_fit(x, labels, cfg):
+def _reference_fit(x, labels, cfg, seed):
     xb = np.hstack([np.ones((x.shape[0], 1)), x])
     n = xb.shape[0]
     classes = sorted(set(labels.tolist()))
     y = np.zeros((n, len(classes)))
     y[np.arange(n), [classes.index(g) for g in labels]] = 1.0
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     if cfg.kind == "softmax-linear":
         w = np.zeros((xb.shape[1], len(classes)))
         for _ in range(cfg.epochs):
@@ -258,14 +257,14 @@ def _design(x, labels, classes):
 @pytest.mark.parametrize("cfg,k", [
     (MulticlassConfig(epochs=50, lr=0.5), 4),
     (MulticlassConfig(epochs=50, lr=0.5, decay=0.3), 24),
-    (MulticlassConfig(kind="mlp-1hidden", hidden=7, decay=1.0, epochs=50, seed=3), 4),
+    (MulticlassConfig(kind="mlp-1hidden", hidden=7, decay=1.0, epochs=50), 4),
 ])
 def test_fit_and_predict_multiclass_bit_equal_to_reference(cfg, k):
     rng = np.random.default_rng(11)
     x = rng.standard_normal((300, 5))
     labels = _keys(rng.integers(0, k, 300))
-    model = fit_multiclass(x, labels, cfg)
-    expected = _reference_fit(x, labels, cfg)
+    model = fit_multiclass(x, labels, cfg, seed=3)
+    expected = _reference_fit(x, labels, cfg, seed=3)
     new_x = rng.standard_normal((40, 5))
     if cfg.kind == "softmax-linear":
         # L-BFGS: at the optimum, below the reference gradient descent, repeatable
@@ -288,8 +287,8 @@ def test_mlp_reports_its_epochs_and_final_objective():
     rng = np.random.default_rng(12)
     x = rng.standard_normal((80, 3))
     labels = _keys(rng.integers(0, 3, 80))
-    cfg = MulticlassConfig(kind="mlp-1hidden", hidden=4, decay=0.5, epochs=15, seed=2)
-    model = fit_multiclass(x, labels, cfg)
+    cfg = MulticlassConfig(kind="mlp-1hidden", hidden=4, decay=0.5, epochs=15)
+    model = fit_multiclass(x, labels, cfg, seed=2)
     xb, y = _design(x, labels, model.classes)
     assert not model.converged and model.iterations == 15
     assert model.objective == mlp_objective(model.params, xb, y, cfg.decay)[0]
@@ -409,9 +408,9 @@ def test_crossfit_fold_sizes_balanced():
 def test_crossfit_k1_equals_full_fit():
     ds = _toy_dataset(300, seed=2)
     nuis = cross_fit(ds, _spec(), k=1, seed=3)
-    from cfaudit.models import _fit_binary_spec, _propensity_design
+    from cfaudit.models import _propensity_design
     design = _propensity_design(ds)
-    full = _fit_binary_spec(design, ds.d, _spec().pi)
+    full = fit_logistic(design, ds.d, l2=_spec().pi.l2)
     assert np.allclose(nuis.propensity, predict_binary(full, design))
 
 
@@ -435,12 +434,12 @@ def test_crossfit_k2_hand_traced():
     ds = _toy_dataset(10, seed=7)
     plan = make_crossfit_plan(ds, 2, seed=4)
     nuis = cross_fit(ds, _spec(), k=2, seed=4, plan=plan)
-    from cfaudit.models import _fit_binary_spec, _propensity_design
+    from cfaudit.models import _propensity_design
     design = _propensity_design(ds)
     for fold in (0, 1):
         hold = np.flatnonzero(plan.fold == fold)
         train = np.flatnonzero(plan.fold != fold)
-        manual = _fit_binary_spec(design[train], ds.d[train], _spec().pi)
+        manual = fit_logistic(design[train], ds.d[train], l2=_spec().pi.l2)
         assert np.allclose(nuis.propensity[hold], predict_binary(manual, design[hold]))
 
 
@@ -484,13 +483,13 @@ def test_crossfit_reproducible():
 def _cross_fit_two_branch(ds, spec, k, seed):
     # the (all rows, all rows) branch and the fold loop that cross_fit's one
     # loop over (held-out rows, training rows) pairs replaced, kept as its reference
-    from cfaudit.models import _fit_binary_spec, _fit_outcome_models, _propensity_design
+    from cfaudit.models import _fit_outcome_models, _propensity_design
     pi_design = _propensity_design(ds)
     n = ds.n
     out = {name: np.empty(n) for name in ("propensity", "mu0_s1", "mu0_s0", "mu0_all")}
     if k == 1:
         all_idx = np.arange(n)
-        pi_model = _fit_binary_spec(pi_design, ds.d, spec.pi)
+        pi_model = fit_logistic(pi_design, ds.d, l2=spec.pi.l2)
         out["propensity"][:] = predict_binary(pi_model, pi_design)
         mu_by_s, mu_star = _fit_outcome_models(ds, all_idx, spec.mu)
         out["mu0_s0"][:] = predict_binary(mu_by_s[0], ds.x)
@@ -501,7 +500,7 @@ def _cross_fit_two_branch(ds, spec, k, seed):
         for f in range(plan.k):
             hold = np.flatnonzero(plan.fold == f)
             train = np.flatnonzero(plan.fold != f)
-            pi_model = _fit_binary_spec(pi_design[train], ds.d[train], spec.pi)
+            pi_model = fit_logistic(pi_design[train], ds.d[train], l2=spec.pi.l2)
             out["propensity"][hold] = predict_binary(pi_model, pi_design[hold])
             mu_by_s, mu_star = _fit_outcome_models(ds, train, spec.mu)
             out["mu0_s0"][hold] = predict_binary(mu_by_s[0], ds.x[hold])

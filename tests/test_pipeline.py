@@ -74,7 +74,6 @@ def test_pipeline_crossfit_path():
 
 
 def test_pipeline_config_dict_roundtrip():
-    cfg = fast_pipeline(crossfit_k=3, borrow_metric="auc",
-                        methods=("comparison", "proposed-internal"))
+    cfg = fast_pipeline(crossfit_k=3, borrow_metric="auc")
     back = decode(PipelineConfig, json.loads(json.dumps(encode(cfg))), "pipeline")
     assert back == cfg

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cfaudit import models, simlab
+from cfaudit import models, pipeline
 from cfaudit.models import BinarySpec, ModelError, MulticlassConfig
 from cfaudit.pipeline import PipelineConfig
 from cfaudit.simlab import (SIM_GROUPS, WALK_CELLS, DegenerateOutcome,
@@ -34,7 +34,7 @@ def constant_model(value):
     tree = _Tree(feature=np.array([-1]), threshold=np.array([0.0]),
                  left=np.array([0]), right=np.array([0]),
                  value=np.array([float(value)]))
-    return RiskModel(trees=[tree], threshold=0.5, max_depth=1, seed=0)
+    return RiskModel(trees=[tree], threshold=0.5, max_depth=1)
 
 
 def stump_on_first_covariate():
@@ -42,7 +42,7 @@ def stump_on_first_covariate():
     tree = _Tree(feature=np.array([0, -1, -1]), threshold=np.array([0.0, 0.0, 0.0]),
                  left=np.array([1, 1, 2]), right=np.array([2, 1, 2]),
                  value=np.array([0.5, 0.0, 1.0]))
-    return RiskModel(trees=[tree], threshold=0.5, max_depth=1, seed=0)
+    return RiskModel(trees=[tree], threshold=0.5, max_depth=1)
 
 
 def test_generate_population_deterministic():
@@ -136,7 +136,7 @@ def test_oracle_hand_built_twelve_records():
     x[:, 0] = [1, 1, 1, -1, -1, -1, 1, 1, -1, -1, 1, -1]
     y0 = np.array([1, 1, 0, 1, 0, 0, 1, 0, 1, 1, 0, 0], dtype=np.int8)
     codes = np.array([0, 0, 0, 0, 0, 0, 3, 3, 3, 3, 1, 1])
-    pop = Population(role="validation", x=x, group_codes=codes, y0=y0,
+    pop = Population(x=x, group_codes=codes, y0=y0,
                      y1=y0.copy(), d=np.zeros(12, np.int8), y=y0.copy())
     truth = oracle_error_rates(pop, stump_on_first_covariate())
     maj = 0
@@ -229,7 +229,7 @@ def test_run_scenario_without_borrowing_skips_method():
     pipe = PipelineConfig(
         pi=BinarySpec(l2=0.1), mu=BinarySpec(l2=0.1),
         h_internal=MulticlassConfig(epochs=20, lr=0.5),
-        borrow=False, methods=("comparison", "proposed-internal"), crossfit_k=1,
+        borrow=False, crossfit_k=1,
     )
     cfg = small_cfg(pipeline=pipe)
     res = run_scenario(cfg)
@@ -238,7 +238,7 @@ def test_run_scenario_without_borrowing_skips_method():
 
 
 def test_replication_with_other_cells_than_expected_raises(monkeypatch):
-    real_run = simlab.run_pipeline
+    real_run = pipeline.run_pipeline
 
     def without_proposed(*args, **kwargs):
         result = real_run(*args, **kwargs)
@@ -246,7 +246,7 @@ def test_replication_with_other_cells_than_expected_raises(monkeypatch):
                                  if e.method != "proposed-internal"]
         return result
 
-    monkeypatch.setattr(simlab, "run_pipeline", without_proposed)
+    monkeypatch.setattr(pipeline, "run_pipeline", without_proposed)
     with pytest.raises(RuntimeError, match="differ"):
         run_scenario(small_cfg(replications=1))
 
@@ -395,7 +395,7 @@ def test_grow_tree_matches_the_reference_at_every_depth(max_depth):
         boot = np.random.default_rng(max_depth).integers(0, len(y), size=len(y))
         tree = _grow_tree(x[boot], y[boot], max_depth)
         assert_same_tree(tree, reference_grow_tree(x[boot], y[boot], max_depth))
-        model = RiskModel(trees=[tree, tree], threshold=0.5, max_depth=max_depth, seed=0)
+        model = RiskModel(trees=[tree, tree], threshold=0.5, max_depth=max_depth)
         assert np.array_equal(model.predict_score(x), reference_predict_score(model, x))
 
 
@@ -413,7 +413,7 @@ def test_hand_built_trees_score_as_the_reference():
     for model in (constant_model(1.0), constant_model(0.0), stump_on_first_covariate()):
         assert np.array_equal(model.predict_score(x), reference_predict_score(model, x))
     both = RiskModel(trees=constant_model(0.25).trees + stump_on_first_covariate().trees,
-                     threshold=0.5, max_depth=3, seed=0)
+                     threshold=0.5, max_depth=3)
     assert np.array_equal(both.predict_score(x), reference_predict_score(both, x))
 
 

@@ -14,9 +14,7 @@ the group-model coefficients with b in {1, 0, -1} and watch alpha react.
 import numpy as np
 
 from cfaudit.borrowing import brier_score, select_alpha
-from cfaudit.models import (MulticlassConfig, fit_multiclass,
-                            predict_group_probs)
-from cfaudit.pipeline import fit_external_membership
+from cfaudit.models import MulticlassConfig, membership_probs
 from cfaudit.simlab import (ScenarioConfig, generate_population, sim_schema,
                             to_audit_dataset, to_external_dataset,
                             train_risk_model)
@@ -39,11 +37,11 @@ for b in (1.0, 0.5, 0.0, -0.5, -1.0):
 
     # membership models take group codes; column j of h is group code j
     codes = internal.group_codes
-    model_int = fit_multiclass(internal.x, codes, membership_config, seed=5)
-    h_int = predict_group_probs(model_int, internal.x, schema.n_groups)
+    h_int = membership_probs(internal.x, codes, internal.x, schema.n_groups,
+                             membership_config, seed=5)
     # the simulated external data shares every covariate with the internal data
-    model_ext = fit_external_membership(external, membership_config, seed=5)
-    h_ext = predict_group_probs(model_ext, internal.x, schema.n_groups)
+    h_ext = membership_probs(external.x, external.group_codes, internal.x,
+                             schema.n_groups, membership_config, seed=5)
 
     blend = select_alpha(h_ext, h_int, codes, metric="brier", grid_step=0.01)
     print(f"{b:>5.1f} {blend.alpha:>7.2f} "

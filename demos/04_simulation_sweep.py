@@ -32,7 +32,7 @@ print("minority-group cFNR across the sweep (40 replications per size)\n")
 print(f"{'n_int':>6} {'method':>18} {'NA':>4} {'mean':>7} {'2.5%':>7} {'97.5%':>7} {'oracle':>7}")
 for n_int in (100, 200, 400):
     result = run_scenario(replace(base, n_internal=n_int))
-    truth = result.oracle.get(minority, "cFNR")
+    truth = result.oracle[(minority, "cFNR")]
     for row in result.aggregate():
         if row["group"] != minority or row["metric"] != "cFNR":
             continue

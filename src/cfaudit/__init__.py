@@ -16,12 +16,11 @@ from .inference import BootstrapResult, bootstrap_estimates, stratified_resample
 from .models import (BinaryModel, BinarySpec, CrossFitPlan, DegenerateLabels,
                      MulticlassConfig, MulticlassModel, NuisanceSpec,
                      Separation, SingularDesign, cross_fit, fit_logistic,
-                     fit_multiclass, make_crossfit_plan, predict_binary,
-                     predict_multiclass)
+                     fit_multiclass, make_crossfit_plan, membership_probs,
+                     predict_binary, predict_multiclass)
 from .pipeline import PipelineConfig, PipelineResult, run_pipeline
-from .simlab import (DgpCoefficients, OracleTruth, Population, RiskModel,
-                     ScenarioConfig, ScenarioResult, default_coefficients,
-                     generate_population,
+from .simlab import (DgpCoefficients, Population, RiskModel, ScenarioConfig,
+                     ScenarioResult, default_coefficients, generate_population,
                      oracle_error_rates, run_scenario, sim_schema,
                      to_audit_dataset, to_external_dataset, train_risk_model)
 

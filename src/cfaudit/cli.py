@@ -45,6 +45,7 @@ class RunConfig:
     threads: int = 1
 
     def __post_init__(self):
+        check_at_least("seed", self.seed, 0)
         check_at_least("threads", self.threads, 1)
 
 
@@ -129,7 +130,7 @@ def load_run_config(path, overrides: dict) -> AuditConfig | SimulateConfig:
         raw = raw["config"]  # manifest re-run
     if not isinstance(raw, dict):
         raise ConfigError(f"config: expected an object, got {raw!r}")
-    raw = {**raw, **{key: overrides[key] for key in ("mode", "out", "seed", "threads")
+    raw = {**raw, **{key: overrides[key] for key in ("out", "seed", "threads")
                      if overrides.get(key) is not None}}
     mode = raw.get("mode")
     if mode not in ("audit", "simulate"):
@@ -155,8 +156,6 @@ def load_run_config(path, overrides: dict) -> AuditConfig | SimulateConfig:
         if cfg.external is not None:
             cfg.external = _resolve(base, cfg.external)
     else:
-        if isinstance(raw.get("scenario"), str):
-            raw["scenario"] = _read_json(_resolve(base, Path(raw["scenario"])), "scenario")
         cfg = decode(SimulateConfig, raw)
     cfg.out = _resolve(base, cfg.out)
     return cfg
@@ -171,7 +170,7 @@ def _scenario_points(scenario: dict, seed: int) -> tuple[dict, list]:
     of them runs. Coefficients left unset are the defaults for each point's
     p_informative and interactions, and stay unset in the resolved form. The
     scenario seed defaults to the run seed; the points of a sweep with more
-    than one point get seeds derived from it.
+    than one point get seeds derived from it, unless the sweep sets the seed.
     """
     raw = {"seed": seed, **scenario}
     sweep = raw.pop("sweep", None) or {}
@@ -195,7 +194,7 @@ def _scenario_points(scenario: dict, seed: int) -> tuple[dict, list]:
     for i, combo in enumerate(combos):
         point = dict(zip(names, combo))
         config = decode(ScenarioConfig, {**raw, **point}, "scenario.sweep") if point else base
-        if len(combos) > 1:
+        if len(combos) > 1 and "seed" not in point:
             point_seed = int(np.random.SeedSequence(
                 entropy=base.seed, spawn_key=(i,)).generate_state(1)[0] % (2**31 - 1))
             config = replace(config, seed=point_seed)
@@ -381,8 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Counterfactual error-rate audits for small protected subgroups",
     )
     parser.add_argument("--config", required=True, help="JSON run config (or a manifest)")
-    parser.add_argument("--mode", choices=["audit", "simulate"],
-                        help="override the config's mode")
     parser.add_argument("--out", help="output directory")
     parser.add_argument("--seed", type=int, help="override the config seed")
     parser.add_argument("--threads", type=int, help="worker processes (default 1)")
@@ -398,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     overrides = {
-        "mode": args.mode, "out": args.out, "seed": args.seed,
+        "out": args.out, "seed": args.seed,
         "threads": args.threads, "borrow_metric": args.borrow_metric,
         "bootstrap_b": args.bootstrap_b, "alpha_grid_step": args.alpha_grid_step,
     }

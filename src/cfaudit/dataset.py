@@ -286,9 +286,12 @@ def load_internal(path, schema: SchemaSpec) -> AuditDataset:
     """Load and validate an internal audit CSV against the schema.
 
     Raises MissingColumn, NonBinaryValue, UnknownLevel, MissingValue, or
-    NonNumericValue with the offending row number (1-based, header excluded).
+    NonNumericValue with the offending row number (1-based, header excluded),
+    and MissingValue for a file with no data rows.
     """
     rows = _read_cells(path, schema.internal_columns)
+    if not rows:
+        raise MissingValue(f"{path}: no data rows; an audit needs at least one")
     k = len(schema.characteristics)
 
     n = len(rows)

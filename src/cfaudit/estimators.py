@@ -57,9 +57,6 @@ class NuisanceEstimates:
         if np.any(np.abs(row_sums - 1.0) > 1e-9):
             raise ValueError("group_prob rows must sum to 1")
 
-    def with_group_prob(self, group_prob: np.ndarray) -> "NuisanceEstimates":
-        return replace(self, group_prob=group_prob)
-
 
 @dataclass
 class ErrorRateEstimate:
@@ -247,7 +244,7 @@ def estimate_all(ds: AuditDataset, nuis: NuisanceEstimates,
     if "proposed-borrowing" in by_method:
         if borrowed_group_prob is None:
             raise ValueError("proposed-borrowing needs borrowed_group_prob")
-        by_method["proposed-borrowing"] = nuis.with_group_prob(borrowed_group_prob)
+        by_method["proposed-borrowing"] = replace(nuis, group_prob=borrowed_group_prob)
     report = ErrorRateReport()
     for group, metric, method in report_keys(ds.schema.n_groups, methods):
         nuis_m = by_method[method]

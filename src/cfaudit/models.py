@@ -31,6 +31,9 @@ from .estimators import NuisanceEstimates
 
 PROB_EPS = 1e-12
 SEPARATION_BOUND = 30.0
+# IRLS iteration cap, and the largest coefficient step that counts as converged.
+IRLS_MAX_ITER = 100
+IRLS_TOL = 1e-8
 
 
 class ModelError(Exception):
@@ -81,14 +84,14 @@ def _penalized_ll(beta, xb, y, l2):
     return ll - 0.5 * l2 * float(beta @ beta)
 
 
-def fit_logistic(x, y, l2=0.0, max_iter=100, tol=1e-8) -> BinaryModel:
+def fit_logistic(x, y, l2=0.0) -> BinaryModel:
     """Fit P(y=1|x) = sigmoid(intercept + x @ coef) maximizing the l2-penalized
     Bernoulli log-likelihood.
 
-    IRLS takes damped Newton steps (step halving whenever a full step would
-    reduce the objective). With l2 == 0 a coefficient exceeding the
-    separation bound raises Separation; set l2 > 0 to fit separable or
-    constant-outcome data.
+    IRLS takes at most IRLS_MAX_ITER damped Newton steps (step halving
+    whenever a full step would reduce the objective). With l2 == 0 a
+    coefficient exceeding the separation bound raises Separation; set l2 > 0
+    to fit separable or constant-outcome data.
     """
     xb = _add_intercept(x)
     y = np.asarray(y, dtype=np.float64)
@@ -99,7 +102,7 @@ def fit_logistic(x, y, l2=0.0, max_iter=100, tol=1e-8) -> BinaryModel:
     trace = [ll]
     converged = False
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, IRLS_MAX_ITER + 1):
         prob = sigmoid(xb @ beta)
         w = prob * (1.0 - prob)
         grad = xb.T @ (y - prob) - l2 * beta
@@ -127,7 +130,7 @@ def fit_logistic(x, y, l2=0.0, max_iter=100, tol=1e-8) -> BinaryModel:
 
         if l2 == 0.0 and np.max(np.abs(beta)) > SEPARATION_BOUND:
             raise Separation("coefficients diverging; refit with l2 > 0")
-        if np.max(np.abs(step)) < tol:
+        if np.max(np.abs(step)) < IRLS_TOL:
             converged = True
             break
 
@@ -167,12 +170,12 @@ class MulticlassConfig:
 
 @dataclass
 class MulticlassModel:
-    kind: str  # "softmax-linear" | "mlp-1hidden" | "constant"
+    kind: str  # one of MULTICLASS_KINDS
     classes: np.ndarray  # sorted int labels; column j of a prediction is classes[j]
-    params: tuple  # (w,) linear; (w1, w2) mlp; (probs,) constant
-    converged: bool = False  # the MLP's gradient descent never claims convergence
-    iterations: int = 0  # optimizer iterations (MLP: epochs) actually run
-    objective: float | None = None  # final objective; None for the constant model
+    params: tuple  # (w,) softmax-linear; (w1, w2) mlp-1hidden
+    converged: bool  # the MLP's gradient descent never claims convergence
+    iterations: int  # optimizer iterations (MLP: epochs) actually run
+    objective: float  # final objective
 
 
 def _row_sum(e):
@@ -217,21 +220,15 @@ def _buffers(n, k, hidden=0):
     return buf
 
 
-def _softmax_grad(w, xb, y_onehot, decay, buf=None):
-    """Class probabilities (in buf) and the gradient of softmax_objective."""
-    buf = _buffers(*y_onehot.shape) if buf is None else buf
-    probs = _softmax(np.matmul(xb, w, out=buf["probs"]), out=buf["probs"])
-    grad = xb.T @ np.subtract(probs, y_onehot, out=buf["delta"]) + 2.0 * decay * w
-    return probs, grad
-
-
 def softmax_objective(w, xb, y_onehot, decay, buf=None):
     """Total cross-entropy plus decay * sum of squared weights, with gradient.
 
     w: (p+1, k) weights including the intercept row; xb includes the
     intercept column. A fit passes its work buffers as buf.
     """
-    probs, grad = _softmax_grad(w, xb, y_onehot, decay, buf)
+    buf = _buffers(*y_onehot.shape) if buf is None else buf
+    probs = _softmax(np.matmul(xb, w, out=buf["probs"]), out=buf["probs"])
+    grad = xb.T @ np.subtract(probs, y_onehot, out=buf["delta"]) + 2.0 * decay * w
     ll = np.sum(y_onehot * np.log(np.clip(probs, PROB_EPS, None)))
     loss = -ll + decay * float(np.sum(w * w))
     return loss, grad
@@ -376,8 +373,7 @@ def fit_multiclass(x, labels, config: MulticlassConfig, seed=0) -> MulticlassMod
     gradient-descent epochs of step config.lr from an initialization drawn
     from seed.
     Classes are the sorted unique labels, and training is deterministic.
-    Raises DegenerateLabels when only one class is present;
-    fit_group_membership falls back to constant_multiclass then.
+    Raises DegenerateLabels when only one class is present.
     """
     xb = _add_intercept(x)
     n = xb.shape[0]
@@ -410,26 +406,14 @@ def fit_multiclass(x, labels, config: MulticlassConfig, seed=0) -> MulticlassMod
             w2 -= (config.lr / n) * g2
         loss, _ = mlp_objective((w1, w2), xb, y_onehot, config.decay, buf)
         return MulticlassModel(kind=config.kind, classes=classes, params=(w1, w2),
-                               iterations=config.epochs, objective=float(loss))
+                               converged=False, iterations=config.epochs,
+                               objective=float(loss))
 
     raise ValueError(f"unknown multiclass kind: {config.kind!r}")
 
 
-def constant_multiclass(classes, probs=None) -> MulticlassModel:
-    """Constant-probability model (the DegenerateLabels fallback)."""
-    classes = np.asarray(classes)
-    if probs is None:
-        probs = np.full(len(classes), 1.0 / len(classes))
-    probs = np.asarray(probs, dtype=np.float64)
-    probs = probs / probs.sum()
-    return MulticlassModel(kind="constant", classes=classes, params=(probs,))
-
-
 def predict_multiclass(model: MulticlassModel, x) -> np.ndarray:
     """Row-stochastic probability matrix over model.classes."""
-    if model.kind == "constant":
-        (probs,) = model.params
-        return np.tile(probs, (np.asarray(x).shape[0], 1))
     xb = _add_intercept(x)
     if model.kind == "softmax-linear":
         (w,) = model.params
@@ -444,16 +428,26 @@ def predict_multiclass(model: MulticlassModel, x) -> np.ndarray:
     raise ValueError(f"unknown multiclass kind: {model.kind!r}")
 
 
-def predict_group_probs(model: MulticlassModel, x, n_groups: int) -> np.ndarray:
-    """Predictions expanded onto all n_groups group codes, column j for code j.
+def membership_probs(x, group_codes, x_eval, n_groups: int, config: MulticlassConfig,
+                     seed=0) -> np.ndarray:
+    """P(group | x_eval) over all n_groups group codes, column j for code j,
+    from a membership model fitted on the rows (x, group_codes).
 
-    Groups the model never saw get (clamped) zero probability; rows are then
-    renormalized so they stay strictly positive and sum to one.
+    With fewer than two codes present there is nothing to fit, and the model
+    is the codes' frequencies. Codes absent from group_codes get (clamped)
+    zero probability; rows are then renormalized so they stay strictly
+    positive and sum to one.
     """
-    _check_codes(model.classes, n_groups, DimensionMismatch)
-    raw = predict_multiclass(model, x)
+    try:
+        model = fit_multiclass(x, group_codes, config, seed)
+    except DegenerateLabels:
+        classes = np.unique(group_codes)
+        raw = np.ones((len(x_eval), len(classes)))
+    else:
+        classes, raw = model.classes, predict_multiclass(model, x_eval)
+    _check_codes(classes, n_groups, DimensionMismatch)
     out = np.zeros((raw.shape[0], n_groups))
-    out[:, model.classes] = raw
+    out[:, classes] = raw
     out = np.clip(out, PROB_EPS, None)
     return out / out.sum(axis=1, keepdims=True)
 
@@ -582,21 +576,11 @@ def cross_fit(ds: AuditDataset, spec: NuisanceSpec, k=1, seed=0,
         mu0_s1[hold] = predict_binary(mu_by_s[1], ds.x[hold])
         mu0_all[hold] = predict_binary(mu_star, ds.x[hold])
 
-    h_model = fit_group_membership(ds.x, ds.group_codes, spec.h, spec.h_seed)
     return NuisanceEstimates(
         propensity=propensity,
         mu0_s1=mu0_s1,
         mu0_s0=mu0_s0,
         mu0_all=mu0_all,
-        group_prob=predict_group_probs(h_model, ds.x, ds.schema.n_groups),
+        group_prob=membership_probs(ds.x, ds.group_codes, ds.x, ds.schema.n_groups,
+                                    spec.h, spec.h_seed),
     )
-
-
-def fit_group_membership(x, group_codes, config: MulticlassConfig, seed=0) -> MulticlassModel:
-    """Fit P(group | x) on rows labelled by group code; degenerate labels fall
-    back to the constant model of their frequencies."""
-    try:
-        return fit_multiclass(x, group_codes, config, seed)
-    except DegenerateLabels:
-        present, counts = np.unique(group_codes, return_counts=True)
-        return constant_multiclass(present, counts.astype(np.float64))

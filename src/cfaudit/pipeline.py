@@ -15,9 +15,8 @@ from .config import check_at_least, check_choice
 from .dataset import AuditDataset, ExternalDataset
 from .estimators import (METHODS, ErrorRateReport, NuisanceEstimates,
                          estimate_all)
-from .models import (BinarySpec, ModelError, MulticlassConfig, MulticlassModel,
-                     NuisanceSpec, cross_fit, fit_group_membership,
-                     predict_group_probs)
+from .models import (BinarySpec, ModelError, MulticlassConfig, NuisanceSpec,
+                     cross_fit, membership_probs)
 
 
 @dataclass
@@ -51,12 +50,6 @@ class PipelineResult:
     blend: BlendedMembership | None
 
 
-def fit_external_membership(external: ExternalDataset, config: MulticlassConfig,
-                            seed: int) -> MulticlassModel:
-    """Train the membership model on the external rows (external covariates only)."""
-    return fit_group_membership(external.x, external.group_codes, config, seed)
-
-
 def run_pipeline(internal: AuditDataset, external: ExternalDataset | None,
                  config: PipelineConfig, seed: int) -> PipelineResult:
     """Fit nuisances, optionally select the borrowing weight, and build the
@@ -79,10 +72,11 @@ def run_pipeline(internal: AuditDataset, external: ExternalDataset | None,
             alpha = 0.0
             borrowed = nuis.group_prob
         else:
-            external_model = fit_external_membership(external, config.h_external, h_ext_seed)
+            # fitted on the external rows, which carry the shared covariates only
             schema = internal.schema
-            h_ext = predict_group_probs(external_model, internal.x[:, schema.shared_index],
-                                        schema.n_groups)
+            h_ext = membership_probs(external.x, external.group_codes,
+                                     internal.x[:, schema.shared_index], schema.n_groups,
+                                     config.h_external, h_ext_seed)
             blend = select_alpha(h_ext, nuis.group_prob, internal.group_codes,
                                  metric=config.borrow_metric,
                                  grid_step=config.alpha_grid_step)

@@ -133,6 +133,7 @@ class ScenarioConfig:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
         check_at_least("p_noise", self.p_noise, 0)
+        check_at_least("seed", self.seed, 0)
         _check_risk_settings(self.n_trees, self.max_depth, self.positive_rate)
         if self.coefficients is None:
             self.coefficients = default_coefficients(self.p_informative, self.interactions)
@@ -466,17 +467,6 @@ def train_risk_model(x, y, n_trees=100, max_depth=4, positive_rate=0.2,
 # oracle truth by exact counting
 
 
-@dataclass
-class OracleTruth:
-    """True counterfactual error rates counted from (s, y0, group); NaN marks
-    groups with an empty conditioning event."""
-
-    rates: dict  # (group code or None, metric) -> float
-
-    def get(self, group, metric) -> float:
-        return self.rates[(group, metric)]
-
-
 def _count_rate(mask_event, mask_condition) -> float:
     denom = int(np.sum(mask_condition))
     if denom == 0:
@@ -484,8 +474,10 @@ def _count_rate(mask_event, mask_condition) -> float:
     return float(np.sum(mask_event & mask_condition)) / denom
 
 
-def oracle_error_rates(validation: Population, model: RiskModel) -> OracleTruth:
-    """Exact-count cFPR/cFNR per group and overall on a validation draw."""
+def oracle_error_rates(validation: Population, model: RiskModel) -> dict:
+    """True counterfactual error rates counted from (s, y0, group) on a
+    validation draw: {(group code or None, metric): rate}, per group and
+    overall. NaN marks groups with an empty conditioning event."""
     if validation.y0 is None:
         raise ValueError("validation population must carry the untreated outcome")
     s = model.predict(validation.x).astype(bool)
@@ -497,7 +489,7 @@ def oracle_error_rates(validation: Population, model: RiskModel) -> OracleTruth:
         in_group = validation.group_codes == code
         rates[(code, "cFPR")] = _count_rate(s, ~y0 & in_group)
         rates[(code, "cFNR")] = _count_rate(~s, y0 & in_group)
-    return OracleTruth(rates=rates)
+    return rates
 
 
 # ---------------------------------------------------------------------------
@@ -518,7 +510,7 @@ def to_external_dataset(pop: Population, schema: SchemaSpec) -> ExternalDataset:
 
 @dataclass
 class ScenarioResult:
-    oracle: OracleTruth
+    oracle: dict  # oracle_error_rates of the validation draw
     cells: list  # (group code or None, metric, method) per column of values
     values: np.ndarray  # (replications, cells); NaN where inestimable
     alphas: list  # per replication; NaN when borrowing did not run
@@ -542,8 +534,8 @@ class ScenarioResult:
                 "p97.5": float(np.percentile(good, 97.5)) if good.size else None,
                 "oracle": None,
             }
-            truth = self.oracle.rates.get((group, metric))
-            if truth is not None and not np.isnan(truth):
+            truth = self.oracle[(group, metric)]
+            if not np.isnan(truth):
                 entry["oracle"] = truth
             out.append(entry)
         return out

@@ -78,15 +78,15 @@ def test_criterion_01_ratio_identity_exact_counting():
                 if np.any(t & in_g) and np.any(t & ~s):
                     ratio = ((np.sum(in_g & t & ~s) / np.sum(t & ~s))
                              / (np.sum(in_g & t) / np.sum(t)))
-                    lhs = truth.get(group, "cFNR")
-                    rhs = truth.get(None, "cFNR") * ratio
+                    lhs = truth[(group, "cFNR")]
+                    rhs = truth[(None, "cFNR")] * ratio
                     assert abs(lhs - rhs) < 1e-12
                 # false positives: condition on y0 = 0
                 if np.any(~t & in_g) and np.any(~t & s):
                     ratio = ((np.sum(in_g & ~t & s) / np.sum(~t & s))
                              / (np.sum(in_g & ~t) / np.sum(~t)))
-                    lhs = truth.get(group, "cFPR")
-                    rhs = truth.get(None, "cFPR") * ratio
+                    lhs = truth[(group, "cFPR")]
+                    rhs = truth[(None, "cFPR")] * ratio
                     assert abs(lhs - rhs) < 1e-12
 
 
@@ -135,7 +135,7 @@ def test_criterion_03_consistency_randomized_treatment():
                              coefficients=coeffs, pipeline=pipe)
         res = run_scenario(cfg)
         majority = 0
-        truth = res.oracle.get(majority, "cFNR")
+        truth = res.oracle[(majority, "cFNR")]
         values = res.values[:, res.cells.index((majority, "cFNR", "proposed-internal"))]
         assert len(values) == 20
         assert not any(np.isnan(values))

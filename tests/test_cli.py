@@ -279,6 +279,39 @@ def test_simulate_sweep_aggregate_cardinality(tmp_path):
     assert len(agg) == 1 + 2 * 5 * 2 * 3  # one row per (N_int, group, metric, method)
 
 
+def test_a_swept_seed_is_the_seed_of_its_point(tmp_path):
+    for name, seeds in (("s12", [1, 2]), ("s78", [7, 8])):
+        scenario = scenario_dict(replications=1, sweep={"seed": seeds})
+        assert main(["--config", str(simulate_config(tmp_path, scenario)),
+                     "--out", str(tmp_path / name)]) == 0
+    assert main(["--config", str(simulate_config(tmp_path, scenario_dict(replications=1, seed=7))),
+                 "--out", str(tmp_path / "plain7")]) == 0
+
+    def without_seed_column(name, file):
+        lines = (tmp_path / name / file).read_text().splitlines(keepends=True)
+        return [line.split(",", 1) for line in lines]
+
+    first = [cells for _, cells in without_seed_column("s12", "aggregate.csv")]
+    second = [cells for _, cells in without_seed_column("s78", "aggregate.csv")]
+    assert first[0] == second[0] and first[1:] != second[1:]
+    for file in ("replications.csv", "aggregate.csv"):
+        header, *rows = without_seed_column("s78", file)
+        assert header[0] == "seed"
+        seven = "".join([header[1]] + [cells for seed, cells in rows if seed == "7"])
+        assert seven == (tmp_path / "plain7" / file).read_text()
+
+
+def test_header_only_internal_csv_exits_1_naming_the_file(tmp_path, monkeypatch, capsys):
+    make_audit_files(tmp_path)
+    fail_on_fit(monkeypatch)
+    header = (tmp_path / "internal.csv").read_text().splitlines()[0]
+    (tmp_path / "internal.csv").write_text(header + "\n")
+    assert main(["--config", str(audit_config(tmp_path))]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and "internal.csv: no data rows" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_simulate_rerun_from_manifest_byte_identical(tmp_path):
     cfgpath = simulate_config(tmp_path, scenario_dict())
     assert main(["--config", str(cfgpath)]) == 0
@@ -385,6 +418,7 @@ def rewrite(path, dotted, value):
     ("models.pi.l2", -0.5, "models.pi: l2 must be at least 0; got -0.5"),
     ("threads", -3, "threads must be at least 1; got -3"),
     ("models.pi.max_iter", 100, "unknown key models.pi.max_iter"),
+    ("seed", -1, "config: seed must be at least 0; got -1"),
 ])
 def test_bad_audit_config_exits_2_before_any_fit(tmp_path, monkeypatch, capsys,
                                                  dotted, value, named):
@@ -417,6 +451,7 @@ def test_bad_audit_config_exits_2_before_any_fit(tmp_path, monkeypatch, capsys,
     ("scenario.pipeline.h_external.hidden", 0, "hidden must be at least 1; got 0"),
     ("scenario.pipeline.mu.l2", -1, "l2 must be at least 0; got -1.0"),
     ("threads", 0, "threads must be at least 1; got 0"),
+    ("scenario.seed", -3, "scenario: seed must be at least 0; got -3"),
 ])
 def test_bad_simulate_config_exits_2_before_any_fit(tmp_path, monkeypatch, capsys,
                                                     dotted, value, named):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -299,7 +301,7 @@ def test_estimate_all_cardinality_and_consistency():
             assert lookup(g, metric, "comparison").value == cmp_.value
             prop = proposed_rate(ds, nuis, ov, g)
             assert lookup(g, metric, "proposed-internal").value == prop.value
-            prop_b = proposed_rate(ds, nuis.with_group_prob(borrowed),
+            prop_b = proposed_rate(ds, replace(nuis, group_prob=borrowed),
                                    overall_rate(ds, nuis.propensity, metric,
                                                 method="proposed-borrowing"),
                                    g, method="proposed-borrowing")
@@ -332,7 +334,7 @@ def test_report_serialization_rows():
 def test_membership_ratio_checks_the_column_count():
     # column j of group_prob is group code j, so the width must be the schema's
     ds = build(one_char_schema(), [0, 1], [0, 0], [1, 1], [0, 1])
-    nuis = exact_nuisances(ds).with_group_prob(np.ones((2, 1)))
+    nuis = replace(exact_nuisances(ds), group_prob=np.ones((2, 1)))
     with pytest.raises(ValueError, match="1 columns; the schema has 2 groups"):
         membership_ratio(ds, nuis, 0, "cFNR")
 

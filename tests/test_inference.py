@@ -272,7 +272,7 @@ def test_bootstrap_interval_coverage_under_randomized_treatment():
     train = generate_population(cfg, "train", children[0])
     model = train_risk_model(train.x, train.y, seed=children[2])
     validation = generate_population(cfg, "validation", children[1])
-    truth = oracle_error_rates(validation, model).get(0, "cFNR")
+    truth = oracle_error_rates(validation, model)[(0, "cFNR")]
     schema = sim_schema(cfg)
 
     covered, usable = 0, 0

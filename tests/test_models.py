@@ -4,11 +4,10 @@ import pytest
 from cfaudit.dataset import AuditDataset, Characteristic, SchemaSpec
 from cfaudit.models import (PROB_EPS, BinarySpec, DegenerateLabels, DimensionMismatch,
                             InfeasibleFolds, MulticlassConfig, NuisanceSpec,
-                            Separation, constant_multiclass, cross_fit,
-                            fit_group_membership, fit_logistic, fit_multiclass,
-                            make_crossfit_plan, mlp_objective, predict_binary,
-                            predict_group_probs, predict_multiclass, _lbfgs,
-                            _softmax, softmax_objective)
+                            Separation, cross_fit, fit_logistic, fit_multiclass,
+                            make_crossfit_plan, membership_probs, mlp_objective,
+                            predict_binary, predict_multiclass, _lbfgs, _softmax,
+                            softmax_objective)
 
 
 def test_logistic_recovers_known_coefficients():
@@ -126,9 +125,8 @@ def test_multiclass_degenerate_labels():
     x = np.zeros((5, 2))
     with pytest.raises(DegenerateLabels):
         fit_multiclass(x, _keys([1] * 5), MulticlassConfig())
-    fallback = constant_multiclass([1])
-    probs = predict_multiclass(fallback, x)
-    assert np.all(probs == 1.0)
+    probs = membership_probs(x, _keys([0] * 5), x, 1, MulticlassConfig())
+    assert probs.shape == (5, 1) and np.all(probs == 1.0)
 
 
 def test_predict_multiclass_zero_weights_uniform():
@@ -162,21 +160,40 @@ def test_membership_classes_are_sorted_codes_at_their_columns():
     rng = np.random.default_rng(21)
     x = rng.standard_normal((60, 2))
     codes = rng.choice([3, 0, 2], size=60)  # "mid" absent
-    model = fit_group_membership(x, codes, MulticlassConfig(epochs=30))
+    config = MulticlassConfig(epochs=30)
+    model = fit_multiclass(x, codes, config)
     assert model.classes.tolist() == [0, 2, 3]
     expected = np.full((60, schema.n_groups), PROB_EPS)
     expected[:, [0, 2, 3]] = np.clip(predict_multiclass(model, x), PROB_EPS, None)
     expected /= expected.sum(axis=1, keepdims=True)
-    assert np.array_equal(predict_group_probs(model, x, schema.n_groups), expected)
+    assert np.array_equal(membership_probs(x, codes, x, schema.n_groups, config), expected)
     with pytest.raises(DimensionMismatch):
-        predict_group_probs(model, x, 3)
+        membership_probs(x, codes, x, 3, config)
 
-    single = fit_group_membership(x, np.full(60, 2), MulticlassConfig(epochs=30))
-    assert single.kind == "constant" and single.classes.tolist() == [2]
-    probs = predict_group_probs(single, x, schema.n_groups)
+    # one code present: the fallback puts (almost) all mass on it
+    probs = membership_probs(x, np.full(60, 2), x, schema.n_groups, config)
     assert np.argmax(probs, axis=1).tolist() == [2] * 60
+    assert np.array_equal(probs[0], np.array([PROB_EPS, PROB_EPS, 1.0, PROB_EPS])
+                          / (1.0 + 3 * PROB_EPS))
     with pytest.raises(DimensionMismatch):
         fit_multiclass(x, codes[:-1], MulticlassConfig(epochs=30))
+
+
+def test_membership_probs_predicts_rows_other_than_its_training_rows():
+    # the external path: fit on one sample, predict another of other size
+    rng = np.random.default_rng(22)
+    x, x_eval = rng.standard_normal((80, 3)), rng.standard_normal((35, 3)) + 0.5
+    codes = rng.choice([1, 4, 2], size=80)  # codes 0 and 3 absent
+    config = MulticlassConfig(kind="mlp-1hidden", hidden=4, epochs=20)
+    expected = np.full((35, 5), PROB_EPS)
+    expected[:, [1, 2, 4]] = np.clip(predict_multiclass(
+        fit_multiclass(x, codes, config, seed=7), x_eval), PROB_EPS, None)
+    expected /= expected.sum(axis=1, keepdims=True)
+    probs = membership_probs(x, codes, x_eval, 5, config, seed=7)
+    assert np.array_equal(probs, expected)
+    assert not np.array_equal(probs, membership_probs(x, codes, x, 5, config, seed=7)[:35])
+    single = membership_probs(x, np.full(80, 4), x_eval, 5, config)
+    assert single.shape == (35, 5) and np.all(np.argmax(single, axis=1) == 4)
 
 
 # Plain-numpy references: axis=1 row reductions and fresh arrays every epoch.

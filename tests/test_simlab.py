@@ -7,7 +7,7 @@ from cfaudit import models, pipeline
 from cfaudit.models import BinarySpec, ModelError, MulticlassConfig
 from cfaudit.pipeline import PipelineConfig
 from cfaudit.simlab import (SIM_GROUPS, WALK_CELLS, DegenerateOutcome,
-                            OracleTruth, Population, RiskModel, ScenarioConfig,
+                            Population, RiskModel, ScenarioConfig,
                             _grow_tree, _Tree, default_coefficients,
                             generate_population, oracle_error_rates,
                             run_scenario, sim_schema, to_audit_dataset,
@@ -124,10 +124,10 @@ def test_oracle_constant_predictions():
         counts = np.bincount(pop.group_codes, minlength=4)
         if g is not None and counts[g] == 0:
             continue
-        assert always.get(g, "cFNR") == 0.0
-        assert always.get(g, "cFPR") == 1.0
-        assert never.get(g, "cFNR") == 1.0
-        assert never.get(g, "cFPR") == 0.0
+        assert always[(g, "cFNR")] == 0.0
+        assert always[(g, "cFPR")] == 1.0
+        assert never[(g, "cFNR")] == 1.0
+        assert never[(g, "cFPR")] == 0.0
 
 
 def test_oracle_hand_built_twelve_records():
@@ -142,16 +142,16 @@ def test_oracle_hand_built_twelve_records():
     maj = 0
     minority = 3
     # majority: y0=1 rows have s = 1,1,0 -> cFNR = 1/3; y0=0 rows s = 1,0,0 -> cFPR = 1/3
-    assert truth.get(maj, "cFNR") == pytest.approx(1 / 3)
-    assert truth.get(maj, "cFPR") == pytest.approx(1 / 3)
+    assert truth[(maj, "cFNR")] == pytest.approx(1 / 3)
+    assert truth[(maj, "cFPR")] == pytest.approx(1 / 3)
     # minority: y0=1 rows s = 1,0,0 -> cFNR = 2/3; y0=0 row s = 1 -> cFPR = 1
-    assert truth.get(minority, "cFNR") == pytest.approx(2 / 3)
-    assert truth.get(minority, "cFPR") == pytest.approx(1.0)
+    assert truth[(minority, "cFNR")] == pytest.approx(2 / 3)
+    assert truth[(minority, "cFPR")] == pytest.approx(1.0)
     # group (0,1): y0 = 0,0 with s = 1,0 -> cFPR = 1/2, cFNR undefined
-    assert truth.get(1, "cFPR") == pytest.approx(0.5)
-    assert np.isnan(truth.get(1, "cFNR"))
+    assert truth[(1, "cFPR")] == pytest.approx(0.5)
+    assert np.isnan(truth[(1, "cFNR")])
     # overall: 6 positives with s = 1,1,0,1,0,0 -> cFNR = 3/6
-    assert truth.get(None, "cFNR") == pytest.approx(0.5)
+    assert truth[(None, "cFNR")] == pytest.approx(0.5)
 
 
 def test_oracle_satisfies_ratio_identity_and_decomposition():
@@ -167,14 +167,14 @@ def test_oracle_satisfies_ratio_identity_and_decomposition():
         if not np.any(y0 & in_g) or not np.any(y0 & ~s):
             continue
         ratio = (np.sum(in_g & y0 & ~s) / np.sum(y0 & ~s)) / (np.sum(in_g & y0) / np.sum(y0))
-        assert truth.get(g, "cFNR") == pytest.approx(truth.get(None, "cFNR") * ratio, abs=1e-12)
+        assert truth[(g, "cFNR")] == pytest.approx(truth[(None, "cFNR")] * ratio, abs=1e-12)
     # decomposition: group rates average back to the overall rate
     total = 0.0
     for g in range(len(SIM_GROUPS)):
         in_g = pop.group_codes == g
         if np.any(y0 & in_g):
-            total += (np.sum(in_g & y0) / np.sum(y0)) * truth.get(g, "cFNR")
-    assert total == pytest.approx(truth.get(None, "cFNR"), abs=1e-12)
+            total += (np.sum(in_g & y0) / np.sum(y0)) * truth[(g, "cFNR")]
+    assert total == pytest.approx(truth[(None, "cFNR")], abs=1e-12)
 
 
 def test_run_scenario_single_replication_aggregates_match():

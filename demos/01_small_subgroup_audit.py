@@ -16,8 +16,8 @@ import numpy as np
 
 from cfaudit.models import BinarySpec, MulticlassConfig
 from cfaudit.pipeline import PipelineConfig, run_pipeline
-from cfaudit.simlab import (SIM_GROUPS, ScenarioConfig, generate_population,
-                            sim_schema, to_audit_dataset, train_risk_model)
+from cfaudit.simlab import (ScenarioConfig, generate_population, sim_schema,
+                            to_audit_dataset, train_risk_model)
 
 # --- simulate a deployment: a risk model scores patients, treatment follows
 cfg = ScenarioConfig(n_internal=100, replications=1, seed=555)
@@ -31,7 +31,7 @@ internal = to_audit_dataset(
     schema)
 
 counts = np.bincount(internal.group_codes, minlength=schema.n_groups)
-sizes = {g.label(): int(c) for g, c in zip(schema.all_groups(), counts)}
+sizes = {label: int(c) for label, c in zip(schema.group_labels, counts)}
 print(f"internal sample: n={internal.n}, group sizes {sizes}")
 
 # --- estimate counterfactual error rates both ways (no external data here)
@@ -49,9 +49,9 @@ result = run_pipeline(internal, None, pipeline, seed=7)
 cells = dict(zip(result.report.keys(), result.report.entries))
 print(f"\n{'group':>8} {'metric':>6} {'comparison':>12} {'proposed':>10}")
 for metric in ("cFNR", "cFPR"):
-    for group in [None] + list(range(len(SIM_GROUPS))):
+    for group in [None] + list(range(schema.n_groups)):
         cmp_ = cells[(group, metric, "comparison")]
-        label = "overall" if group is None else SIM_GROUPS[group].label()
+        label = "overall" if group is None else schema.group_labels[group]
         if group is None:
             prop_txt = ""
         else:

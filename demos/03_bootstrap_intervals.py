@@ -13,8 +13,8 @@ import numpy as np
 from cfaudit.inference import bootstrap_estimates
 from cfaudit.models import BinarySpec, MulticlassConfig
 from cfaudit.pipeline import PipelineConfig
-from cfaudit.simlab import (SIM_GROUPS, ScenarioConfig, generate_population,
-                            sim_schema, to_audit_dataset, train_risk_model)
+from cfaudit.simlab import (ScenarioConfig, generate_population, sim_schema,
+                            to_audit_dataset, train_risk_model)
 
 cfg = ScenarioConfig(n_internal=400, replications=1, seed=31)
 children = np.random.SeedSequence(cfg.seed).spawn(3)
@@ -36,16 +36,16 @@ results = bootstrap_estimates(internal, None, pipeline, B=B, seed=2024, level=0.
 
 print(f"95% bootstrap t-intervals from B={B} stratified replicates\n")
 print(f"{'group':>8} {'method':>18} {'point':>7} {'interval':>18} {'NA':>4} {'trunc':>6}")
-for code, group in enumerate(SIM_GROUPS):
+for code, label in enumerate(schema.group_labels):
     for method in ("comparison", "proposed-internal"):
         res = results[(code, "cFNR", method)]
         if res.point is None or res.lower is None:
-            print(f"{group.label():>8} {method:>18} {'--':>7} {'(no interval)':>18} "
+            print(f"{label:>8} {method:>18} {'--':>7} {'(no interval)':>18} "
                   f"{res.na_count:>4}")
             continue
         trunc = ("low" if res.truncated_low else "") + \
                 ("high" if res.truncated_high else "")
-        print(f"{group.label():>8} {method:>18} {res.point:7.3f} "
+        print(f"{label:>8} {method:>18} {res.point:7.3f} "
               f"[{res.lower:6.3f}, {res.upper:6.3f}]  {res.na_count:>4} {trunc:>6}")
 
 print("\n'NA' counts replicates whose estimate did not exist; truncation flags")

@@ -13,8 +13,6 @@ The CLI runs the same machinery from a JSON config (see demo 05).
 
 from dataclasses import replace
 
-import numpy as np
-
 from cfaudit.models import BinarySpec, MulticlassConfig
 from cfaudit.pipeline import PipelineConfig
 from cfaudit.simlab import ScenarioConfig, run_scenario

@@ -5,7 +5,7 @@ an exact-counting ground truth."""
 
 from .borrowing import BlendedMembership, brier_score, multiclass_auc, select_alpha
 from .dataset import (AuditDataset, Characteristic, DataError, ExternalDataset,
-                      GroupKey, LevelSetMismatch, MissingColumn, MissingValue,
+                      LevelSetMismatch, MissingColumn, MissingValue,
                       NonBinaryValue, SchemaSpec, UnknownLevel, load_external,
                       load_internal, subgroup_counts, write_external,
                       write_internal)

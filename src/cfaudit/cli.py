@@ -100,12 +100,6 @@ class SimulateConfig(RunConfig):
     scenario: dict  # decoded with its sweep block by _scenario_points
 
 
-# CLI flags that set a key of an audit config's blocks
-AUDIT_OVERRIDES = {"borrow_metric": ("--borrow-metric", "borrowing", "metric"),
-                   "alpha_grid_step": ("--alpha-grid-step", "borrowing", "grid_step"),
-                   "bootstrap_b": ("--bootstrap-b", "bootstrap", "B")}
-
-
 def _read_json(path: Path, what: str):
     try:
         with open(path, "r", encoding="utf-8") as f:
@@ -122,26 +116,22 @@ def _resolve(base: Path, path: Path) -> Path:
 
 def load_run_config(path, overrides: dict) -> AuditConfig | SimulateConfig:
     """Decode a run config, or the manifest wrapping one, with the CLI
-    overrides written in at their key paths. Relative paths resolve against
-    the config file's directory."""
+    overrides (out, seed, threads) written in. A seed override is also the
+    seed of a simulate run's scenario. Relative paths resolve against the
+    config file's directory."""
     path = Path(path)
     raw = _read_json(path, "config")
     if isinstance(raw, dict) and "config_sha256" in raw and "config" in raw:
         raw = raw["config"]  # manifest re-run
     if not isinstance(raw, dict):
         raise ConfigError(f"config: expected an object, got {raw!r}")
-    raw = {**raw, **{key: overrides[key] for key in ("out", "seed", "threads")
-                     if overrides.get(key) is not None}}
+    raw = {**raw, **{key: value for key, value in overrides.items() if value is not None}}
     mode = raw.get("mode")
     if mode not in ("audit", "simulate"):
         raise ConfigError(f"mode must be 'audit' or 'simulate'; got {mode!r}")
-    for name, (flag, block, key) in AUDIT_OVERRIDES.items():
-        if overrides.get(name) is None:
-            continue
-        if mode != "audit":
-            raise ConfigError(f"{flag} applies to audit mode only")
-        if isinstance(raw.get(block, {}), dict):
-            raw[block] = {**raw.get(block, {}), key: overrides[name]}
+    if (mode == "simulate" and overrides.get("seed") is not None
+            and isinstance(raw.get("scenario"), dict)):
+        raw["scenario"] = {**raw["scenario"], "seed": overrides["seed"]}
 
     base = path.parent
     if mode == "audit":
@@ -248,7 +238,7 @@ def cmd_audit(cfg: AuditConfig) -> int:
         schema = SchemaSpec.from_json(cfg.schema)
     except (ConfigError, ValueError) as err:  # ValueError: not JSON
         raise ConfigError(f"schema {cfg.schema}: {err}") from None
-    labels = [group.label() for group in schema.all_groups()]
+    labels = schema.group_labels
     reference = 0 if len(labels) > 1 else None  # a group code
     if cfg.reference_group is not None:
         reference = schema.level_codes.get(cfg.reference_group)
@@ -335,7 +325,7 @@ def cmd_simulate(cfg: SimulateConfig) -> int:
     scenario, points = _scenario_points(cfg.scenario, cfg.seed)
     sweep_names = sorted(points[0][0])
     results = [(point, run_scenario(config, n_jobs=cfg.threads)) for point, config in points]
-    labels = [group.label() for group in sim_schema(points[0][1]).all_groups()]
+    labels = sim_schema(points[0][1]).group_labels
 
     cfg.out.mkdir(parents=True, exist_ok=True)
 
@@ -381,24 +371,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", required=True, help="JSON run config (or a manifest)")
     parser.add_argument("--out", help="output directory")
-    parser.add_argument("--seed", type=int, help="override the config seed")
+    parser.add_argument("--seed", type=int, help="override the config seed (and a scenario's)")
     parser.add_argument("--threads", type=int, help="worker processes (default 1)")
-    parser.add_argument("--borrow-metric", choices=BORROW_METRICS,
-                        dest="borrow_metric", help="borrowing selection metric")
-    parser.add_argument("--bootstrap-b", type=int, dest="bootstrap_b",
-                        help="bootstrap replicate count (0 disables intervals)")
-    parser.add_argument("--alpha-grid-step", type=float, dest="alpha_grid_step",
-                        help="grid step for the borrowing weight search")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    overrides = {
-        "out": args.out, "seed": args.seed,
-        "threads": args.threads, "borrow_metric": args.borrow_metric,
-        "bootstrap_b": args.bootstrap_b, "alpha_grid_step": args.alpha_grid_step,
-    }
+    overrides = {"out": args.out, "seed": args.seed, "threads": args.threads}
     try:
         cfg = load_run_config(args.config, overrides)
         if cfg.mode == "audit":

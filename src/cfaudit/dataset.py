@@ -54,16 +54,6 @@ class DuplicateColumn(DataError):
 
 
 @dataclass(frozen=True)
-class GroupKey:
-    """A realized protected-characteristic vector; hashable, usable as a dict key."""
-
-    levels: tuple[str, ...]
-
-    def label(self) -> str:
-        return "|".join(self.levels)
-
-
-@dataclass(frozen=True)
 class Characteristic:
     """A protected characteristic: its column name and its levels, in order."""
 
@@ -114,6 +104,13 @@ class SchemaSpec:
         unknown = set(self.external_covariates) - set(self.covariates)
         if unknown:
             raise ValueError(f"external covariates not in internal schema: {sorted(unknown)}")
+        seen = {"overall"}  # the report's row for all groups together
+        for label in self.group_labels:
+            if label in seen:
+                raise ValueError(f"group label {label!r} names more than one report row: "
+                                 "the levels joined by '|' must differ between groups "
+                                 "and from 'overall'")
+            seen.add(label)
 
     @property
     def characteristic_names(self) -> tuple[str, ...]:
@@ -140,14 +137,15 @@ class SchemaSpec:
         position = {c: j for j, c in enumerate(self.covariates)}
         return tuple(position[c] for c in self.external_covariates)
 
-    def all_groups(self) -> list[GroupKey]:
-        """Every combination of characteristic levels, in level-set product order."""
-        return [GroupKey(levels) for levels in itertools.product(*self.level_sets)]
-
     @cached_property
     def level_codes(self) -> dict[tuple[str, ...], int]:
-        """Group code of each level combination: its index in all_groups()."""
+        """Group code of each level combination, in level-set product order."""
         return {levels: code for code, levels in enumerate(itertools.product(*self.level_sets))}
+
+    @cached_property
+    def group_labels(self) -> tuple[str, ...]:
+        """Each group's name in the outputs, in code order: its levels joined by "|"."""
+        return tuple("|".join(levels) for levels in self.level_codes)
 
     @property
     def n_groups(self) -> int:
@@ -172,10 +170,10 @@ def _check_codes(codes, n_groups: int, error=ValueError) -> np.ndarray:
 @dataclass
 class AuditDataset:
     """Columnar internal dataset. Immutable after construction; group labels
-    are interned to integer codes indexing ``schema.all_groups()``."""
+    are interned to the integer codes of ``schema.level_codes``."""
 
     schema: SchemaSpec
-    group_codes: np.ndarray  # (n,) int codes into schema.all_groups()
+    group_codes: np.ndarray  # (n,) int codes of schema.level_codes
     d: np.ndarray  # (n,) 0/1
     y: np.ndarray  # (n,) 0/1
     s: np.ndarray  # (n,) 0/1
@@ -212,7 +210,7 @@ class ExternalDataset:
     """Columnar external dataset: group labels plus the shared covariates only."""
 
     schema: SchemaSpec
-    group_codes: np.ndarray  # (n,) int codes into schema.all_groups()
+    group_codes: np.ndarray  # (n,) int codes of schema.level_codes
     x: np.ndarray  # (n, p') over schema.external_covariates
 
     def __post_init__(self):
@@ -339,12 +337,12 @@ def load_external(path, schema: SchemaSpec) -> ExternalDataset:
 
 def _write_rows(path, ds, columns, cells) -> None:
     """Write a CSV with header columns: each row's group levels, then its cells."""
-    groups = ds.schema.all_groups()
+    levels = list(ds.schema.level_codes)
     with open(path, "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(columns)
         for code, row in zip(ds.group_codes.tolist(), cells):
-            writer.writerow([*groups[code].levels, *row])
+            writer.writerow([*levels[code], *row])
 
 
 def write_internal(ds: AuditDataset, path) -> None:

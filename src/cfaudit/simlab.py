@@ -21,10 +21,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import check_at_least
-from .dataset import AuditDataset, Characteristic, ExternalDataset, GroupKey, SchemaSpec
+from .dataset import AuditDataset, Characteristic, ExternalDataset, SchemaSpec
 from .estimators import report_keys
 from .models import BinarySpec, MulticlassConfig, _softmax, sigmoid
 from .pipeline import PipelineConfig, map_tasks, run_cells
+
+
+@dataclass(frozen=True)
+class GroupKey:
+    """The levels (a1, a2) of one simulated group."""
+
+    levels: tuple[str, ...]
+
 
 SIM_LEVELS = ("0", "1")
 SIM_GROUPS = tuple(GroupKey(levels) for levels in itertools.product(SIM_LEVELS, SIM_LEVELS))

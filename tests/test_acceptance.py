@@ -10,9 +10,7 @@ import time
 from contextlib import contextmanager
 
 import numpy as np
-import pytest
 
-import cfaudit as cf
 from cfaudit.borrowing import alpha_grid, brier_score, multiclass_auc, select_alpha
 from cfaudit.cli import main as cli_main
 from cfaudit.dataset import AuditDataset, Characteristic, SchemaSpec
@@ -23,8 +21,8 @@ from cfaudit.models import (BinarySpec, MulticlassConfig, fit_logistic,
                             mlp_objective, softmax_objective)
 from cfaudit.pipeline import PipelineConfig
 from cfaudit.simlab import (SIM_GROUPS, Population, RiskModel, ScenarioConfig,
-                            _Tree, default_coefficients, generate_population,
-                            oracle_error_rates, run_scenario)
+                            _Tree, default_coefficients, oracle_error_rates,
+                            run_scenario, sim_schema)
 
 PASSED = []
 
@@ -155,6 +153,7 @@ def test_criterion_04_small_sample_pattern():
         minority = 3
         widths = {}
         na = {}
+        labels = sim_schema(ScenarioConfig()).group_labels
         comparison_na_by_group = {g: [] for g in range(len(SIM_GROUPS))}
         for n_int in (100, 200, 500):
             cfg = ScenarioConfig(n_internal=n_int, replications=200, seed=401,
@@ -172,7 +171,7 @@ def test_criterion_04_small_sample_pattern():
         print(f"  minority cFNR NA counts: {na}")
         print(f"  minority cFNR widths: { {k: round(v, 3) for k, v in widths.items()} }")
         print(f"  comparison NA by group over the sweep: "
-              f"{ {SIM_GROUPS[g].label(): v for g, v in comparison_na_by_group.items()} }")
+              f"{ {labels[g]: v for g, v in comparison_na_by_group.items()} }")
         assert na[(100, "comparison")] >= 1
         for n_int in (100, 200, 500):
             assert na[(n_int, "proposed-internal")] == 0
@@ -182,7 +181,7 @@ def test_criterion_04_small_sample_pattern():
                 assert widths[(n_int, "proposed-borrowing")] <= widths[(n_int, "comparison")]
         # comparison NA frequency never increases with the sample size
         for g, counts in comparison_na_by_group.items():
-            assert counts == sorted(counts, reverse=True), (SIM_GROUPS[g].label(), counts)
+            assert counts == sorted(counts, reverse=True), (labels[g], counts)
 
 
 def test_criterion_05_borrowing_responds_to_agreement():

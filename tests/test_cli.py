@@ -221,15 +221,6 @@ def test_bad_grid_step_in_audit_config_is_a_config_error(tmp_path, monkeypatch, 
     assert "grid step" in capsys.readouterr().err
 
 
-def test_bad_grid_step_override_is_a_config_error(tmp_path, monkeypatch, capsys):
-    make_audit_files(tmp_path)
-    fail_on_fit(monkeypatch)
-    for step in ("0.3", "0", "-0.5"):
-        assert main(["--config", str(audit_config(tmp_path)),
-                     "--alpha-grid-step", step]) == 2
-        assert "grid step" in capsys.readouterr().err
-
-
 def scenario_dict(**kw):
     base = {
         "n_internal": 60, "n_external": 150, "n_train": 300,
@@ -325,6 +316,21 @@ def test_simulate_rerun_from_manifest_byte_identical(tmp_path):
         assert (tmp_path / "again" / name).read_bytes() == blob
 
 
+def test_seed_flag_is_the_seed_of_a_scenario_that_sets_its_own(tmp_path):
+    cfgpath = simulate_config(tmp_path, scenario_dict(replications=1, seed=3))
+    for seed in (1, 2):
+        assert main(["--config", str(cfgpath), "--seed", str(seed),
+                     "--out", str(tmp_path / f"seed{seed}")]) == 0
+        manifest = json.loads((tmp_path / f"seed{seed}" / "manifest.json").read_text())
+        assert manifest["seed"] == manifest["config"]["scenario"]["seed"] == seed
+    assert ((tmp_path / "seed1" / "aggregate.csv").read_bytes()
+            != (tmp_path / "seed2" / "aggregate.csv").read_bytes())
+    assert main(["--config", str(tmp_path / "seed2" / "manifest.json"),
+                 "--out", str(tmp_path / "again")]) == 0
+    for name in ("replications.csv", "aggregate.csv"):
+        assert (tmp_path / "again" / name).read_bytes() == (tmp_path / "seed2" / name).read_bytes()
+
+
 def test_simulate_threads_do_not_change_bytes(tmp_path):
     cfgpath = simulate_config(tmp_path, scenario_dict())
     assert main(["--config", str(cfgpath), "--out", str(tmp_path / "t1"),
@@ -359,18 +365,6 @@ def test_bad_number_in_model_config_is_a_config_error(tmp_path, monkeypatch, cap
     models = {"pi": {"kind": "logistic-IRLS", "l2": "x"}}
     assert main(["--config", str(audit_config(tmp_path, models=models))]) == 2
     assert "'x'" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("flag,value", [("--alpha-grid-step", "0.1"),
-                                        ("--borrow-metric", "auc"),
-                                        ("--bootstrap-b", "5")])
-def test_audit_only_override_in_simulate_mode_is_a_config_error(tmp_path, monkeypatch,
-                                                                capsys, flag, value):
-    fail_on_fit(monkeypatch)
-    cfgpath = simulate_config(tmp_path, scenario_dict())
-    assert main(["--config", str(cfgpath), flag, value]) == 2
-    assert flag in capsys.readouterr().err
-    assert not (tmp_path / "simout").exists()
 
 
 def test_importing_the_cli_leaves_scipy_stats_unloaded():
@@ -419,6 +413,8 @@ def rewrite(path, dotted, value):
     ("threads", -3, "threads must be at least 1; got -3"),
     ("models.pi.max_iter", 100, "unknown key models.pi.max_iter"),
     ("seed", -1, "config: seed must be at least 0; got -1"),
+    ("borrowing.grid_step", 0, "alpha grid step must lie in (0, 1]; got 0"),
+    ("borrowing.grid_step", -0.5, "alpha grid step must lie in (0, 1]; got -0.5"),
 ])
 def test_bad_audit_config_exits_2_before_any_fit(tmp_path, monkeypatch, capsys,
                                                  dotted, value, named):
@@ -502,9 +498,15 @@ def _use_treatment_as_covariate(schema):
     (_use_treatment_as_covariate, "column 'd' is both treatment and covariates[0]"),
     (lambda schema: schema.update(external_covariates=[]),
      "schema: external_covariates must name at least one covariate"),
+    (lambda schema: [schema["characteristics"][0].update(levels=["a|b", "a"]),
+                     schema["characteristics"][1].update(levels=["c", "b|c"])],
+     "schema: group label 'a|b|c' names more than one report row"),
+    (lambda schema: schema.update(characteristics=[{"name": "a1", "levels": ["x", "overall"]}]),
+     "schema: group label 'overall' names more than one report row"),
 ], ids=["misspelled-key", "string-covariates", "numeric-levels", "no-levels",
         "numeric-treatment", "unknown-characteristic-key", "repeated-characteristic",
-        "covariate-named-like-treatment", "no-external-covariates"])
+        "covariate-named-like-treatment", "no-external-covariates", "clashing-group-labels",
+        "group-labelled-overall"])
 def test_malformed_schema_exits_2_naming_the_file_and_key_before_any_fit(
         tmp_path, monkeypatch, capsys, change, named):
     make_audit_files(tmp_path)

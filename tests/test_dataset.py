@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cfaudit.dataset import (AuditDataset, Characteristic, DataError, DuplicateColumn,
-                             ExternalDataset, GroupKey, LevelSetMismatch,
+                             ExternalDataset, LevelSetMismatch,
                              MissingColumn, MissingValue,
                              NonBinaryValue, NonNumericValue, SchemaSpec, UnknownLevel,
                              load_external, load_internal, subgroup_counts,
@@ -81,8 +81,7 @@ def test_load_external_valid_and_mismatch(tmp_path):
     write_csv(good, ["a1", "a2", "x1"], [["0", "1", 1.5], ["1", "1", -0.5]])
     ext = load_external(good, schema)
     assert ext.n == 2
-    assert [schema.all_groups()[c] for c in ext.group_codes] == [GroupKey(("0", "1")),
-                                                                 GroupKey(("1", "1"))]
+    assert [schema.group_labels[c] for c in ext.group_codes] == ["0|1", "1|1"]
     assert not hasattr(ext, "d")
 
     bad = tmp_path / "ext_bad.csv"
@@ -245,7 +244,7 @@ def test_subgroup_counts_hand_tallied():
         ("1", "1", 0, 0, 0),
         ("1", "1", 1, 1, 1),
     ]
-    code = {g.levels: c for c, g in enumerate(schema.all_groups())}
+    code = schema.level_codes
     ds = AuditDataset(
         schema=schema,
         group_codes=np.array([code[(r[0], r[1])] for r in rows]),
@@ -283,8 +282,8 @@ def test_subgroup_counts_permutation_invariant():
 
 def _subgroup_counts_loop(ds):
     # the per-row tally that subgroup_counts replaced, kept as its reference
-    counts = {g: np.zeros((2, 2, 2), dtype=np.int64) for g in ds.schema.all_groups()}
-    groups = ds.schema.all_groups()
+    counts = {g: np.zeros((2, 2, 2), dtype=np.int64) for g in ds.schema.group_labels}
+    groups = ds.schema.group_labels
     for i in range(ds.n):
         counts[groups[ds.group_codes[i]]][ds.d[i], ds.s[i], ds.y[i]] += 1
     return counts
@@ -309,7 +308,6 @@ def test_subgroup_counts_equal_the_loop_reference_with_empty_and_singleton_group
 
 def test_group_codes_index_all_groups_in_product_order():
     schema = two_char_schema()
-    groups = schema.all_groups()
-    assert groups[2] == GroupKey(("1", "0")) and groups[0] == GroupKey(("0", "0"))
-    assert [schema.level_codes[g.levels] for g in groups] == list(range(len(groups)))
-    assert schema.level_codes == {g.levels: code for code, g in enumerate(groups)}
+    assert schema.group_labels == ("0|0", "0|1", "1|0", "1|1")
+    assert list(schema.level_codes.values()) == list(range(schema.n_groups))
+    assert ["|".join(levels) for levels in schema.level_codes] == list(schema.group_labels)

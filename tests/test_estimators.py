@@ -29,7 +29,7 @@ def build(schema, codes, d, y, s):
 def exact_nuisances(ds, propensity=None):
     """Degenerate exact-count nuisances: per-row outcomes and one-hot groups."""
     n = ds.n
-    k = len(ds.schema.all_groups())
+    k = ds.schema.n_groups
     onehot = np.zeros((n, k))
     onehot[np.arange(n), ds.group_codes] = 1.0
     y = ds.y.astype(np.float64)
@@ -357,8 +357,8 @@ def test_report_order_is_report_keys_for_levels_out_of_string_order():
     for (group, metric, method), e in zip(keys, report.entries):
         if group is not None and method == "comparison":
             assert e.value == comparison_rate(ds, nuis.propensity, group, metric).value
-    labels = [g.label() for g in schema.all_groups()]
-    assert labels[:3] == ["young|s", "young|n", "mid|s"]
+    labels = schema.group_labels
+    assert labels[:3] == ("young|s", "young|n", "mid|s")
     rows = report.to_json_rows(labels)
     assert [r["group"] for r in rows[:4]] == ["overall", "young|s", "young|n", "mid|s"]
     values = report.values()

@@ -1,0 +1,37 @@
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def unused_imports(source: str) -> list[tuple[int, str]]:
+    """(line, name) of each name the module imports and never reads. A name
+    read anywhere in the module counts as used; `import a.b` binds `a`."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in imported.items() if name not in read)
+
+
+def test_unused_imports_are_found():
+    source = ("from __future__ import annotations\n"
+              "import os, numpy as np\nimport os.path\nfrom a import b, c as d\n"
+              "print(np, d)\n")
+    assert unused_imports(source) == [(3, "os"), (4, "b")]
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    # a package __init__ imports names to re-export them
+    files = [path for folder in ("src", "tests", "demos")
+             for path in sorted((ROOT / folder).rglob("*.py")) if path.name != "__init__.py"]
+    assert len(files) > 20
+    unused = [f"{path.relative_to(ROOT)}:{line}: {name}" for path in files
+              for line, name in unused_imports(path.read_text(encoding="utf-8"))]
+    assert unused == []

@@ -66,7 +66,7 @@ def _stratified_resample_loop(ds, rng):
     # the per-group index walk that stratified_resample replaced, kept as its
     # reference
     chosen = []
-    for code in range(len(ds.schema.all_groups())):
+    for code in range(ds.schema.n_groups):
         idx = np.flatnonzero(ds.group_codes == code)
         if len(idx) == 0:
             continue

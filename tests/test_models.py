@@ -462,7 +462,7 @@ def test_crossfit_k2_hand_traced():
 
 def _propensity_design_loop(ds):
     # the per-code loop that _propensity_design replaced, kept as its reference
-    n_groups = len(ds.schema.all_groups())
+    n_groups = ds.schema.n_groups
     onehot = np.zeros((ds.n, n_groups - 1))
     for code in range(1, n_groups):
         onehot[:, code - 1] = ds.group_codes == code

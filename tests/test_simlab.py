@@ -10,8 +10,7 @@ from cfaudit.simlab import (SIM_GROUPS, WALK_CELLS, DegenerateOutcome,
                             Population, RiskModel, ScenarioConfig,
                             _grow_tree, _Tree, default_coefficients,
                             generate_population, oracle_error_rates,
-                            run_scenario, sim_schema, to_audit_dataset,
-                            train_risk_model)
+                            run_scenario, train_risk_model)
 
 
 def small_cfg(**kw):

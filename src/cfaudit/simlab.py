@@ -206,50 +206,81 @@ def _design(cfg, x, extra_cols=()):
 
 
 def _sample_categorical(probs, rng):
+    """One code per row of probs: how many of the row's first K - 1
+    cumulative probabilities lie below its uniform. A row whose sum ends
+    below the uniform gets code K - 1, never K."""
     u = rng.random(probs.shape[0])
-    cum = np.cumsum(probs, axis=1)
+    cum = np.cumsum(probs[:, :-1], axis=1)
     return np.sum(u[:, None] > cum, axis=1)
+
+
+# Rows per block of the draws in generate_population. Blocks start every
+# DRAW_ROWS rows and the last one runs to the end of the population, so no
+# block is shorter than DRAW_ROWS unless the whole population is: BLAS
+# multiplies short matrices with other kernels, whose last bits can differ.
+# A design matrix or probability table then holds at most 2 * DRAW_ROWS rows.
+DRAW_ROWS = 8192
+
+
+def _row_blocks(n) -> list[slice]:
+    starts = [DRAW_ROWS * i for i in range(max(1, n // DRAW_ROWS))]
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
 
 
 def generate_population(cfg: ScenarioConfig, role: str, seed,
                         risk_model: "RiskModel | None" = None) -> Population:
     """Draw one population for the given role; bit-reproducible given seed.
 
+    The random streams come in a fixed order: all of x, then one uniform per
+    row for the group, then one per row for each of y0, y1 and treatment.
+    Each stream is drawn over blocks of rows (see DRAW_ROWS), so memory
+    beyond the outputs does not grow with the population.
+
     Internal populations require the shared risk model, because treatment is
-    assigned after scoring. External populations stop at (x, group)."""
+    assigned after scoring. External populations stop at (x, group). Train
+    and validation populations are untreated (d = 0, y = y0) and stop after
+    y0: their y1 is None, because nothing reads it."""
     sizes = {"train": cfg.n_train, "validation": cfg.n_validation,
              "internal": cfg.n_internal, "external": cfg.n_external}
     if role not in sizes:
         raise ValueError(f"unknown role: {role!r}")
+    if role == "internal" and risk_model is None:
+        raise ValueError("internal populations need the risk model to assign treatment")
     n = sizes[role]
     rng = np.random.default_rng(seed)
+    blocks = _row_blocks(n)
 
     x = rng.standard_normal((n, cfg.p_informative + cfg.p_noise))
     group_coef = cfg.coefficients.group * cfg.b if role == "external" else cfg.coefficients.group
-    group_design = _design(cfg, x)
-    codes = _sample_categorical(_softmax(group_design @ group_coef.T), rng)
+    codes = np.empty(n, dtype=np.int64)
+    for rows in blocks:
+        codes[rows] = _sample_categorical(_softmax(_design(cfg, x[rows]) @ group_coef.T), rng)
     if role == "external":
         return Population(x=x, group_codes=codes)
 
-    a1 = np.array([int(g.levels[0]) for g in SIM_GROUPS])[codes]
-    a2 = np.array([int(g.levels[1]) for g in SIM_GROUPS])[codes]
-    y_design = _design(cfg, x, extra_cols=(a1, a2))
-    y0 = (rng.random(n) < sigmoid(y_design @ cfg.coefficients.y0)).astype(np.int8)
-    y1 = (rng.random(n) < sigmoid(y_design @ cfg.coefficients.y1)).astype(np.int8)
+    levels = np.array([[int(v) for v in g.levels] for g in SIM_GROUPS])  # code -> (a1, a2)
 
-    if role == "internal":
-        if risk_model is None:
-            raise ValueError("internal populations need the risk model to assign treatment")
-        s = risk_model.predict(x)
-        d_design = _design(cfg, x, extra_cols=(a1, a2, s))
-        d = (rng.random(n) < sigmoid(d_design @ cfg.coefficients.treatment)).astype(np.int8)
-        y = (d * y1 + (1 - d) * y0).astype(np.int8)
-        return Population(x=x, group_codes=codes, y0=y0, y1=y1, d=d, y=y, s=s)
+    def bernoulli(coef, *extra_cols):
+        """One 0/1 draw per row from the logistic model coef in
+        (x, a1, a2, extra columns)."""
+        out = np.empty(n, dtype=np.int8)
+        for rows in blocks:
+            a = levels[codes[rows]]
+            design = _design(cfg, x[rows], (a[:, 0], a[:, 1], *(c[rows] for c in extra_cols)))
+            out[rows] = rng.random(design.shape[0]) < sigmoid(design @ coef)
+        return out
 
-    # train / validation: untreated world
-    d = np.zeros(n, dtype=np.int8)
-    s = risk_model.predict(x) if risk_model is not None else None
-    return Population(x=x, group_codes=codes, y0=y0, y1=y1, d=d, y=y0.copy(), s=s)
+    y0 = bernoulli(cfg.coefficients.y0)
+    if role != "internal":
+        s = risk_model.predict(x) if risk_model is not None else None
+        return Population(x=x, group_codes=codes, y0=y0, d=np.zeros(n, dtype=np.int8),
+                          y=y0.copy(), s=s)
+
+    y1 = bernoulli(cfg.coefficients.y1)
+    s = risk_model.predict(x)
+    d = bernoulli(cfg.coefficients.treatment, s)
+    y = (d * y1 + (1 - d) * y0).astype(np.int8)
+    return Population(x=x, group_codes=codes, y0=y0, y1=y1, d=d, y=y, s=s)
 
 
 # ---------------------------------------------------------------------------
@@ -583,8 +614,7 @@ def run_scenario(cfg: ScenarioConfig, n_jobs: int = 1) -> ScenarioResult:
     model = train_risk_model(train.x, train.y, n_trees=cfg.n_trees,
                              max_depth=cfg.max_depth,
                              positive_rate=cfg.positive_rate, seed=children[2])
-    validation = generate_population(cfg, "validation", children[1])
-    oracle = oracle_error_rates(validation, model)
+    oracle = oracle_error_rates(generate_population(cfg, "validation", children[1]), model)
 
     cells = report_keys(schema.n_groups, cfg.pipeline.reported_methods(external=True))
     tasks = [(cfg, model, schema, children[3 + rep], cells)

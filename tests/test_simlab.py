@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -6,9 +7,11 @@ import pytest
 from cfaudit import models, pipeline
 from cfaudit.models import BinarySpec, ModelError, MulticlassConfig
 from cfaudit.pipeline import PipelineConfig
-from cfaudit.simlab import (SIM_GROUPS, WALK_CELLS, DegenerateOutcome,
+from cfaudit.simlab import (DRAW_ROWS, INTERACTION_PAIRS, INTERACTION_TRIPLES,
+                            SIM_GROUPS, WALK_CELLS, DegenerateOutcome,
                             Population, RiskModel, ScenarioConfig,
-                            _grow_tree, _Tree, default_coefficients,
+                            _grow_tree, _sample_categorical, _Tree,
+                            default_coefficients,
                             generate_population, oracle_error_rates,
                             run_scenario, train_risk_model)
 
@@ -266,6 +269,104 @@ def test_scenario_config_validation():
         ScenarioConfig(b=1.5)
     with pytest.raises(ValueError):
         ScenarioConfig(n_internal=0)
+
+
+# ---------------------------------------------------------------------------
+# the row-block draws against a reference copy of the full-height generator
+
+
+def reference_design(cfg, x, extra_cols=()):
+    n = x.shape[0]
+    x_inf = x[:, : cfg.p_informative]
+    parts = [np.ones((n, 1)), x_inf]
+    parts.extend(np.asarray(c, dtype=np.float64).reshape(n, 1) for c in extra_cols)
+    if cfg.interactions:
+        cols = [x_inf[:, i] * x_inf[:, j] for i, j in INTERACTION_PAIRS]
+        cols += [x_inf[:, i] * x_inf[:, j] * x_inf[:, k] for i, j, k in INTERACTION_TRIPLES]
+        parts.append(np.column_stack(cols))
+    return np.hstack(parts)
+
+
+def reference_generate_population(cfg, role, seed, risk_model=None):
+    """Every design matrix at full height, y1 drawn for every role but the
+    external one, and codes from all K cumulative columns."""
+    n = {"train": cfg.n_train, "validation": cfg.n_validation,
+         "internal": cfg.n_internal, "external": cfg.n_external}[role]
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, cfg.p_informative + cfg.p_noise))
+    group_coef = cfg.coefficients.group * cfg.b if role == "external" else cfg.coefficients.group
+    probs = models._softmax(reference_design(cfg, x) @ group_coef.T)
+    codes = np.sum(rng.random(n)[:, None] > np.cumsum(probs, axis=1), axis=1)
+    if role == "external":
+        return Population(x=x, group_codes=codes)
+    a1 = np.array([int(g.levels[0]) for g in SIM_GROUPS])[codes]
+    a2 = np.array([int(g.levels[1]) for g in SIM_GROUPS])[codes]
+    y_design = reference_design(cfg, x, extra_cols=(a1, a2))
+    y0 = (rng.random(n) < models.sigmoid(y_design @ cfg.coefficients.y0)).astype(np.int8)
+    y1 = (rng.random(n) < models.sigmoid(y_design @ cfg.coefficients.y1)).astype(np.int8)
+    if role == "internal":
+        s = risk_model.predict(x)
+        d_design = reference_design(cfg, x, extra_cols=(a1, a2, s))
+        d = (rng.random(n) < models.sigmoid(d_design @ cfg.coefficients.treatment)
+             ).astype(np.int8)
+        y = (d * y1 + (1 - d) * y0).astype(np.int8)
+        return Population(x=x, group_codes=codes, y0=y0, y1=y1, d=d, y=y, s=s)
+    d = np.zeros(n, dtype=np.int8)
+    s = risk_model.predict(x) if risk_model is not None else None
+    return Population(x=x, group_codes=codes, y0=y0, y1=y1, d=d, y=y0.copy(), s=s)
+
+
+def assert_same_population(pop: Population, ref: Population, role):
+    for name in ("x", "group_codes", "y0", "y1", "d", "y", "s"):
+        got, want = getattr(pop, name), getattr(ref, name)
+        if name == "y1" and role in ("train", "validation"):
+            assert got is None
+        elif want is None:
+            assert got is None, name
+        else:
+            assert got.dtype == want.dtype, name
+            assert np.array_equal(got, want), name
+
+
+@pytest.mark.parametrize("n", [1, DRAW_ROWS - 1, DRAW_ROWS, DRAW_ROWS + 1, 3 * DRAW_ROWS + 7])
+@pytest.mark.parametrize("p_noise,interactions", [(0, False), (0, True), (4, False), (4, True)])
+def test_row_block_draws_match_the_full_height_reference(n, p_noise, interactions):
+    model = stump_on_first_covariate()
+    for seed, b in itertools.product(range(3), (-1.0, 0.3, 1.0)):
+        cfg = ScenarioConfig(n_internal=n, n_external=n, n_train=n, n_validation=n, b=b,
+                             p_noise=p_noise, interactions=interactions, replications=1)
+        for role in ("train", "validation", "internal", "external"):
+            risk_model = model if role == "internal" else None
+            assert_same_population(generate_population(cfg, role, seed, risk_model),
+                                   reference_generate_population(cfg, role, seed, risk_model),
+                                   role)
+
+
+def test_validation_draw_memory_is_bounded_by_the_row_blocks():
+    cfg = ScenarioConfig(n_validation=50_000, replications=1)
+    tracemalloc.start()
+    try:
+        generate_population(cfg, "validation", 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the outputs take 4.4 MiB (x alone 3.8 MiB); full-height design
+    # matrices, probabilities and uniforms took the peak to 16 MiB
+    assert peak < 8 * 2**20
+
+
+class TopUniform:
+    """A generator whose every uniform is the largest double below 1."""
+
+    def random(self, size):
+        return np.full(size, np.nextafter(1.0, 0.0))
+
+
+def test_categorical_code_stays_below_k_when_a_row_sums_under_its_uniform():
+    probs = np.array([[0.25, 0.25, 0.25, 0.25 - 2.0 ** -52],  # sums to 1 - 2**-52
+                      [0.1, 0.2, 0.3, 0.4]])
+    assert probs[0].cumsum()[-1] < np.nextafter(1.0, 0.0)
+    assert _sample_categorical(probs, TopUniform()).tolist() == [3, 3]
 
 
 # ---------------------------------------------------------------------------

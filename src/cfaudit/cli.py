@@ -14,7 +14,6 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .borrowing import BORROW_METRICS, grid_intervals
@@ -222,7 +221,6 @@ def _write_manifest(out: Path, mode: str, resolved_config: dict, seed: int,
         "versions": {
             "cfaudit": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "python": ".".join(str(v) for v in sys.version_info[:3]),
         },
     }

@@ -11,7 +11,10 @@ a bug and propagates.
 
 from __future__ import annotations
 
+import decimal
+import math
 from dataclasses import dataclass
+from decimal import Decimal
 
 import numpy as np
 
@@ -53,11 +56,98 @@ def _replicate_values(args):
     return values
 
 
-def _t_multiplier(B: int, level: float) -> float:
-    """t_{B-1} quantile at 1 - (1 - level) / 2, the same bits as scipy.stats.t.ppf."""
-    from scipy.special import stdtrit  # imported here so audits without intervals skip it
+# Working precision of the t-quantile solve, in decimal digits, and the
+# relative Newton step at which it stops. A 50-digit P(|T| <= t) moves the
+# root by at most ~1e-34 relative even where P(|T| > t) is 2^-52, so the
+# stop sits above that noise and far below half a float ulp (1.1e-16).
+T_DIGITS = 50
+T_STEP_TOL = Decimal("1e-30")
 
-    return float(stdtrit(B - 1, 1.0 - (1.0 - level) / 2.0))
+
+def _atan(y: Decimal) -> Decimal:
+    """atan(y) for y >= 0 in the current decimal context: halve the angle,
+    atan(y) = 2 atan(y / (1 + sqrt(1 + y^2))), until y <= 0.05, then sum
+    the Taylor series."""
+    halvings = 0
+    while y > Decimal("0.05"):
+        y /= 1 + (1 + y * y).sqrt()
+        halvings += 1
+    y2, term, total, k = y * y, y, y, 1
+    while True:
+        term *= -y2
+        k += 2
+        new = total + term / k
+        if new == total:
+            return total * 2 ** halvings
+        total = new
+
+
+def _t_start(nu: int, q: float) -> float:
+    """A positive float start for the t_nu quantile at q in (1/2, 1): the
+    normal quantile z by Abramowitz & Stegun 26.2.23 and one Newton step on
+    erfc, plus the first Cornish-Fisher term (z^3 + z) / (4 nu), A&S 26.7.5."""
+    tail = 1.0 - q
+    w = math.sqrt(-2.0 * math.log(tail))
+    z = w - (2.515517 + w * (0.802853 + w * 0.010328)) / (
+        1.0 + w * (1.432788 + w * (0.189269 + w * 0.001308)))
+    z += (0.5 * math.erfc(z / math.sqrt(2.0)) - tail) / (
+        math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi))
+    return z + (z * z + 1.0) * z / (4.0 * nu)
+
+
+def _t_multiplier(B: int, level: float) -> float:
+    """t_{B-1} quantile at q = 1 - (1 - level) / 2, correctly rounded.
+
+    With nu = B - 1 and x = nu / (nu + t^2), P(|T| <= t) is the finite
+    series of Abramowitz & Stegun 26.7.3 (odd nu, with atan(t / sqrt(nu)))
+    or 26.7.4 (even nu) in powers of x. Its slope in t is
+    c x^((nu+1)/2), with c = (nu - 1) / sqrt(nu) times the last series
+    coefficient (times 2/pi for odd nu; 2/pi for nu = 1). Newton steps on
+    P(|T| <= t) = 2q - 1 in T_DIGITS-digit decimal arithmetic start from
+    _t_start; a step that leaves the bracket of points seen on either side
+    of the root is replaced by bisection. The root is rounded to a float
+    once. Levels so close to 0 or 1 that q rounds to 1/2 or 1 give 0 or inf.
+    """
+    nu = B - 1
+    q = 1.0 - (1.0 - level) / 2.0
+    if q == 1.0:
+        return math.inf
+    with decimal.localcontext() as ctx:
+        ctx.prec = T_DIGITS
+        p = 2 * Decimal(q) - 1
+        if p == 0:
+            return 0.0
+        odd = nu % 2
+        # term ratios of the series: (2j-1)/(2j) for even nu, 2j/(2j+1) for odd
+        ratios = [Decimal(2 * j + odd - 1) / (2 * j + odd) for j in range(1, (nu - 2) // 2 + 1)]
+        root_nu = Decimal(nu).sqrt()
+        slope = max(nu - 1, 1) / root_nu  # c, built up below
+        for r in ratios:
+            slope *= r
+        if odd:
+            two_over_pi = 1 / (2 * _atan(Decimal(1)))
+            slope *= two_over_pi
+        lo, hi = Decimal(0), Decimal("Infinity")
+        t = Decimal(_t_start(nu, q))
+        while True:
+            d = nu + t * t
+            x = nu / d
+            series = Decimal(1)
+            for r in reversed(ratios):
+                series = 1 + series * x * r
+            if odd:
+                cdf = two_over_pi * (_atan(t / root_nu) + (t * root_nu / d * series if nu > 1 else 0))
+            else:
+                cdf = t / d.sqrt() * series
+            gap = cdf - p
+            if gap < 0:
+                lo = t
+            else:
+                hi = t
+            new = t - gap / (slope * x ** (Decimal(nu + 1) / 2))
+            if abs(new - t) <= T_STEP_TOL * t:
+                return float(new)
+            t = new if lo < new < hi else (lo + hi) / 2
 
 
 def bootstrap_estimates(internal: AuditDataset, external: ExternalDataset | None,
@@ -74,6 +164,8 @@ def bootstrap_estimates(internal: AuditDataset, external: ExternalDataset | None
     """
     if B < 2:
         raise ValueError("B must be at least 2")
+    if not 0.0 < level < 1.0:
+        raise ValueError(f"level must lie in (0, 1); got {level}")
     point_run = run_pipeline(internal, external, config, seed)
     keys = point_run.report.keys()
 

@@ -5,7 +5,6 @@ and the simulation lab map over their tasks."""
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -105,6 +104,8 @@ def run_cells(internal: AuditDataset, external: ExternalDataset | None,
 def map_tasks(fn, tasks: list, n_jobs: int) -> list:
     """[fn(task) for task in tasks], in n_jobs worker processes when n_jobs > 1."""
     if n_jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # here so serial runs skip it
+
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
             return list(pool.map(fn, tasks))
     return [fn(task) for task in tasks]

@@ -378,6 +378,21 @@ def test_importing_the_cli_leaves_scipy_stats_unloaded():
     assert proc.stdout.split() == ["False", "False"]
 
 
+def test_a_bootstrap_audit_loads_no_scipy_module(tmp_path):
+    make_audit_files(tmp_path, n_internal=100, n_external=200)
+    config = audit_config(tmp_path, bootstrap_b=3)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from cfaudit.cli import main; code = main(sys.argv[1:]); "
+         "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+         "--config", str(config)],
+        capture_output=True, text=True, timeout=120, cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(Path(cfaudit.__file__).resolve().parents[1])})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[-2] == "0 []"
+    assert read_report(tmp_path)["estimates"][0]["B"] == 3
+
+
 def set_key(config: dict, dotted: str, value):
     """Set the dotted key path of a JSON config, creating objects on the way."""
     *parents, last = dotted.split(".")

@@ -1,9 +1,12 @@
+import math
+
+import mpmath
 import numpy as np
 import pytest
 from scipy.stats import t as t_dist
 
 from cfaudit.dataset import AuditDataset, Characteristic, ExternalDataset, SchemaSpec
-from cfaudit import models, pipeline
+from cfaudit import inference, models, pipeline
 from cfaudit.inference import (_replicate_values, _t_multiplier, bootstrap_estimates,
                                stratified_resample)
 from cfaudit.models import BinarySpec, ModelError, MulticlassConfig
@@ -202,6 +205,17 @@ def test_bootstrap_rejects_tiny_b():
         bootstrap_estimates(ds, None, fast_config(), B=1, seed=0)
 
 
+@pytest.mark.parametrize("level", [0.0, 1.0, 1.5, -0.2, math.nan])
+def test_bootstrap_rejects_a_level_outside_the_unit_interval_before_any_run(
+        level, monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a pipeline ran")
+    monkeypatch.setattr(inference, "run_pipeline", no_run)
+    monkeypatch.setattr(inference, "run_cells", no_run)
+    with pytest.raises(ValueError, match="level must lie in"):
+        bootstrap_estimates(random_dataset(), None, fast_config(), B=20, seed=0, level=level)
+
+
 def test_bootstrap_parallel_matches_sequential():
     ds = random_dataset(n=50, seed=6)
     seq = bootstrap_estimates(ds, None, fast_config(), B=6, seed=21, n_jobs=1)
@@ -294,8 +308,43 @@ def test_bootstrap_interval_coverage_under_randomized_treatment():
     assert coverage >= 0.85
 
 
-def test_t_multiplier_equals_scipy_stats_t_ppf():
+def t_cdf(t, nu):
+    """P(T <= t) for T ~ t_nu and t > 0, by mpmath's regularized incomplete beta."""
+    t = mpmath.mpf(t)
+    return 1 - mpmath.betainc(mpmath.mpf(nu) / 2, mpmath.mpf(1) / 2, 0, nu / (nu + t * t),
+                              regularized=True) / 2
+
+
+def is_rounded_quantile(t, nu, q):
+    """Whether the float t is the t_nu quantile at q rounded to the nearest
+    double: the 40-digit CDF at the midpoints to t's neighbours brackets q."""
+    with mpmath.workdps(40):
+        below = (mpmath.mpf(t) + mpmath.mpf(math.nextafter(t, 0.0))) / 2
+        above = (mpmath.mpf(t) + mpmath.mpf(math.nextafter(t, math.inf))) / 2
+        return t_cdf(below, nu) <= q <= t_cdf(above, nu)
+
+
+def ulps(a: float, b: float) -> int:
+    return abs(int(np.float64(a).view(np.int64)) - int(np.float64(b).view(np.int64)))
+
+
+def test_t_multiplier_is_the_correctly_rounded_quantile():
     for level in (0.9, 0.95, 0.99):
         q = 1.0 - (1.0 - level) / 2.0
         for B in range(2, 1001):
-            assert _t_multiplier(B, level) == float(t_dist.ppf(q, df=B - 1))
+            t = _t_multiplier(B, level)
+            assert is_rounded_quantile(t, B - 1, q), (B, level, t)
+            assert ulps(t, float(t_dist.ppf(q, df=B - 1))) <= 64, (B, level, t)
+
+
+@pytest.mark.parametrize("B", [2, 3, 5000, 10000])
+@pytest.mark.parametrize("level", [1e-9, 1e-6, 0.5, 0.999999])
+def test_t_multiplier_at_extreme_levels_and_sizes(B, level):
+    q = 1.0 - (1.0 - level) / 2.0
+    t = _t_multiplier(B, level)
+    assert is_rounded_quantile(t, B - 1, q), t
+    if B == 2:  # Cauchy: the quantile is tan(pi (q - 1/2)), and 1 at level 1/2
+        with mpmath.workdps(40):
+            assert t == float(mpmath.tan(mpmath.pi * (mpmath.mpf(q) - 0.5)))
+        if level == 0.5:
+            assert t == 1.0

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import _check_codes
-from .models import DimensionMismatch, ModelError
+from .models import DimensionMismatch, ModelError, _row_sum
 
 
 BORROW_METRICS = ("brier", "auc")
@@ -47,6 +47,32 @@ def _one_hot(shape, codes) -> np.ndarray:
 
 def _brier(probs, onehot) -> float:
     return float(np.mean(np.sum((probs - onehot) ** 2, axis=1)))
+
+
+# Probability cells per block of the Brier grid: a block scores as many grid
+# points as fit, and at least one, so it takes 512 KiB or one point's n * K.
+BRIER_CELLS = 1 << 16
+
+
+def _brier_curve(h_external, h_internal, onehot, grid) -> list[float]:
+    """_brier of the blend at each alpha of grid, bit for bit, over blocks of
+    grid points. A block is the class-major (K, points, n) array of
+    alpha * h_external + (1 - alpha) * h_internal - onehot, squared in place;
+    _row_sum over its K rows sums in the order of _brier's axis=1 sum."""
+    n, k = onehot.shape
+    ext, inner, target = (np.ascontiguousarray(m.T)[:, None, :]
+                          for m in (h_external, h_internal, onehot))
+    step = max(1, BRIER_CELLS // max(1, n * k))
+    scores = []
+    for start in range(0, len(grid), step):
+        alpha = grid[start:start + step, None]
+        block = alpha * ext
+        block += (1.0 - alpha) * inner
+        block -= target
+        np.square(block, out=block)
+        per_row = _row_sum(block.reshape(k, -1).T).reshape(len(alpha), n)
+        scores += np.mean(per_row, axis=1).tolist()
+    return scores
 
 
 def brier_score(probs, codes) -> float:
@@ -122,23 +148,29 @@ def select_alpha(h_external, h_internal, codes, metric="brier",
     h_internal = np.asarray(h_internal, dtype=np.float64)
     if h_external.shape != h_internal.shape:
         raise DimensionMismatch("blend inputs must have identical shapes")
+    grid = alpha_grid(grid_step)
     if metric == "brier":
-        onehot = _one_hot(h_internal.shape, codes)  # once per call, not per point
-        score_fn, better = lambda p: _brier(p, onehot), lambda a, b: a < b
+        scores = _brier_curve(h_external, h_internal, _one_hot(h_internal.shape, codes), grid)
+        better = lambda a, b: a < b
     elif metric == "auc":
         positives = _auc_positives(h_internal.shape, codes)
-        score_fn, better = lambda p: _auc(p, positives), lambda a, b: a > b
+        scores = []
+        for alpha in grid:
+            # the last blend stays alive while the next one is built, so the
+            # allocator reuses its pages rather than returning them to the
+            # system and faulting them in again (~10% of the search at n 3,000)
+            blended = alpha * h_external + (1.0 - alpha) * h_internal
+            scores.append(_auc(blended, positives))
+        better = lambda a, b: a > b
     else:
         raise ValueError(f"unknown borrowing metric: {metric!r}")
 
     curve = []
     best_alpha, best_score = None, None
-    for alpha in alpha_grid(grid_step):
-        blended = alpha * h_external + (1.0 - alpha) * h_internal
-        score = score_fn(blended)
-        curve.append((float(alpha), score))
+    for alpha, score in zip(grid.tolist(), scores):
+        curve.append((alpha, score))
         if best_score is None or better(score, best_score):
-            best_alpha, best_score = float(alpha), score
+            best_alpha, best_score = alpha, score
 
     h_star = best_alpha * h_external + (1.0 - best_alpha) * h_internal
     return BlendedMembership(alpha=best_alpha, h_star=h_star, metric_curve=curve)

@@ -21,7 +21,7 @@ from .config import ConfigError, check_at_least, check_choice, decode, encode
 from .dataset import (DataError, SchemaSpec, load_external, load_internal,
                       subgroup_counts)
 from .estimators import METRICS, group_label, report_keys
-from .inference import bootstrap_estimates
+from .inference import bootstrap_estimates, check_level
 from .models import ModelError
 from .pipeline import PipelineConfig, run_pipeline
 from .simlab import ScenarioConfig, run_scenario, sim_schema
@@ -69,8 +69,7 @@ class Bootstrap:
     def __post_init__(self):
         if self.B < 0 or self.B == 1:
             raise ValueError(f"B must be 0 (no intervals) or at least 2; got {self.B}")
-        if not 0.0 < self.level < 1.0:
-            raise ValueError(f"level must lie in (0, 1); got {self.level}")
+        check_level(self.level)
 
 
 # Pipeline settings that an audit config sets in its borrowing block, so that

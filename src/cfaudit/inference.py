@@ -95,6 +95,19 @@ def _t_start(nu: int, q: float) -> float:
     return z + (z * z + 1.0) * z / (4.0 * nu)
 
 
+def check_level(level: float) -> float:
+    """The upper quantile point q = 1 - (1 - level) / 2 of a two-sided
+    interval. ValueError unless level lies in (0, 1) and q rounds strictly
+    between 1/2 and 1: within about 2^-53 of 0 or 1 it does not, and the
+    t multiplier would be 0 or inf, turning every interval into a point or
+    into [0, 1]."""
+    q = 1.0 - (1.0 - level) / 2.0
+    if not (0.0 < level < 1.0 and 0.5 < q < 1.0):
+        raise ValueError(f"level must lie in (0, 1), with 1 - (1 - level) / 2 "
+                         f"strictly between 1/2 and 1 as a float; got {level!r}")
+    return q
+
+
 def _t_multiplier(B: int, level: float) -> float:
     """t_{B-1} quantile at q = 1 - (1 - level) / 2, correctly rounded.
 
@@ -106,17 +119,13 @@ def _t_multiplier(B: int, level: float) -> float:
     P(|T| <= t) = 2q - 1 in T_DIGITS-digit decimal arithmetic start from
     _t_start; a step that leaves the bracket of points seen on either side
     of the root is replaced by bisection. The root is rounded to a float
-    once. Levels so close to 0 or 1 that q rounds to 1/2 or 1 give 0 or inf.
+    once. Levels that check_level rejects raise ValueError.
     """
     nu = B - 1
-    q = 1.0 - (1.0 - level) / 2.0
-    if q == 1.0:
-        return math.inf
+    q = check_level(level)
     with decimal.localcontext() as ctx:
         ctx.prec = T_DIGITS
         p = 2 * Decimal(q) - 1
-        if p == 0:
-            return 0.0
         odd = nu % 2
         # term ratios of the series: (2j-1)/(2j) for even nu, 2j/(2j+1) for odd
         ratios = [Decimal(2 * j + odd - 1) / (2 * j + odd) for j in range(1, (nu - 2) // 2 + 1)]
@@ -164,8 +173,7 @@ def bootstrap_estimates(internal: AuditDataset, external: ExternalDataset | None
     """
     if B < 2:
         raise ValueError("B must be at least 2")
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"level must lie in (0, 1); got {level}")
+    check_level(level)
     point_run = run_pipeline(internal, external, config, seed)
     keys = point_run.report.keys()
 

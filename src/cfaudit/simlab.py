@@ -16,6 +16,7 @@ group) over a large validation draw, never from any estimator.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -214,7 +215,7 @@ def _sample_categorical(probs, rng):
     return np.sum(u[:, None] > cum, axis=1)
 
 
-# Rows per block of the draws in generate_population. Blocks start every
+# Rows per block of the draws in _population_blocks. Blocks start every
 # DRAW_ROWS rows and the last one runs to the end of the population, so no
 # block is shorter than DRAW_ROWS unless the whole population is: BLAS
 # multiplies short matrices with other kernels, whose last bits can differ.
@@ -227,60 +228,95 @@ def _row_blocks(n) -> list[slice]:
     return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
 
 
+def _role_rows(cfg: ScenarioConfig, role: str) -> int:
+    sizes = {"train": cfg.n_train, "validation": cfg.n_validation,
+             "internal": cfg.n_internal, "external": cfg.n_external}
+    if role not in sizes:
+        raise ValueError(f"unknown role: {role!r}")
+    return sizes[role]
+
+
+def _population_blocks(cfg: ScenarioConfig, role: str, seed,
+                       risk_model: "RiskModel | None" = None) -> Iterator[Population]:
+    """The population of generate_population(cfg, role, seed, risk_model), one
+    Population per block of _row_blocks(n), in row order.
+
+    The random streams keep one layout: all of x first, then one uniform
+    stream of n draws per variable, in the order group, y0, y1, treatment.
+    A standard normal takes a varying number of 64-bit outputs, so one pass
+    draws and discards x, block by block, to find where the uniforms start.
+    A uniform takes exactly one output, so the rows [a, b) of stream k are
+    read from a copy of that PCG64 state advanced by k * n + a. x is then
+    drawn again, block by block, and no block needs more than its own rows.
+    """
+    n = _role_rows(cfg, role)
+    if role == "internal" and risk_model is None:
+        raise ValueError("internal populations need the risk model to assign treatment")
+    blocks = _row_blocks(n)
+    p = cfg.p_informative + cfg.p_noise
+    rng = np.random.default_rng(seed)
+    for rows in blocks:
+        rng.standard_normal((rows.stop - rows.start, p))
+    uniforms_start = rng.bit_generator.state
+
+    def stream(k, rows):
+        """A generator positioned at row rows.start of uniform stream k."""
+        bits = np.random.PCG64()
+        bits.state = uniforms_start
+        bits.advance(k * n + rows.start)
+        return np.random.Generator(bits)
+
+    group_coef = cfg.coefficients.group * cfg.b if role == "external" else cfg.coefficients.group
+    levels = np.array([[int(v) for v in g.levels] for g in SIM_GROUPS])  # code -> (a1, a2)
+    rng = np.random.default_rng(seed)
+    for rows in blocks:
+        x = rng.standard_normal((rows.stop - rows.start, p))
+        codes = _sample_categorical(_softmax(_design(cfg, x) @ group_coef.T), stream(0, rows))
+        if role == "external":
+            yield Population(x=x, group_codes=codes)
+            continue
+        a = levels[codes]
+
+        def bernoulli(k, coef, *extra_cols):
+            """One 0/1 draw per row from stream k and the logistic model coef
+            in (x, a1, a2, extra columns)."""
+            design = _design(cfg, x, (a[:, 0], a[:, 1], *extra_cols))
+            return (stream(k, rows).random(len(x)) < sigmoid(design @ coef)).astype(np.int8)
+
+        y0 = bernoulli(1, cfg.coefficients.y0)
+        if role != "internal":
+            s = risk_model.predict(x) if risk_model is not None else None
+            yield Population(x=x, group_codes=codes, y0=y0, d=np.zeros(len(x), dtype=np.int8),
+                             y=y0, s=s)
+            continue
+        y1 = bernoulli(2, cfg.coefficients.y1)
+        s = risk_model.predict(x)
+        d = bernoulli(3, cfg.coefficients.treatment, s)
+        y = (d * y1 + (1 - d) * y0).astype(np.int8)
+        yield Population(x=x, group_codes=codes, y0=y0, y1=y1, d=d, y=y, s=s)
+
+
 def generate_population(cfg: ScenarioConfig, role: str, seed,
                         risk_model: "RiskModel | None" = None) -> Population:
     """Draw one population for the given role; bit-reproducible given seed.
 
-    The random streams come in a fixed order: all of x, then one uniform per
-    row for the group, then one per row for each of y0, y1 and treatment.
-    Each stream is drawn over blocks of rows (see DRAW_ROWS), so memory
+    The rows come from _population_blocks, which fixes the layout of the
+    random streams, and are written into preallocated outputs, so memory
     beyond the outputs does not grow with the population.
 
     Internal populations require the shared risk model, because treatment is
     assigned after scoring. External populations stop at (x, group). Train
     and validation populations are untreated (d = 0, y = y0) and stop after
     y0: their y1 is None, because nothing reads it."""
-    sizes = {"train": cfg.n_train, "validation": cfg.n_validation,
-             "internal": cfg.n_internal, "external": cfg.n_external}
-    if role not in sizes:
-        raise ValueError(f"unknown role: {role!r}")
-    if role == "internal" and risk_model is None:
-        raise ValueError("internal populations need the risk model to assign treatment")
-    n = sizes[role]
-    rng = np.random.default_rng(seed)
-    blocks = _row_blocks(n)
-
-    x = rng.standard_normal((n, cfg.p_informative + cfg.p_noise))
-    group_coef = cfg.coefficients.group * cfg.b if role == "external" else cfg.coefficients.group
-    codes = np.empty(n, dtype=np.int64)
-    for rows in blocks:
-        codes[rows] = _sample_categorical(_softmax(_design(cfg, x[rows]) @ group_coef.T), rng)
-    if role == "external":
-        return Population(x=x, group_codes=codes)
-
-    levels = np.array([[int(v) for v in g.levels] for g in SIM_GROUPS])  # code -> (a1, a2)
-
-    def bernoulli(coef, *extra_cols):
-        """One 0/1 draw per row from the logistic model coef in
-        (x, a1, a2, extra columns)."""
-        out = np.empty(n, dtype=np.int8)
-        for rows in blocks:
-            a = levels[codes[rows]]
-            design = _design(cfg, x[rows], (a[:, 0], a[:, 1], *(c[rows] for c in extra_cols)))
-            out[rows] = rng.random(design.shape[0]) < sigmoid(design @ coef)
-        return out
-
-    y0 = bernoulli(cfg.coefficients.y0)
-    if role != "internal":
-        s = risk_model.predict(x) if risk_model is not None else None
-        return Population(x=x, group_codes=codes, y0=y0, d=np.zeros(n, dtype=np.int8),
-                          y=y0.copy(), s=s)
-
-    y1 = bernoulli(cfg.coefficients.y1)
-    s = risk_model.predict(x)
-    d = bernoulli(cfg.coefficients.treatment, s)
-    y = (d * y1 + (1 - d) * y0).astype(np.int8)
-    return Population(x=x, group_codes=codes, y0=y0, y1=y1, d=d, y=y, s=s)
+    n = _role_rows(cfg, role)
+    out = {}
+    for rows, block in zip(_row_blocks(n), _population_blocks(cfg, role, seed, risk_model)):
+        for name, part in vars(block).items():
+            if part is not None:
+                if name not in out:
+                    out[name] = np.empty((n, *part.shape[1:]), dtype=part.dtype)
+                out[name][rows] = part
+    return Population(**out)
 
 
 # ---------------------------------------------------------------------------
@@ -506,28 +542,28 @@ def train_risk_model(x, y, n_trees=100, max_depth=4, positive_rate=0.2,
 # oracle truth by exact counting
 
 
-def _count_rate(mask_event, mask_condition) -> float:
-    denom = int(np.sum(mask_condition))
-    if denom == 0:
-        return np.nan
-    return float(np.sum(mask_event & mask_condition)) / denom
+def _rate(events, conditions) -> float:
+    return float(events) / int(conditions) if conditions else np.nan
 
 
-def oracle_error_rates(validation: Population, model: RiskModel) -> dict:
-    """True counterfactual error rates counted from (s, y0, group) on a
-    validation draw: {(group code or None, metric): rate}, per group and
-    overall. NaN marks groups with an empty conditioning event."""
-    if validation.y0 is None:
-        raise ValueError("validation population must carry the untreated outcome")
-    s = model.predict(validation.x).astype(bool)
-    y0 = validation.y0.astype(bool)
+def oracle_error_rates(validation: Iterable[Population], model: RiskModel) -> dict:
+    """True counterfactual error rates counted from (s, y0, group) over a
+    validation draw given as row blocks (a whole population is one block):
+    {(group code or None, metric): rate}, per group and overall. Each block
+    adds its integer (group, s, y0) cell counts, so a streamed draw is never
+    held whole. NaN marks groups with an empty conditioning event."""
+    k = len(SIM_GROUPS)
+    counts = np.zeros(4 * k, dtype=np.int64)
+    for block in validation:
+        if block.y0 is None:
+            raise ValueError("validation population must carry the untreated outcome")
+        cell = 4 * block.group_codes + 2 * model.predict(block.x) + block.y0
+        counts += np.bincount(cell, minlength=4 * k)
+    counts = counts.reshape(k, 2, 2)  # [group, s, y0]
     rates = {}
-    rates[(None, "cFPR")] = _count_rate(s, ~y0)
-    rates[(None, "cFNR")] = _count_rate(~s, y0)
-    for code in range(len(SIM_GROUPS)):
-        in_group = validation.group_codes == code
-        rates[(code, "cFPR")] = _count_rate(s, ~y0 & in_group)
-        rates[(code, "cFNR")] = _count_rate(~s, y0 & in_group)
+    for code, c in [(None, counts.sum(axis=0)), *enumerate(counts)]:
+        rates[(code, "cFPR")] = _rate(c[1, 0], c[0, 0] + c[1, 0])
+        rates[(code, "cFNR")] = _rate(c[0, 1], c[0, 1] + c[1, 1])
     return rates
 
 
@@ -614,7 +650,7 @@ def run_scenario(cfg: ScenarioConfig, n_jobs: int = 1) -> ScenarioResult:
     model = train_risk_model(train.x, train.y, n_trees=cfg.n_trees,
                              max_depth=cfg.max_depth,
                              positive_rate=cfg.positive_rate, seed=children[2])
-    oracle = oracle_error_rates(generate_population(cfg, "validation", children[1]), model)
+    oracle = oracle_error_rates(_population_blocks(cfg, "validation", children[1]), model)
 
     cells = report_keys(schema.n_groups, cfg.pipeline.reported_methods(external=True))
     tasks = [(cfg, model, schema, children[3 + rep], cells)

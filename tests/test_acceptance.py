@@ -67,7 +67,7 @@ def test_criterion_01_ratio_identity_exact_counting():
             x[:, 0] = 2.0 * s_flag - 1.0  # the stump reproduces s_flag exactly
             pop = Population(x=x, group_codes=codes, y0=y0,
                              y1=y0.copy(), d=np.zeros(n, np.int8), y=y0.copy())
-            truth = oracle_error_rates(pop, stump_model())
+            truth = oracle_error_rates([pop], stump_model())
             s = s_flag.astype(bool)
             t = y0.astype(bool)
             for group in range(len(SIM_GROUPS)):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.stats import rankdata
 
+from cfaudit import borrowing
 from cfaudit.borrowing import (DimensionMismatch, SingleClassLabels,
                                _binary_auc, alpha_grid, brier_score, multiclass_auc,
                                select_alpha)
@@ -182,6 +183,35 @@ def test_select_alpha_brier_curve_is_brier_score_bit_for_bit():
         assert score == brier_score(alpha * h_ext + (1 - alpha) * h_int, labels)
     with pytest.raises(DimensionMismatch):
         select_alpha(h_ext, h_int, keys([*labels[:-1], 9]), grid_step=0.01)
+
+
+@pytest.mark.parametrize("n", [1, 37, 600])
+@pytest.mark.parametrize("k", [2, 4, 7, 8, 9, 24, 130, 300])
+def test_blocked_brier_curve_is_brier_score_bit_for_bit(k, n, monkeypatch):
+    rng = np.random.default_rng(k * 1000 + n)
+    labels = keys(rng.integers(0, k, n))
+    h_ext = rng.dirichlet(np.ones(k), size=n)
+    h_int = rng.dirichlet(np.ones(k), size=n)
+    grid = alpha_grid(0.01)
+    want = [brier_score(a * h_ext + (1.0 - a) * h_int, labels) for a in grid]
+    # the default budget, then blocks of 3 points: 101 = 33 * 3 + 2
+    for cells in (borrowing.BRIER_CELLS, 3 * n * k):
+        monkeypatch.setattr(borrowing, "BRIER_CELLS", cells)
+        blend = select_alpha(h_ext, h_int, labels, grid_step=0.01)
+        assert [a for a, _ in blend.metric_curve] == grid.tolist()
+        assert [score for _, score in blend.metric_curve] == want
+        assert blend.alpha == grid[int(np.argmin(want))]
+
+
+def test_blocked_brier_ties_across_blocks_go_to_the_smallest_alpha(monkeypatch):
+    n, k = 20, 4
+    labels = keys(np.arange(n) % k)
+    uniform = np.full((n, k), 0.25)  # every blend is exactly uniform
+    monkeypatch.setattr(borrowing, "BRIER_CELLS", 3 * n * k)
+    blend = select_alpha(uniform, uniform.copy(), labels, grid_step=0.01)
+    scores = {score for _, score in blend.metric_curve}
+    assert scores == {brier_score(uniform, labels)}
+    assert blend.alpha == 0.0
 
 
 def test_binary_auc_equals_rankdata_reference_bit_for_bit_with_ties():

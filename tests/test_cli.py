@@ -430,6 +430,8 @@ def rewrite(path, dotted, value):
     ("seed", -1, "config: seed must be at least 0; got -1"),
     ("borrowing.grid_step", 0, "alpha grid step must lie in (0, 1]; got 0"),
     ("borrowing.grid_step", -0.5, "alpha grid step must lie in (0, 1]; got -0.5"),
+    ("bootstrap.level", 0.9999999999999999, "level must lie in (0, 1)"),
+    ("bootstrap.level", 1e-17, "level must lie in (0, 1)"),
 ])
 def test_bad_audit_config_exits_2_before_any_fit(tmp_path, monkeypatch, capsys,
                                                  dotted, value, named):

@@ -205,7 +205,9 @@ def test_bootstrap_rejects_tiny_b():
         bootstrap_estimates(ds, None, fast_config(), B=1, seed=0)
 
 
-@pytest.mark.parametrize("level", [0.0, 1.0, 1.5, -0.2, math.nan])
+# the last two are inside (0, 1), but 1 - (1 - level) / 2 rounds to 1 and 1/2
+@pytest.mark.parametrize("level", [0.0, 1.0, 1.5, -0.2, math.nan,
+                                   math.nextafter(1.0, 0.0), 1e-17])
 def test_bootstrap_rejects_a_level_outside_the_unit_interval_before_any_run(
         level, monkeypatch):
     def no_run(*args, **kwargs):
@@ -214,6 +216,15 @@ def test_bootstrap_rejects_a_level_outside_the_unit_interval_before_any_run(
     monkeypatch.setattr(inference, "run_cells", no_run)
     with pytest.raises(ValueError, match="level must lie in"):
         bootstrap_estimates(random_dataset(), None, fast_config(), B=20, seed=0, level=level)
+
+
+@pytest.mark.parametrize("B", [2, 10_000])
+def test_levels_next_to_the_rejected_ones_give_a_finite_positive_multiplier(B):
+    for level in (1.0 - 2.0 ** -52, 2.0 ** -52):
+        assert 0.0 < _t_multiplier(B, level) < math.inf
+    for level in (math.nextafter(1.0, 0.0), 1e-17):
+        with pytest.raises(ValueError, match="level must lie in"):
+            _t_multiplier(B, level)
 
 
 def test_bootstrap_parallel_matches_sequential():
@@ -286,7 +297,7 @@ def test_bootstrap_interval_coverage_under_randomized_treatment():
     train = generate_population(cfg, "train", children[0])
     model = train_risk_model(train.x, train.y, seed=children[2])
     validation = generate_population(cfg, "validation", children[1])
-    truth = oracle_error_rates(validation, model)[(0, "cFNR")]
+    truth = oracle_error_rates([validation], model)[(0, "cFNR")]
     schema = sim_schema(cfg)
 
     covered, usable = 0, 0

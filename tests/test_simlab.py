@@ -10,8 +10,8 @@ from cfaudit.pipeline import PipelineConfig
 from cfaudit.simlab import (DRAW_ROWS, INTERACTION_PAIRS, INTERACTION_TRIPLES,
                             SIM_GROUPS, WALK_CELLS, DegenerateOutcome,
                             Population, RiskModel, ScenarioConfig,
-                            _grow_tree, _sample_categorical, _Tree,
-                            default_coefficients,
+                            _grow_tree, _population_blocks, _sample_categorical,
+                            _Tree, default_coefficients,
                             generate_population, oracle_error_rates,
                             run_scenario, train_risk_model)
 
@@ -120,8 +120,8 @@ def test_risk_model_degenerate_outcome():
 def test_oracle_constant_predictions():
     cfg = small_cfg(n_validation=2000)
     pop = generate_population(cfg, "validation", 8)
-    always = oracle_error_rates(pop, constant_model(1.0))
-    never = oracle_error_rates(pop, constant_model(0.0))
+    always = oracle_error_rates([pop], constant_model(1.0))
+    never = oracle_error_rates([pop], constant_model(0.0))
     for g in list(range(len(SIM_GROUPS))) + [None]:
         counts = np.bincount(pop.group_codes, minlength=4)
         if g is not None and counts[g] == 0:
@@ -140,7 +140,7 @@ def test_oracle_hand_built_twelve_records():
     codes = np.array([0, 0, 0, 0, 0, 0, 3, 3, 3, 3, 1, 1])
     pop = Population(x=x, group_codes=codes, y0=y0,
                      y1=y0.copy(), d=np.zeros(12, np.int8), y=y0.copy())
-    truth = oracle_error_rates(pop, stump_on_first_covariate())
+    truth = oracle_error_rates([pop], stump_on_first_covariate())
     maj = 0
     minority = 3
     # majority: y0=1 rows have s = 1,1,0 -> cFNR = 1/3; y0=0 rows s = 1,0,0 -> cFPR = 1/3
@@ -160,7 +160,7 @@ def test_oracle_satisfies_ratio_identity_and_decomposition():
     cfg = small_cfg(n_validation=4000)
     pop = generate_population(cfg, "validation", 21)
     model = stump_on_first_covariate()
-    truth = oracle_error_rates(pop, model)
+    truth = oracle_error_rates([pop], model)
     s = model.predict(pop.x).astype(bool)
     y0 = pop.y0.astype(bool)
     # identity: group rate equals overall rate times the membership ratio
@@ -353,6 +353,46 @@ def test_validation_draw_memory_is_bounded_by_the_row_blocks():
     # the outputs take 4.4 MiB (x alone 3.8 MiB); full-height design
     # matrices, probabilities and uniforms took the peak to 16 MiB
     assert peak < 8 * 2**20
+
+
+def oracle_case_model(cfg):
+    """A 10-tree risk model trained on the scenario's own covariates."""
+    train = generate_population(cfg, "train", 5)
+    return train_risk_model(train.x, train.y, n_trees=10, seed=6)
+
+
+def assert_same_oracle(got, want):
+    assert list(got) == list(want)
+    assert np.array_equal(list(got.values()), list(want.values()), equal_nan=True)
+
+
+@pytest.mark.parametrize("n", [1, DRAW_ROWS - 1, DRAW_ROWS, DRAW_ROWS + 1, 3 * DRAW_ROWS + 7])
+@pytest.mark.parametrize("p_noise,interactions", [(0, False), (0, True), (4, False), (4, True)])
+def test_streamed_oracle_equals_the_oracle_of_the_whole_draw(n, p_noise, interactions):
+    cfg = ScenarioConfig(n_train=1000, n_validation=n, p_noise=p_noise,
+                         interactions=interactions, replications=1)
+    model = oracle_case_model(cfg)
+    for seed in range(2):
+        streamed = oracle_error_rates(_population_blocks(cfg, "validation", seed), model)
+        whole = oracle_error_rates([generate_population(cfg, "validation", seed)], model)
+        assert_same_oracle(streamed, whole)
+
+
+def test_streamed_oracle_memory_does_not_grow_with_the_validation_draw():
+    model = oracle_case_model(ScenarioConfig(replications=1))
+    peaks = []
+    for n in (20_000, 200_000):
+        cfg = ScenarioConfig(n_validation=n, replications=1)
+        tracemalloc.start()
+        try:
+            oracle_error_rates(_population_blocks(cfg, "validation", 1), model)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks.append(peak)
+    # counting over the whole draw grew 16.5 MiB from 20,000 to 200,000 rows
+    # (4.1 to 20.6 MiB); the blocks hold at most 2 * DRAW_ROWS rows at a time
+    assert peaks[1] - peaks[0] < 2**20
 
 
 class TopUniform:

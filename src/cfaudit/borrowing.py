@@ -38,6 +38,27 @@ def _columns(codes, shape) -> np.ndarray:
     return _check_codes(codes, shape[1], DimensionMismatch)
 
 
+# The largest entry a probability matrix may hold. A blend
+# alpha * a + (1 - alpha) * b of a, b in [0, 1] rounds to at most one ulp
+# above 1, so the metrics accept the blends that select_alpha scores.
+PROB_MAX = np.nextafter(1.0, 2.0)
+
+
+def _probabilities(probs, name) -> np.ndarray:
+    """probs as a float64 (rows, K) matrix. ValueError names the first row and
+    column holding NaN, an infinity, a negative entry or one above PROB_MAX:
+    the metrics would score it as a number, and the AUC keys need it."""
+    probs = np.asarray(probs, dtype=np.float64)
+    if probs.ndim != 2:
+        raise DimensionMismatch(f"{name} must be a (rows, K) matrix; got shape {probs.shape}")
+    outside = ~((probs >= 0.0) & (probs <= PROB_MAX))
+    if outside.any():
+        row, col = np.argwhere(outside)[0].tolist()
+        raise ValueError(f"{name} row {row}, column {col} holds {float(probs[row, col])!r}, "
+                         "not a probability in [0, 1]")
+    return probs
+
+
 def _one_hot(shape, codes) -> np.ndarray:
     """Code indicator matrix for probabilities of the given (rows, K) shape."""
     onehot = np.zeros(shape)
@@ -82,7 +103,7 @@ def brier_score(probs, codes) -> float:
     Ranges over [0, 2]; 0 for perfect one-hot predictions, 2 for confidently
     wrong ones. Lower is better.
     """
-    probs = np.asarray(probs, dtype=np.float64)
+    probs = _probabilities(probs, "probs")
     return _brier(probs, _one_hot(probs.shape, codes))
 
 
@@ -110,15 +131,66 @@ def _auc_positives(shape, codes) -> list[tuple[int, np.ndarray]]:
     return [(j, codes == j) for j in present]
 
 
-def _auc(probs, positives) -> float:
-    return float(np.mean([_binary_auc(probs[:, j], mask) for j, mask in positives]))
-
-
 def multiclass_auc(probs, codes) -> float:
     """Unweighted mean of one-vs-rest AUCs over the group codes present;
     column j of probs belongs to code j."""
-    probs = np.asarray(probs, dtype=np.float64)
-    return _auc(probs, _auc_positives(probs.shape, codes))
+    probs = _probabilities(probs, "probs")
+    return float(np.mean([_binary_auc(probs[:, j], mask)
+                          for j, mask in _auc_positives(probs.shape, codes)]))
+
+
+# Probability cells per class block of the AUC grid: a block holds as many
+# classes as fit, and at least one, so its buffers take a few times 128 KiB.
+AUC_CELLS = 1 << 14
+
+
+def _auc_curve(h_external, h_internal, positives, grid) -> list[float]:
+    """multiclass_auc of the blend at each alpha of grid, bit for bit, over
+    blocks of classes.
+
+    A block's blend alpha * h_external + (1 - alpha) * h_internal goes into a
+    class-major buffer, whose bits, read as uint64 and shifted left by one,
+    keep the order of the non-negative finite doubles (-0.0 lands on 0.0's
+    key). The low bit is set for the class's negatives, so one row sort puts
+    positives ahead of equal negatives, and the sorted positions of the
+    positives add up to the Mann-Whitney U plus n_pos (n_pos - 1) / 2: the
+    integer U and AUC = U / (n_pos n_neg) are _binary_auc's. A class whose
+    sorted keys hold a positive and a negative of one value (neighbours that
+    differ in the low bit alone) has a tie, which counts one half, and takes
+    _binary_auc at that point.
+    """
+    n = h_internal.shape[0]
+    aucs = np.empty((len(grid), len(positives)))
+    place = np.arange(n, dtype=np.uint64)
+    step = max(1, AUC_CELLS // n)
+    for start in range(0, len(positives), step):
+        block = positives[start:start + step]
+        columns = [j for j, _ in block]
+        ext, inner = (np.ascontiguousarray(h[:, columns].T) for h in (h_external, h_internal))
+        negative = np.array([~mask for _, mask in block], dtype=np.uint64)
+        n_pos = np.array([np.count_nonzero(mask) for _, mask in block])
+        # sum of all positions, less the negatives', less n_pos (n_pos - 1) / 2
+        u_base = n * (n - 1) // 2 - n_pos * (n_pos - 1) // 2
+        pairs = n_pos * (n - n_pos)
+        blend, part = np.empty_like(ext), np.empty_like(ext)
+        keys = blend.view(np.uint64)
+        neighbours = np.empty((len(block), n - 1), dtype=np.uint64)
+        for g, alpha in enumerate(grid.tolist()):
+            np.multiply(ext, alpha, out=blend)
+            np.multiply(inner, 1.0 - alpha, out=part)
+            blend += part
+            keys <<= 1
+            keys |= negative
+            keys.sort(axis=1)
+            np.bitwise_xor(keys[:, 1:], keys[:, :-1], out=neighbours)
+            tied = np.flatnonzero((neighbours == 1).any(axis=1))
+            keys &= 1
+            aucs[g, start:start + len(block)] = (u_base - (keys @ place).astype(np.int64)) / pairs
+            for i in tied.tolist():
+                j, mask = block[i]
+                blended = alpha * h_external[:, j] + (1.0 - alpha) * h_internal[:, j]
+                aucs[g, start + i] = _binary_auc(blended, mask)
+    return np.mean(aucs, axis=1).tolist()
 
 
 def grid_intervals(grid_step: float) -> int:
@@ -144,8 +216,8 @@ def select_alpha(h_external, h_internal, codes, metric="brier",
     point on the blend alpha * h_external + (1 - alpha) * h_internal and
     keeps the best score, breaking ties toward the smallest alpha.
     """
-    h_external = np.asarray(h_external, dtype=np.float64)
-    h_internal = np.asarray(h_internal, dtype=np.float64)
+    h_external = _probabilities(h_external, "h_external")
+    h_internal = _probabilities(h_internal, "h_internal")
     if h_external.shape != h_internal.shape:
         raise DimensionMismatch("blend inputs must have identical shapes")
     grid = alpha_grid(grid_step)
@@ -154,13 +226,7 @@ def select_alpha(h_external, h_internal, codes, metric="brier",
         better = lambda a, b: a < b
     elif metric == "auc":
         positives = _auc_positives(h_internal.shape, codes)
-        scores = []
-        for alpha in grid:
-            # the last blend stays alive while the next one is built, so the
-            # allocator reuses its pages rather than returning them to the
-            # system and faulting them in again (~10% of the search at n 3,000)
-            blended = alpha * h_external + (1.0 - alpha) * h_internal
-            scores.append(_auc(blended, positives))
+        scores = _auc_curve(h_external, h_internal, positives, grid)
         better = lambda a, b: a > b
     else:
         raise ValueError(f"unknown borrowing metric: {metric!r}")

@@ -230,7 +230,8 @@ def _read_cells(path, columns) -> list[list[str]]:
     columns. Raises MissingColumn for a column the header lacks,
     DuplicateColumn for one it names more than once, and MissingValue for a
     row with more or fewer cells than the header."""
-    with open(path, "r", encoding="utf-8", newline="") as f:
+    # utf-8-sig drops the byte-order mark that spreadsheet programs write
+    with open(path, "r", encoding="utf-8-sig", newline="") as f:
         rows = list(csv.reader(f))
     if not rows:
         raise MissingColumn(f"{path}: empty file, header row required")
@@ -280,6 +281,48 @@ def _group_code(cells, schema: SchemaSpec, row_num, unknown, message) -> int:
     return schema.level_codes[tuple(cells)]
 
 
+def _parse_by_row(rows, schema: SchemaSpec, binaries, covariates, unknown, message):
+    """(group codes, binary block, covariate block) of the rows, one cell at a
+    time: the first bad cell raises, with its row number."""
+    k, b = len(schema.characteristics), len(binaries)
+    n = len(rows)
+    group_codes = np.empty(n, dtype=np.int64)
+    binary = np.empty((n, b), dtype=np.int8)
+    x = np.empty((n, len(covariates)), dtype=np.float64)
+    for i, row in enumerate(rows):
+        row_num = i + 1
+        group_codes[i] = _group_code(row[:k], schema, row_num, unknown, message)
+        binary[i] = [_parse_binary(cell, name, row_num)
+                     for cell, name in zip(row[k:], binaries)]
+        x[i] = [_parse_float(cell, name, row_num)
+                for cell, name in zip(row[k + b:], covariates)]
+    return group_codes, binary, x
+
+
+_BINARY = {"0": 0, "1": 1}
+
+
+def _parse_rows(rows, schema: SchemaSpec, binaries, covariates, unknown, message):
+    """_parse_by_row's arrays, parsed in bulk: one level lookup per row, one
+    float() pass over all covariate cells and one finiteness check. Any failed
+    check hands the rows to _parse_by_row, which names the first bad cell."""
+    k, b = len(schema.characteristics), len(binaries)
+    n = len(rows)
+    group_codes = np.array([schema.level_codes.get(tuple(row[:k]), -1) for row in rows],
+                           dtype=np.int64)
+    binary = np.array([_BINARY.get(cell, -1) for row in rows for cell in row[k:k + b]],
+                      dtype=np.int8)
+    p = len(covariates)
+    try:  # fromiter keeps no list of the floats: the cells' strings are held already
+        x = np.fromiter(map(float, itertools.chain.from_iterable(row[k + b:] for row in rows)),
+                        dtype=np.float64, count=n * p)
+    except ValueError:  # a cell that float() cannot read
+        x = None
+    if x is None or (group_codes < 0).any() or (binary < 0).any() or not np.isfinite(x).all():
+        return _parse_by_row(rows, schema, binaries, covariates, unknown, message)
+    return group_codes, binary.reshape(n, b), x.reshape(n, p)
+
+
 def load_internal(path, schema: SchemaSpec) -> AuditDataset:
     """Load and validate an internal audit CSV against the schema.
 
@@ -290,24 +333,10 @@ def load_internal(path, schema: SchemaSpec) -> AuditDataset:
     rows = _read_cells(path, schema.internal_columns)
     if not rows:
         raise MissingValue(f"{path}: no data rows; an audit needs at least one")
-    k = len(schema.characteristics)
-
-    n = len(rows)
-    group_codes = np.empty(n, dtype=np.int64)
-    d = np.empty(n, dtype=np.int8)
-    y = np.empty(n, dtype=np.int8)
-    s = np.empty(n, dtype=np.int8)
-    x = np.empty((n, len(schema.covariates)), dtype=np.float64)
-
-    for i, row in enumerate(rows):
-        row_num = i + 1
-        group_codes[i] = _group_code(row[:k], schema, row_num, UnknownLevel,
-                                     "unknown level '{cell}' for {char} in row {row}")
-        d[i], y[i], s[i] = [_parse_binary(cell, name, row_num) for cell, name in
-                            zip(row[k:], (schema.treatment, schema.outcome, schema.prediction))]
-        x[i] = [_parse_float(cell, name, row_num)
-                for cell, name in zip(row[k + 3:], schema.covariates)]
-
+    group_codes, binary, x = _parse_rows(
+        rows, schema, (schema.treatment, schema.outcome, schema.prediction), schema.covariates,
+        UnknownLevel, "unknown level '{cell}' for {char} in row {row}")
+    d, y, s = np.ascontiguousarray(binary.T)
     return AuditDataset(schema=schema, group_codes=group_codes, d=d, y=y, s=s, x=x)
 
 
@@ -318,20 +347,9 @@ def load_external(path, schema: SchemaSpec) -> ExternalDataset:
     A header-only file yields an empty (valid) dataset.
     """
     rows = _read_cells(path, schema.external_columns)
-    k = len(schema.characteristics)
-
-    n = len(rows)
-    group_codes = np.empty(n, dtype=np.int64)
-    x = np.empty((n, len(schema.external_covariates)), dtype=np.float64)
-
-    for i, row in enumerate(rows):
-        row_num = i + 1
-        group_codes[i] = _group_code(row[:k], schema, row_num, LevelSetMismatch,
-                                     "external level '{cell}' for {char} in row {row} "
-                                     "not present in the internal schema")
-        x[i] = [_parse_float(cell, name, row_num)
-                for cell, name in zip(row[k:], schema.external_covariates)]
-
+    group_codes, _, x = _parse_rows(
+        rows, schema, (), schema.external_covariates, LevelSetMismatch,
+        "external level '{cell}' for {char} in row {row} not present in the internal schema")
     return ExternalDataset(schema=schema, group_codes=group_codes, x=x)
 
 

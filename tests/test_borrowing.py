@@ -1,9 +1,12 @@
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.stats import rankdata
 
 from cfaudit import borrowing
-from cfaudit.borrowing import (DimensionMismatch, SingleClassLabels,
+from cfaudit.borrowing import (BORROW_METRICS, PROB_MAX, DimensionMismatch, SingleClassLabels,
                                _binary_auc, alpha_grid, brier_score, multiclass_auc,
                                select_alpha)
 
@@ -259,3 +262,100 @@ def test_out_of_range_codes_raise_dimension_mismatch(bad):
     for metric in ("brier", "auc"):
         with pytest.raises(DimensionMismatch):
             select_alpha(h, h.copy(), codes, metric=metric, grid_step=0.5)
+
+
+def auc_case(k, n, seed):
+    """Blend inputs whose AUC curve takes both the sort and the tie path.
+
+    Class 0 has one row and, for k > 2, the last class is absent. The last
+    row repeats row 1's probabilities and label, so equal keys of one class
+    occur at every point; h_internal is rounded to 0.1, so positives tie with
+    negatives at alpha 0; and one column holds -0.0 in both matrices for the
+    rows of one label."""
+    rng = np.random.default_rng(seed)
+    present = k - 1 if k > 2 else k
+    labels = rng.integers(1, present, n)
+    labels[0] = 0
+    h_ext = rng.dirichlet(np.ones(k), size=n)
+    h_int = np.round(rng.dirichlet(np.ones(k), size=n), 1)
+    if n > 2:
+        h_ext[-1], h_int[-1], labels[-1] = h_ext[1], h_int[1], labels[1]
+    signed = labels == labels[-1]
+    h_ext[signed, 0] = h_int[signed, 0] = -0.0
+    return h_ext, h_int, keys(labels)
+
+
+@pytest.mark.parametrize("n", [2, 37, 3000])
+@pytest.mark.parametrize("k", [2, 3, 24, 64, 130])
+def test_auc_curve_is_multiclass_auc_bit_for_bit(k, n, monkeypatch):
+    h_ext, h_int, labels = auc_case(k, n, seed=k * 10_000 + n)
+    grid = alpha_grid(0.02)
+    want = [multiclass_auc(a * h_ext + (1.0 - a) * h_int, labels) for a in grid]
+    classes = len(np.unique(labels))
+    # blocks of the default budget, of one class, and of a size that does not divide the classes
+    budgets = [borrowing.AUC_CELLS, n] + [m * n for m in range(2, classes) if classes % m][:1]
+    tie_path = []
+    binary_auc = borrowing._binary_auc
+    monkeypatch.setattr(borrowing, "_binary_auc",
+                        lambda *args: tie_path.append(1) or binary_auc(*args))
+    for cells in budgets:
+        monkeypatch.setattr(borrowing, "AUC_CELLS", cells)
+        tie_path.clear()
+        blend = select_alpha(h_ext, h_int, labels, metric="auc", grid_step=0.02)
+        assert [a for a, _ in blend.metric_curve] == grid.tolist()
+        assert [score for _, score in blend.metric_curve] == want
+        assert blend.alpha == grid[int(np.argmax(want))]
+        if n > 2:  # ties at alpha 0 only: the sort path scores every other point
+            assert 0 < len(tie_path) <= classes
+
+
+def test_auc_grid_memory_is_bounded_by_the_class_blocks():
+    rng = np.random.default_rng(15)
+    n, k = 3000, 24
+    labels = keys(rng.integers(0, k, n))
+    h_ext = rng.dirichlet(np.ones(k), size=n)
+    h_int = rng.dirichlet(np.ones(k), size=n)
+    select_alpha(h_ext, h_int, labels, metric="auc", grid_step=0.008)  # lazy imports
+    tracemalloc.start()
+    try:
+        select_alpha(h_ext, h_int, labels, metric="auc", grid_step=0.008)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # h_star and one temporary take 2 n K doubles (1.1 MiB). The peak read
+    # 1.18 MiB at 2^14 cells and 3.5 MiB with one block of the whole matrix;
+    # per-point blends of the whole matrix took it to 1.73 MiB
+    assert peak < 2 * n * k * 8 + 4 * borrowing.AUC_CELLS * 8
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1e-300, 1.5,
+                                 np.nextafter(PROB_MAX, 2.0)])
+def test_bad_probability_matrices_raise_before_any_grid_work(bad, monkeypatch):
+    def grid_work(*args):
+        raise AssertionError("the grid ran on a bad probability matrix")
+
+    monkeypatch.setattr(borrowing, "_brier_curve", grid_work)
+    monkeypatch.setattr(borrowing, "_auc_curve", grid_work)
+    rng = np.random.default_rng(16)
+    codes = keys([0, 1, 2, 3, 0, 1])
+    good = rng.dirichlet(np.ones(4), size=len(codes))
+    broken = good.copy()
+    broken[4, 2] = broken[5, 0] = bad
+    message = re.escape(f"row 4, column 2 holds {float(bad)!r}, not a probability")
+    with pytest.raises(ValueError, match=message):
+        brier_score(broken, codes)
+    with pytest.raises(ValueError, match=message):
+        multiclass_auc(broken, codes)
+    for metric in BORROW_METRICS:
+        for pair in ((broken, good), (good, broken)):
+            with pytest.raises(ValueError, match=message):
+                select_alpha(*pair, codes, metric=metric, grid_step=0.01)
+
+
+def test_entries_up_to_an_ulp_above_one_and_negative_zero_are_probabilities():
+    codes = keys([0, 1, 0, 1])
+    probs = np.array([[PROB_MAX, 0.0], [-0.0, 1.0], [0.5, 0.5], [0.25, PROB_MAX]])
+    assert multiclass_auc(probs, codes) == 1.0
+    assert np.isfinite(brier_score(probs, codes))
+    for metric in BORROW_METRICS:
+        select_alpha(probs, probs.copy(), codes, metric=metric, grid_step=0.5)

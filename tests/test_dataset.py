@@ -1,3 +1,7 @@
+import codecs
+import csv
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,8 +9,8 @@ from cfaudit.dataset import (AuditDataset, Characteristic, DataError, DuplicateC
                              ExternalDataset, LevelSetMismatch,
                              MissingColumn, MissingValue,
                              NonBinaryValue, NonNumericValue, SchemaSpec, UnknownLevel,
-                             load_external, load_internal, subgroup_counts,
-                             write_internal)
+                             _parse_by_row, _read_cells, load_external, load_internal,
+                             subgroup_counts, write_internal)
 
 
 def two_char_schema(covs=("x1",)):
@@ -171,6 +175,87 @@ def test_roundtrip_identical(tmp_path):
     assert np.array_equal(back.y, ds.y)
     assert np.array_equal(back.s, ds.s)
     assert np.array_equal(back.x, ds.x)
+
+
+def parsed_by_row(path, schema, columns, binaries, covariates):
+    return _parse_by_row(_read_cells(path, columns), schema, binaries, covariates,
+                         UnknownLevel, "{cell} {char} {row}")
+
+
+def assert_same_arrays(got, want):
+    for g, w in zip(got, want, strict=True):
+        assert g.dtype == w.dtype and g.shape == w.shape and g.flags.c_contiguous
+        assert g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("workload", ["audit-boot", "audit-wide"])
+def test_bulk_parse_equals_the_per_row_parse_on_the_bench_inputs(tmp_path, monkeypatch, workload):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    from workloads import write_inputs
+
+    write_inputs(workload, 1, tmp_path, smoke=True)
+    schema = SchemaSpec.from_json(tmp_path / "schema.json")
+    binaries = (schema.treatment, schema.outcome, schema.prediction)
+    internal = load_internal(tmp_path / "internal.csv", schema)
+    codes, binary, x = parsed_by_row(tmp_path / "internal.csv", schema, schema.internal_columns,
+                                     binaries, schema.covariates)
+    assert_same_arrays((internal.group_codes, internal.d, internal.y, internal.s, internal.x),
+                       (codes, *np.ascontiguousarray(binary.T), x))
+    external = load_external(tmp_path / "external.csv", schema)
+    codes, _, x = parsed_by_row(tmp_path / "external.csv", schema, schema.external_columns,
+                                (), schema.external_covariates)
+    assert_same_arrays((external.group_codes, external.x), (codes, x))
+
+
+LAST_ROW = 30
+
+
+@pytest.mark.parametrize("column,cell,error,message", [
+    ("x2", "abc", NonNumericValue, "non-numeric value 'abc' for x2 in row 30"),
+    ("x1", "inf", NonNumericValue, "non-numeric value 'inf' for x1 in row 30"),
+    ("x2", "", MissingValue, "empty x2 cell in row 30"),
+    ("d", "2", NonBinaryValue, "non-binary value '2' for d in row 30"),
+    ("s", "", MissingValue, "empty s cell in row 30"),
+    ("a2", "9", UnknownLevel, "unknown level '9' for a2 in row 30"),
+    ("a1", "", MissingValue, "empty a1 cell in row 30"),
+])
+def test_a_bad_cell_in_the_last_row_raises_the_per_row_error(tmp_path, column, cell, error,
+                                                             message):
+    schema = two_char_schema(covs=("x1", "x2"))
+    rng = np.random.default_rng(17)
+    ds = random_dataset(schema, rng.integers(0, 4, LAST_ROW), seed=17)
+    for columns, load in ((schema.internal_columns, load_internal),
+                          (schema.external_columns, load_external)):
+        if column not in columns:
+            continue
+        path = tmp_path / f"{load.__name__}.csv"
+        write_internal(ds, path)
+        with open(path, encoding="utf-8", newline="") as f:
+            rows = list(csv.reader(f))
+        header = rows[0]
+        rows[-1][header.index(column)] = cell
+        write_csv(path, header, rows[1:])
+        if load is load_external and error is UnknownLevel:
+            error = LevelSetMismatch
+            message = (f"external level '{cell}' for {column} in row {LAST_ROW} "
+                       "not present in the internal schema")
+        with pytest.raises(error) as raised:
+            load(path, schema)
+        assert str(raised.value) == message
+
+
+def test_loaders_accept_a_utf8_byte_order_mark(tmp_path):
+    schema = two_char_schema(covs=("x1", "x2"))
+    ds = random_dataset(schema, np.arange(12) % 4, seed=18)
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    write_internal(ds, plain)
+    marked.write_bytes(codecs.BOM_UTF8 + plain.read_bytes())
+    want, got = load_internal(plain, schema), load_internal(marked, schema)
+    assert_same_arrays((got.group_codes, got.d, got.y, got.s, got.x),
+                       (want.group_codes, want.d, want.y, want.s, want.x))
+    # the external loader reads only the columns it needs from the same file
+    want, got = load_external(plain, schema), load_external(marked, schema)
+    assert_same_arrays((got.group_codes, got.x), (want.group_codes, want.x))
 
 
 def random_dataset(schema, codes, seed=0):

@@ -125,7 +125,7 @@ def _binary_auc(scores, positives) -> float:
 def _auc_positives(shape, codes) -> list[tuple[int, np.ndarray]]:
     """(column, row mask) for each group code present, checked once."""
     codes = _columns(codes, shape)
-    present = np.unique(codes)
+    present = np.flatnonzero(np.bincount(codes))
     if len(present) < 2:
         raise SingleClassLabels("multiclass AUC needs at least two group codes")
     return [(j, codes == j) for j in present]

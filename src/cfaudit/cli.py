@@ -17,14 +17,13 @@ import numpy as np
 
 from . import __version__
 from .borrowing import BORROW_METRICS, grid_intervals
-from .config import ConfigError, check_at_least, check_choice, decode, encode
+from .config import (ConfigError, check_at_least, check_choice, check_level, decode,
+                     encode)
 from .dataset import (DataError, SchemaSpec, load_external, load_internal,
                       subgroup_counts)
 from .estimators import METRICS, group_label, report_keys
-from .inference import bootstrap_estimates, check_level
 from .models import ModelError
 from .pipeline import PipelineConfig, run_pipeline
-from .simlab import ScenarioConfig, run_scenario, sim_schema
 
 REPORT_SCHEMA_PATH = Path(__file__).with_name("report_schema.json")
 
@@ -109,14 +108,16 @@ def _read_json(path: Path, what: str):
 
 
 def _resolve(base: Path, path: Path) -> Path:
-    return path if path.is_absolute() else (base / path)
+    return (base / path).absolute()  # base / path is path when path is absolute
 
 
 def load_run_config(path, overrides: dict) -> AuditConfig | SimulateConfig:
     """Decode a run config, or the manifest wrapping one, with the CLI
     overrides (out, seed, threads) written in. A seed override is also the
-    seed of a simulate run's scenario. Relative paths resolve against the
-    config file's directory."""
+    seed of a simulate run's scenario. Relative paths in the file resolve
+    against its directory, and a relative out override against the working
+    directory; all of them are made absolute, so a manifest re-runs from
+    anywhere and writes where the run it records wrote."""
     path = Path(path)
     raw = _read_json(path, "config")
     if isinstance(raw, dict) and "config_sha256" in raw and "config" in raw:
@@ -145,7 +146,7 @@ def load_run_config(path, overrides: dict) -> AuditConfig | SimulateConfig:
             cfg.external = _resolve(base, cfg.external)
     else:
         cfg = decode(SimulateConfig, raw)
-    cfg.out = _resolve(base, cfg.out)
+    cfg.out = _resolve(base if overrides.get("out") is None else Path(), cfg.out)
     return cfg
 
 
@@ -169,6 +170,12 @@ def _scenario_points(scenario: dict, seed: int) -> tuple[dict, list]:
                 and all(isinstance(v, (int, float)) for v in values)):
             raise ConfigError(f"scenario.sweep.{name}: expected a non-empty list of "
                               f"numbers or booleans, got {values!r}")
+        repeated = [v for i, v in enumerate(values) if v in values[:i]]
+        if repeated:  # its points' rows could not be told apart
+            raise ConfigError(f"scenario.sweep.{name}: {repeated[0]!r} appears more "
+                              f"than once in {values!r}")
+    from .simlab import ScenarioConfig  # here so audits skip the simulation lab
+
     base = decode(ScenarioConfig, raw, "scenario")
     resolved = encode(base)
     if raw.get("coefficients") is None:
@@ -249,6 +256,8 @@ def cmd_audit(cfg: AuditConfig) -> int:
     result = run_pipeline(internal, external, pipeline, cfg.seed)
     intervals = {}
     if cfg.bootstrap.B:
+        from .inference import bootstrap_estimates  # here so point-only audits skip it
+
         intervals = bootstrap_estimates(internal, external, pipeline,
                                         B=cfg.bootstrap.B, seed=cfg.seed,
                                         level=cfg.bootstrap.level, n_jobs=cfg.threads)
@@ -319,6 +328,8 @@ def cmd_audit(cfg: AuditConfig) -> int:
 
 
 def cmd_simulate(cfg: SimulateConfig) -> int:
+    from .simlab import run_scenario, sim_schema  # here so audits skip the simulation lab
+
     scenario, points = _scenario_points(cfg.scenario, cfg.seed)
     sweep_names = sorted(points[0][0])
     results = [(point, run_scenario(config, n_jobs=cfg.threads)) for point, config in points]

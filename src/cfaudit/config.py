@@ -35,6 +35,19 @@ def check_at_least(name: str, value, low) -> None:
         raise ValueError(f"{name} must be at least {low}; got {value!r}")
 
 
+def check_level(level: float) -> float:
+    """The upper quantile point q = 1 - (1 - level) / 2 of a two-sided
+    interval. ValueError unless level lies in (0, 1) and q rounds strictly
+    between 1/2 and 1: within about 2^-53 of 0 or 1 it does not, and the
+    t multiplier would be 0 or inf, turning every interval into a point or
+    into [0, 1]."""
+    q = 1.0 - (1.0 - level) / 2.0
+    if not (0.0 < level < 1.0 and 0.5 < q < 1.0):
+        raise ValueError(f"level must lie in (0, 1), with 1 - (1 - level) / 2 "
+                         f"strictly between 1/2 and 1 as a float; got {level!r}")
+    return q
+
+
 def encode(value):
     """The JSON form of a config dataclass, or of a value inside one."""
     if dataclasses.is_dataclass(value):

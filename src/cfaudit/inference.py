@@ -18,6 +18,7 @@ from decimal import Decimal
 
 import numpy as np
 
+from .config import check_level
 from .dataset import AuditDataset, ExternalDataset
 from .pipeline import PipelineConfig, map_tasks, run_cells, run_pipeline
 
@@ -93,19 +94,6 @@ def _t_start(nu: int, q: float) -> float:
     z += (0.5 * math.erfc(z / math.sqrt(2.0)) - tail) / (
         math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi))
     return z + (z * z + 1.0) * z / (4.0 * nu)
-
-
-def check_level(level: float) -> float:
-    """The upper quantile point q = 1 - (1 - level) / 2 of a two-sided
-    interval. ValueError unless level lies in (0, 1) and q rounds strictly
-    between 1/2 and 1: within about 2^-53 of 0 or 1 it does not, and the
-    t multiplier would be 0 or inf, turning every interval into a point or
-    into [0, 1]."""
-    q = 1.0 - (1.0 - level) / 2.0
-    if not (0.0 < level < 1.0 and 0.5 < q < 1.0):
-        raise ValueError(f"level must lie in (0, 1), with 1 - (1 - level) / 2 "
-                         f"strictly between 1/2 and 1 as a float; got {level!r}")
-    return q
 
 
 def _t_multiplier(B: int, level: float) -> float:

@@ -316,6 +316,42 @@ def test_simulate_rerun_from_manifest_byte_identical(tmp_path):
         assert (tmp_path / "again" / name).read_bytes() == blob
 
 
+def test_relative_paths_resolve_once_and_the_manifest_reruns_from_anywhere(
+        tmp_path, monkeypatch):
+    # paths in a config resolve against its directory and --out against the
+    # working directory; the manifest records them as absolute paths
+    sub = tmp_path / "sub"
+    sub.mkdir()
+    make_audit_files(sub)
+    audit_config(sub)
+    monkeypatch.chdir(tmp_path)
+    here = Path.cwd()
+    assert main(["--config", "sub/run.json", "--out", "o5"]) == 0
+    assert not (sub / "o5").exists()
+    config = json.loads((here / "o5" / "manifest.json").read_text())["config"]
+    assert [config[key] for key in ("internal", "external", "schema", "out")] == [
+        str(here / "sub" / name) for name in ("internal.csv", "external.csv", "schema.json")
+    ] + [str(here / "o5")]
+    monkeypatch.chdir(sub)
+    assert main(["--config", "../o5/manifest.json", "--out", "o6"]) == 0
+    for name in ("report.json", "report.csv"):
+        assert (here / "sub" / "o6" / name).read_bytes() == (here / "o5" / name).read_bytes()
+
+
+def test_a_manifest_rerun_without_out_writes_where_its_run_wrote(tmp_path, monkeypatch):
+    simulate_config(tmp_path, scenario_dict(replications=1))
+    monkeypatch.chdir(tmp_path)
+    assert main(["--config", "sim.json"]) == 0
+    out = Path.cwd() / "simout"
+    first = {name: (out / name).read_bytes() for name in ("replications.csv", "aggregate.csv")}
+    for name in first:
+        (out / name).unlink()
+    assert main(["--config", "simout/manifest.json"]) == 0
+    assert not (out / "simout").exists()
+    for name, blob in first.items():
+        assert (out / name).read_bytes() == blob
+
+
 def test_seed_flag_is_the_seed_of_a_scenario_that_sets_its_own(tmp_path):
     cfgpath = simulate_config(tmp_path, scenario_dict(replications=1, seed=3))
     for seed in (1, 2):
@@ -393,6 +429,55 @@ def test_a_bootstrap_audit_loads_no_scipy_module(tmp_path):
     assert read_report(tmp_path)["estimates"][0]["B"] == 3
 
 
+# Modules that an audit without a bootstrap never runs: the simulation lab,
+# the bootstrap with its decimal t quantile, and numpy.ma, which a plain
+# np.unique call imports.
+UNUSED_BY_AUDITS = ("cfaudit.simlab", "cfaudit.inference", "decimal", "numpy.ma")
+
+
+def loaded_modules(code: str, *args, cwd=None) -> set[str]:
+    """The cfaudit submodules and UNUSED_BY_AUDITS modules that a fresh
+    interpreter holds after running code with args, read at exit so that a
+    SystemExit, as from --help, still reports them."""
+    report = ("import atexit, json, sys\n"
+              "atexit.register(lambda: print(json.dumps(sorted(m for m in sys.modules if "
+              f"m.startswith('cfaudit.') or m in {UNUSED_BY_AUDITS!r}))))\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", report + code, *args],
+        capture_output=True, text=True, timeout=120, cwd=cwd,
+        env={**os.environ, "PYTHONPATH": str(Path(cfaudit.__file__).resolve().parents[1])})
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def test_importing_the_package_loads_no_submodule():
+    assert loaded_modules("import cfaudit") == set()
+
+
+@pytest.mark.parametrize("command,unused", [
+    ("--help", UNUSED_BY_AUDITS),
+    ("auc audit", UNUSED_BY_AUDITS),
+    ("brier bootstrap audit", ("cfaudit.simlab",)),
+])
+def test_a_command_loads_none_of_the_modules_it_does_not_run(tmp_path, command, unused):
+    args = [command]
+    if command != "--help":
+        make_audit_files(tmp_path, n_internal=100, n_external=200)
+        metric = command.split()[0]
+        b = 3 if "bootstrap" in command else 0
+        config = audit_config(tmp_path, bootstrap_b=b, borrowing={
+            "enabled": True, "metric": metric, "grid_step": 0.05})
+        args = ["--config", str(config)]
+    loaded = loaded_modules("from cfaudit.cli import main\nsys.exit(main())", *args,
+                            cwd=tmp_path)
+    assert "cfaudit.cli" in loaded
+    assert loaded & set(unused) == set()
+    if command != "--help":
+        report = read_report(tmp_path)
+        assert report["borrow_metric"] == metric
+        assert report["estimates"][0].get("B") == (b or None)
+
+
 def set_key(config: dict, dotted: str, value):
     """Set the dotted key path of a JSON config, creating objects on the way."""
     *parents, last = dotted.split(".")
@@ -455,6 +540,7 @@ def test_bad_audit_config_exits_2_before_any_fit(tmp_path, monkeypatch, capsys,
     ("scenario.sweep", {"n_intenral": [50, 80]}, "unknown key scenario.sweep.n_intenral"),
     ("scenario.sweep", {"pipeline": [{}]}, "scenario.sweep.pipeline"),
     ("scenario.sweep", {"b": []}, "scenario.sweep.b"),
+    ("scenario.sweep", {"b": [0.5, 1.0, 0.5]}, "scenario.sweep.b: 0.5 appears more than once"),
     ("scenario.n_trees", 0, "n_trees must be at least 1; got 0"),
     ("scenario.n_trees", -3, "n_trees must be at least 1; got -3"),
     ("scenario.max_depth", 0, "max_depth must be at least 1; got 0"),

@@ -301,26 +301,56 @@ def _parse_by_row(rows, schema: SchemaSpec, binaries, covariates, unknown, messa
 
 _BINARY = {"0": 0, "1": 1}
 
+# Data rows per parse chunk: a load holds one chunk's cell strings at a time,
+# so its memory is the arrays plus a chunk, not the whole file's text.
+CHUNK_ROWS = 1 << 9
 
-def _parse_rows(rows, schema: SchemaSpec, binaries, covariates, unknown, message):
-    """_parse_by_row's arrays, parsed in bulk: one level lookup per row, one
-    float() pass over all covariate cells and one finiteness check. Any failed
-    check hands the rows to _parse_by_row, which names the first bad cell."""
-    k, b = len(schema.characteristics), len(binaries)
-    n = len(rows)
-    group_codes = np.array([schema.level_codes.get(tuple(row[:k]), -1) for row in rows],
-                           dtype=np.int64)
-    binary = np.array([_BINARY.get(cell, -1) for row in rows for cell in row[k:k + b]],
-                      dtype=np.int8)
-    p = len(covariates)
-    try:  # fromiter keeps no list of the floats: the cells' strings are held already
-        x = np.fromiter(map(float, itertools.chain.from_iterable(row[k + b:] for row in rows)),
-                        dtype=np.float64, count=n * p)
-    except ValueError:  # a cell that float() cannot read
-        x = None
-    if x is None or (group_codes < 0).any() or (binary < 0).any() or not np.isfinite(x).all():
-        return _parse_by_row(rows, schema, binaries, covariates, unknown, message)
-    return group_codes, binary.reshape(n, b), x.reshape(n, p)
+
+def _parse_chunks(path, columns, schema: SchemaSpec, b: int, p: int):
+    """_parse_by_row's arrays for the file at path, read CHUNK_ROWS rows at a
+    time; each chunk is parsed in bulk with one level lookup per row, one
+    float() pass over its covariate cells and one finiteness check. Returns
+    None at the first anomaly (a bad header, a row of the wrong width, a bad
+    cell) and for a file with no data rows: _read_cells and _parse_by_row then
+    read the file again and raise the error naming the first bad cell."""
+    k, level = len(schema.characteristics), schema.level_codes.get
+    codes, binary, x = [], [], []
+    with open(path, "r", encoding="utf-8-sig", newline="") as f:
+        reader = csv.reader(f)
+        header = next(reader, [])
+        if any(header.count(name) != 1 for name in columns):
+            return None
+        width, pos = len(header), [header.index(name) for name in columns]
+        while chunk := list(itertools.islice(reader, CHUNK_ROWS)):
+            if any(len(row) != width for row in chunk):
+                return None
+            rows = [[row[i].strip() for i in pos] for row in chunk]
+            n = len(rows)
+            codes.append(np.array([level(tuple(row[:k]), -1) for row in rows], dtype=np.int64))
+            binary.append(np.array([_BINARY.get(cell, -1) for row in rows
+                                    for cell in row[k:k + b]], dtype=np.int8).reshape(n, b))
+            try:  # fromiter keeps no list of the floats
+                x.append(np.fromiter(
+                    map(float, itertools.chain.from_iterable(row[k + b:] for row in rows)),
+                    dtype=np.float64, count=n * p).reshape(n, p))
+            except ValueError:  # a cell that float() cannot read
+                return None
+            if (codes[-1] < 0).any() or (binary[-1] < 0).any() or not np.isfinite(x[-1]).all():
+                return None
+    if not codes:
+        return None
+    return np.concatenate(codes), np.concatenate(binary), np.concatenate(x)
+
+
+def _load(path, columns, schema: SchemaSpec, binaries, covariates, unknown, message):
+    """(group codes, binary block, covariate block) of a CSV file: parsed in
+    chunks, or row by row when a chunk finds an anomaly, so that an error
+    names the first bad cell and its row."""
+    arrays = _parse_chunks(path, columns, schema, len(binaries), len(covariates))
+    if arrays is None:
+        arrays = _parse_by_row(_read_cells(path, columns), schema, binaries, covariates,
+                               unknown, message)
+    return arrays
 
 
 def load_internal(path, schema: SchemaSpec) -> AuditDataset:
@@ -330,12 +360,12 @@ def load_internal(path, schema: SchemaSpec) -> AuditDataset:
     NonNumericValue with the offending row number (1-based, header excluded),
     and MissingValue for a file with no data rows.
     """
-    rows = _read_cells(path, schema.internal_columns)
-    if not rows:
-        raise MissingValue(f"{path}: no data rows; an audit needs at least one")
-    group_codes, binary, x = _parse_rows(
-        rows, schema, (schema.treatment, schema.outcome, schema.prediction), schema.covariates,
+    group_codes, binary, x = _load(
+        path, schema.internal_columns, schema,
+        (schema.treatment, schema.outcome, schema.prediction), schema.covariates,
         UnknownLevel, "unknown level '{cell}' for {char} in row {row}")
+    if not len(group_codes):
+        raise MissingValue(f"{path}: no data rows; an audit needs at least one")
     d, y, s = np.ascontiguousarray(binary.T)
     return AuditDataset(schema=schema, group_codes=group_codes, d=d, y=y, s=s, x=x)
 
@@ -346,9 +376,9 @@ def load_external(path, schema: SchemaSpec) -> ExternalDataset:
     A group label absent from the internal schema raises LevelSetMismatch.
     A header-only file yields an empty (valid) dataset.
     """
-    rows = _read_cells(path, schema.external_columns)
-    group_codes, _, x = _parse_rows(
-        rows, schema, (), schema.external_covariates, LevelSetMismatch,
+    group_codes, _, x = _load(
+        path, schema.external_columns, schema, (), schema.external_covariates,
+        LevelSetMismatch,
         "external level '{cell}' for {char} in row {row} not present in the internal schema")
     return ExternalDataset(schema=schema, group_codes=group_codes, x=x)
 

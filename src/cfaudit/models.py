@@ -440,8 +440,9 @@ def membership_probs(x, group_codes, x_eval, n_groups: int, config: MulticlassCo
     """
     try:
         model = fit_multiclass(x, group_codes, config, seed)
-    except DegenerateLabels:
-        classes = np.unique(group_codes)
+    except DegenerateLabels:  # bincount, unlike a plain np.unique, needs no numpy.ma
+        classes = np.flatnonzero(np.bincount(_check_codes(group_codes, n_groups,
+                                                          DimensionMismatch)))
         raw = np.ones((len(x_eval), len(classes)))
     else:
         classes, raw = model.classes, predict_multiclass(model, x_eval)

@@ -1,10 +1,12 @@
 import codecs
 import csv
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from cfaudit import dataset
 from cfaudit.dataset import (AuditDataset, Characteristic, DataError, DuplicateColumn,
                              ExternalDataset, LevelSetMismatch,
                              MissingColumn, MissingValue,
@@ -188,12 +190,24 @@ def assert_same_arrays(got, want):
         assert g.tobytes() == w.tobytes()
 
 
-@pytest.mark.parametrize("workload", ["audit-boot", "audit-wide"])
-def test_bulk_parse_equals_the_per_row_parse_on_the_bench_inputs(tmp_path, monkeypatch, workload):
+@pytest.mark.parametrize("workload,smoke,chunk_rows", [
+    pytest.param("audit-boot", True, None, id="audit-boot"),
+    pytest.param("audit-wide", True, None, id="audit-wide"),
+    # audit-boot's smoke files fit in one chunk of the default size; these cross chunks
+    pytest.param("audit-boot", True, 1, id="audit-boot-chunk1"),
+    pytest.param("audit-wide", True, 1, id="audit-wide-chunk1"),
+    pytest.param("audit-boot", True, 7, id="audit-boot-chunk7"),
+    pytest.param("audit-wide", True, 7, id="audit-wide-chunk7"),
+    pytest.param("audit-wide", False, None, id="audit-wide-full"),
+])
+def test_bulk_parse_equals_the_per_row_parse_on_the_bench_inputs(tmp_path, monkeypatch, workload,
+                                                                 smoke, chunk_rows):
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
     from workloads import write_inputs
 
-    write_inputs(workload, 1, tmp_path, smoke=True)
+    if chunk_rows is not None:
+        monkeypatch.setattr(dataset, "CHUNK_ROWS", chunk_rows)
+    write_inputs(workload, 1, tmp_path, smoke=smoke)
     schema = SchemaSpec.from_json(tmp_path / "schema.json")
     binaries = (schema.treatment, schema.outcome, schema.prediction)
     internal = load_internal(tmp_path / "internal.csv", schema)
@@ -256,6 +270,155 @@ def test_loaders_accept_a_utf8_byte_order_mark(tmp_path):
     # the external loader reads only the columns it needs from the same file
     want, got = load_external(plain, schema), load_external(marked, schema)
     assert_same_arrays((got.group_codes, got.x), (want.group_codes, want.x))
+
+
+def load_peak(path, schema) -> int:
+    """tracemalloc peak, in bytes, of one load_internal call."""
+    tracemalloc.start()
+    try:
+        load_internal(path, schema)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_loading_memory_is_the_arrays_plus_one_chunk(tmp_path):
+    schema = two_char_schema(covs=tuple(f"x{j}" for j in range(10)))
+    ds = random_dataset(schema, np.arange(20_000) % 4, seed=19)
+    path, chunk = tmp_path / "internal.csv", tmp_path / "chunk.csv"
+    write_internal(ds, path)
+    write_internal(ds.take(np.arange(dataset.CHUNK_ROWS)), chunk)
+    chunk_peak = load_peak(chunk, schema)  # also the warm-up call
+    loaded = load_internal(path, schema)
+    array_bytes = sum(a.nbytes for a in (loaded.group_codes, loaded.d, loaded.y, loaded.s,
+                                         loaded.x))
+    # the chunk arrays and their concatenation, plus one chunk's strings;
+    # holding every row's cell strings at once takes about ten times the arrays
+    assert load_peak(path, schema) < 3 * array_bytes + chunk_peak
+
+
+CHUNK = 7  # rows per parse chunk in the cross-chunk cases below
+
+
+@pytest.fixture
+def small_chunks(monkeypatch):
+    monkeypatch.setattr(dataset, "CHUNK_ROWS", CHUNK)
+
+
+def loaders_with_columns(schema):
+    return ((load_internal, schema.internal_columns), (load_external, schema.external_columns))
+
+
+def write_cells(path, ds, edits=(), lineterminator="\n"):
+    """Write ds as an internal CSV, then set the cells edits names as
+    (row, column, cell), rows counted from 1, or cut or pad a row to n cells
+    with (row, None, n)."""
+    write_internal(ds, path)
+    with open(path, encoding="utf-8", newline="") as f:
+        header, *rows = csv.reader(f)
+    for row, column, cell in edits:
+        if column is None:
+            rows[row - 1] = (rows[row - 1] + ["0"] * cell)[:cell]
+        else:
+            rows[row - 1][header.index(column)] = cell
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        csv.writer(f, lineterminator=lineterminator).writerows([header, *rows])
+
+
+@pytest.mark.parametrize("cells", [3, 8])
+@pytest.mark.parametrize("earlier", [[], [(2, "x1", "abc")]], ids=["alone", "after-a-bad-cell"])
+def test_a_row_of_the_wrong_width_in_a_later_chunk_wins(tmp_path, small_chunks, cells, earlier):
+    schema = two_char_schema(covs=("x1", "x2"))
+    ds = random_dataset(schema, np.arange(4 * CHUNK) % 4, seed=20)
+    path = tmp_path / "bad.csv"
+    for row in (2 * CHUNK + 1, 3 * CHUNK):
+        write_cells(path, ds, [*earlier, (row, None, cells)])
+        for load, _ in loaders_with_columns(schema):
+            with pytest.raises(MissingValue) as raised:
+                load(path, schema)
+            assert str(raised.value) == f"row {row} has {cells} cells; the header has 7"
+
+
+LAST = 3 * CHUNK + 2  # rows of the file in the chunk-edge cases; the last chunk is short
+
+
+@pytest.mark.parametrize("row", [CHUNK, CHUNK + 1, 2 * CHUNK, 2 * CHUNK + 1, LAST])
+@pytest.mark.parametrize("column,cell,error,message", [
+    ("x2", "abc", NonNumericValue, "non-numeric value 'abc' for x2 in row {row}"),
+    ("x1", "nan", NonNumericValue, "non-numeric value 'nan' for x1 in row {row}"),
+    ("x1", "", MissingValue, "empty x1 cell in row {row}"),
+    ("y", "1.0", NonBinaryValue, "non-binary value '1.0' for y in row {row}"),
+    ("a2", "9", UnknownLevel, "unknown level '9' for a2 in row {row}"),
+])
+def test_a_bad_cell_at_a_chunk_edge_raises_the_per_row_error(tmp_path, small_chunks, row, column,
+                                                             cell, error, message):
+    schema = two_char_schema(covs=("x1", "x2"))
+    ds = random_dataset(schema, np.arange(LAST) % 4, seed=21)
+    path = tmp_path / "bad.csv"
+    edits = [(row, column, cell)]
+    if row < LAST:
+        edits.append((LAST, "x2", "late"))  # a later bad cell: the first one is named
+    write_cells(path, ds, edits)
+    for load, columns in loaders_with_columns(schema):
+        if column not in columns:
+            continue
+        if load is load_external and error is UnknownLevel:
+            error = LevelSetMismatch
+            message = ("external level '{cell}' for {column} in row {row} "
+                       "not present in the internal schema")
+        with pytest.raises(error) as raised:
+            load(path, schema)
+        assert str(raised.value) == message.format(row=row, cell=cell, column=column)
+
+
+def test_quoted_cells_holding_commas_across_chunks(tmp_path, small_chunks):
+    schema = SchemaSpec(characteristics=(Characteristic("a1", ("0", "1,2")),
+                                         Characteristic("a2", ("a, b", "c"))),
+                        treatment="d", outcome="y", prediction="s", covariates=("x1", "x2"))
+    ds = random_dataset(schema, np.arange(3 * CHUNK) % 4, seed=22)
+    path = tmp_path / "quoted.csv"
+    write_cells(path, ds)
+    assert '"1,2"' in path.read_text(encoding="utf-8")
+    for load, columns in loaders_with_columns(schema):
+        b = 3 if load is load_internal else 0
+        codes, _, x = parsed_by_row(path, schema, columns, columns[2:2 + b], columns[2 + b:])
+        got = load(path, schema)
+        assert_same_arrays((got.group_codes, got.x), (codes, x))
+    write_cells(path, ds, [(CHUNK + 1, "x2", "1,5")])
+    with pytest.raises(NonNumericValue) as raised:
+        load_internal(path, schema)
+    assert str(raised.value) == f"non-numeric value '1,5' for x2 in row {CHUNK + 1}"
+
+
+def test_crlf_line_ends_load_as_lf_ones(tmp_path, small_chunks):
+    schema = two_char_schema(covs=("x1", "x2"))
+    ds = random_dataset(schema, np.arange(2 * CHUNK + 3) % 4, seed=23)
+    lf, crlf = tmp_path / "lf.csv", tmp_path / "crlf.csv"
+    write_cells(lf, ds)
+    write_cells(crlf, ds, lineterminator="\r\n")
+    assert crlf.read_bytes() == lf.read_bytes().replace(b"\n", b"\r\n")
+    want, got = load_internal(lf, schema), load_internal(crlf, schema)
+    assert_same_arrays((got.group_codes, got.d, got.y, got.s, got.x),
+                       (want.group_codes, want.d, want.y, want.s, want.x))
+    write_cells(crlf, ds, [(CHUNK + 1, "s", "")], lineterminator="\r\n")
+    with pytest.raises(MissingValue) as raised:
+        load_internal(crlf, schema)
+    assert str(raised.value) == f"empty s cell in row {CHUNK + 1}"
+
+
+def test_header_only_files(tmp_path, small_chunks):
+    schema = two_char_schema(covs=("x1", "x2"))
+    path = tmp_path / "header.csv"
+    write_csv(path, schema.internal_columns, [])
+    external = load_external(path, schema)
+    assert external.group_codes.shape == (0,) and external.x.shape == (0, 2)
+    with pytest.raises(MissingValue) as raised:
+        load_internal(path, schema)
+    assert str(raised.value) == f"{path}: no data rows; an audit needs at least one"
+    # a missing column still comes first
+    write_csv(path, schema.internal_columns[:-1], [])
+    with pytest.raises(MissingColumn, match="missing column 'x2'"):
+        load_internal(path, schema)
 
 
 def random_dataset(schema, codes, seed=0):

@@ -53,6 +53,49 @@ def test_no_module_imports_a_name_it_does_not_use():
     assert unused == []
 
 
+def referenced_names(tree: ast.AST) -> set[str]:
+    """The names, attribute names and imported names in a syntax tree."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def dead_private_functions(sources: dict[str, str]) -> list[str]:
+    """"file: name" of each module-level private function in sources, a map of
+    file name to text, that no statement but its own definition references as
+    a name, an attribute or an imported name."""
+    statements = [(file, node) for file, source in sources.items()
+                  for node in ast.parse(source).body]
+    used = [referenced_names(statement) for _, statement in statements]
+    return [f"{file}: {node.name}" for i, (file, node) in enumerate(statements)
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+            and not node.name.startswith("__")
+            and not any(node.name in names for j, names in enumerate(used) if j != i)]
+
+
+def test_dead_private_functions_are_found():
+    sources = {
+        "a.py": ("def _imported():\n    pass\n\ndef _recursive(n):\n    return _recursive(n)\n\n"
+                 "def _by_attribute():\n    pass\n\ndef __dunder__():\n    pass\n\n"
+                 "def public():\n    pass\n"),
+        "b.py": "import a\nfrom a import _imported\nf = a._by_attribute\n",
+    }
+    assert dead_private_functions(sources) == ["a.py: _recursive"]
+
+
+def test_every_private_function_of_the_package_has_a_caller():
+    files = sorted((ROOT / "src").rglob("*.py"))
+    assert len(files) > 5
+    sources = {str(path.relative_to(ROOT)): path.read_text(encoding="utf-8") for path in files}
+    assert dead_private_functions(sources) == []
+
+
 def test_third_party_imports_are_found():
     source = ("from __future__ import annotations\nimport os, numpy.linalg\n"
               "from . import models\n"

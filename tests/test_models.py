@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import cfaudit
 from cfaudit.dataset import AuditDataset, Characteristic, SchemaSpec
 from cfaudit.models import (PROB_EPS, BinarySpec, DegenerateLabels, DimensionMismatch,
                             InfeasibleFolds, MulticlassConfig, NuisanceSpec,
@@ -194,6 +200,24 @@ def test_membership_probs_predicts_rows_other_than_its_training_rows():
     assert not np.array_equal(probs, membership_probs(x, codes, x, 5, config, seed=7)[:35])
     single = membership_probs(x, np.full(80, 4), x_eval, 5, config)
     assert single.shape == (35, 5) and np.all(np.argmax(single, axis=1) == 4)
+
+
+def test_the_one_code_fallback_checks_codes_and_loads_no_numpy_ma():
+    x = np.zeros((6, 2))
+    with pytest.raises(DimensionMismatch, match=r"got -1\.\.-1"):
+        membership_probs(x, np.full(6, -1), x, 4, MulticlassConfig())
+    # a plain np.unique imports numpy.ma, 10-14 ms of every process that calls it
+    code = ("import sys, numpy as np\n"
+            "from cfaudit.models import MulticlassConfig, membership_probs\n"
+            "x = np.zeros((6, 2))\n"
+            "before = 'numpy.ma' in sys.modules\n"
+            "probs = membership_probs(x, np.full(6, 2), x, 4, MulticlassConfig())\n"
+            "print(before, 'numpy.ma' in sys.modules, *probs.argmax(axis=1))\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(Path(cfaudit.__file__).resolve().parents[1])})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "False"] + ["2"] * 6
 
 
 # Plain-numpy references: axis=1 row reductions and fresh arrays every epoch.

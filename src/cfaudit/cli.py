@@ -98,9 +98,14 @@ class SimulateConfig(RunConfig):
 
 
 def _read_json(path: Path, what: str):
+    """The file's JSON value. NaN and Infinity, which json.load accepts and
+    the strict JSON outputs cannot hold, raise ConfigError."""
+    def non_finite(name):
+        raise ConfigError(f"{what} is not valid JSON: {name} is not a JSON number")
+
     try:
         with open(path, "r", encoding="utf-8") as f:
-            return json.load(f)
+            return json.load(f, parse_constant=non_finite)
     except FileNotFoundError:
         raise ConfigError(f"{what} file not found: {path}") from None
     except json.JSONDecodeError as err:

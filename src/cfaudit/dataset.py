@@ -225,30 +225,6 @@ class ExternalDataset:
         return len(self.group_codes)
 
 
-def _read_cells(path, columns) -> list[list[str]]:
-    """The stripped cells of each data row of a CSV file, in the order of
-    columns. Raises MissingColumn for a column the header lacks,
-    DuplicateColumn for one it names more than once, and MissingValue for a
-    row with more or fewer cells than the header."""
-    # utf-8-sig drops the byte-order mark that spreadsheet programs write
-    with open(path, "r", encoding="utf-8-sig", newline="") as f:
-        rows = list(csv.reader(f))
-    if not rows:
-        raise MissingColumn(f"{path}: empty file, header row required")
-    header = rows[0]
-    for name in columns:
-        if name not in header:
-            raise MissingColumn(f"{path}: missing column '{name}'")
-        if header.count(name) > 1:
-            raise DuplicateColumn(f"{path}: the header names column '{name}' more than once")
-    for row_num, row in enumerate(rows[1:], 1):
-        if len(row) != len(header):
-            raise MissingValue(f"row {row_num} has {len(row)} cells; "
-                               f"the header has {len(header)}")
-    pos = [header.index(name) for name in columns]
-    return [[row[p].strip() for p in pos] for row in rows[1:]]
-
-
 def _parse_binary(cell, column, row_num):
     if cell == "":
         raise MissingValue(f"empty {column} cell in row {row_num}")
@@ -281,16 +257,16 @@ def _group_code(cells, schema: SchemaSpec, row_num, unknown, message) -> int:
     return schema.level_codes[tuple(cells)]
 
 
-def _parse_by_row(rows, schema: SchemaSpec, binaries, covariates, unknown, message):
-    """(group codes, binary block, covariate block) of the rows, one cell at a
-    time: the first bad cell raises, with its row number."""
+def _parse_by_row(first, rows, schema: SchemaSpec, binaries, covariates, unknown, message):
+    """(group codes, binary block, covariate block) of the rows, numbered from
+    first, one cell at a time: the first bad cell raises, with its row number."""
     k, b = len(schema.characteristics), len(binaries)
     n = len(rows)
     group_codes = np.empty(n, dtype=np.int64)
     binary = np.empty((n, b), dtype=np.int8)
     x = np.empty((n, len(covariates)), dtype=np.float64)
     for i, row in enumerate(rows):
-        row_num = i + 1
+        row_num = first + i
         group_codes[i] = _group_code(row[:k], schema, row_num, unknown, message)
         binary[i] = [_parse_binary(cell, name, row_num)
                      for cell, name in zip(row[k:], binaries)]
@@ -306,59 +282,82 @@ _BINARY = {"0": 0, "1": 1}
 CHUNK_ROWS = 1 << 9
 
 
-def _parse_chunks(path, columns, schema: SchemaSpec, b: int, p: int):
-    """_parse_by_row's arrays for the file at path, read CHUNK_ROWS rows at a
-    time; each chunk is parsed in bulk with one level lookup per row, one
-    float() pass over its covariate cells and one finiteness check. Returns
-    None at the first anomaly (a bad header, a row of the wrong width, a bad
-    cell) and for a file with no data rows: _read_cells and _parse_by_row then
-    read the file again and raise the error naming the first bad cell."""
-    k, level = len(schema.characteristics), schema.level_codes.get
-    codes, binary, x = [], [], []
+def _row_chunks(path, columns):
+    """(first row number, stripped cells in the order of columns) for each
+    CHUNK_ROWS data rows of a CSV file, rows counted from 1 after the header.
+    Raises MissingColumn for an empty file or a column the header lacks,
+    DuplicateColumn for one it names more than once, and MissingValue at the
+    first row with more or fewer cells than the header."""
+    # utf-8-sig drops the byte-order mark that spreadsheet programs write
     with open(path, "r", encoding="utf-8-sig", newline="") as f:
         reader = csv.reader(f)
-        header = next(reader, [])
-        if any(header.count(name) != 1 for name in columns):
-            return None
+        header = next(reader, None)
+        if header is None:
+            raise MissingColumn(f"{path}: empty file, header row required")
+        for name in columns:
+            if name not in header:
+                raise MissingColumn(f"{path}: missing column '{name}'")
+            if header.count(name) > 1:
+                raise DuplicateColumn(f"{path}: the header names column '{name}' more than once")
         width, pos = len(header), [header.index(name) for name in columns]
+        first = 1
         while chunk := list(itertools.islice(reader, CHUNK_ROWS)):
-            if any(len(row) != width for row in chunk):
-                return None
-            rows = [[row[i].strip() for i in pos] for row in chunk]
-            n = len(rows)
-            codes.append(np.array([level(tuple(row[:k]), -1) for row in rows], dtype=np.int64))
-            binary.append(np.array([_BINARY.get(cell, -1) for row in rows
-                                    for cell in row[k:k + b]], dtype=np.int8).reshape(n, b))
-            try:  # fromiter keeps no list of the floats
-                x.append(np.fromiter(
-                    map(float, itertools.chain.from_iterable(row[k + b:] for row in rows)),
-                    dtype=np.float64, count=n * p).reshape(n, p))
-            except ValueError:  # a cell that float() cannot read
-                return None
-            if (codes[-1] < 0).any() or (binary[-1] < 0).any() or not np.isfinite(x[-1]).all():
-                return None
-    if not codes:
-        return None
-    return np.concatenate(codes), np.concatenate(binary), np.concatenate(x)
+            for row_num, row in enumerate(chunk, first):
+                if len(row) != width:
+                    raise MissingValue(f"row {row_num} has {len(row)} cells; "
+                                       f"the header has {width}")
+            yield first, [[row[i].strip() for i in pos] for row in chunk]
+            first += len(chunk)
 
 
 def _load(path, columns, schema: SchemaSpec, binaries, covariates, unknown, message):
-    """(group codes, binary block, covariate block) of a CSV file: parsed in
-    chunks, or row by row when a chunk finds an anomaly, so that an error
-    names the first bad cell and its row."""
-    arrays = _parse_chunks(path, columns, schema, len(binaries), len(covariates))
-    if arrays is None:
-        arrays = _parse_by_row(_read_cells(path, columns), schema, binaries, covariates,
-                               unknown, message)
-    return arrays
+    """(group codes, binary block, covariate block) of a CSV file, read once.
+    Each chunk of _row_chunks is parsed in bulk: one level lookup per row, one
+    float() pass over its covariate cells and one finiteness check. A chunk
+    with a bad cell goes to _parse_by_row for the error naming the first bad
+    cell and its row. That error is raised once every later row's width is
+    checked, so that a row of the wrong width anywhere wins."""
+    k, b, p = len(schema.characteristics), len(binaries), len(covariates)
+    level = schema.level_codes.get
+    # the zero-row parts give a header-only file arrays of the right shapes
+    codes, binary, x = [np.empty(0, np.int64)], [np.empty((0, b), np.int8)], [np.empty((0, p))]
+    error = None
+    for first, rows in _row_chunks(path, columns):
+        if error is not None:
+            continue  # the later rows are still read for their widths
+        n = len(rows)
+        chunk_codes = np.array([level(tuple(row[:k]), -1) for row in rows], dtype=np.int64)
+        chunk_binary = np.array([_BINARY.get(cell, -1) for row in rows
+                                 for cell in row[k:k + b]], dtype=np.int8).reshape(n, b)
+        try:  # fromiter keeps no list of the floats
+            chunk_x = np.fromiter(
+                map(float, itertools.chain.from_iterable(row[k + b:] for row in rows)),
+                dtype=np.float64, count=n * p).reshape(n, p)
+        except ValueError:  # a cell that float() cannot read
+            chunk_x = None
+        if (chunk_x is None or (chunk_codes < 0).any() or (chunk_binary < 0).any()
+                or not np.isfinite(chunk_x).all()):
+            try:
+                chunk_codes, chunk_binary, chunk_x = _parse_by_row(
+                    first, rows, schema, binaries, covariates, unknown, message)
+            except DataError as err:
+                error = err
+                continue
+        codes.append(chunk_codes)
+        binary.append(chunk_binary)
+        x.append(chunk_x)
+    if error is not None:
+        raise error
+    return np.concatenate(codes), np.concatenate(binary), np.concatenate(x)
 
 
 def load_internal(path, schema: SchemaSpec) -> AuditDataset:
     """Load and validate an internal audit CSV against the schema.
 
-    Raises MissingColumn, NonBinaryValue, UnknownLevel, MissingValue, or
-    NonNumericValue with the offending row number (1-based, header excluded),
-    and MissingValue for a file with no data rows.
+    Raises MissingColumn or DuplicateColumn for a bad header, and
+    NonBinaryValue, UnknownLevel, MissingValue, or NonNumericValue with the
+    offending row number (1-based, header excluded), and MissingValue for a
+    file with no data rows.
     """
     group_codes, binary, x = _load(
         path, schema.internal_columns, schema,

@@ -156,8 +156,8 @@ def bootstrap_estimates(internal: AuditDataset, external: ExternalDataset | None
     Returns a map (group code or None, metric, method) -> BootstrapResult, in
     report order. A replicate whose report has other cells raises. The
     interval is point +/- t_{B-1, 1-(1-level)/2} * se, truncated to [0, 1];
-    it is absent (None bounds) when the point estimate is undefined or every
-    replicate came back NA.
+    it and the standard error are absent (None) when the point estimate is
+    undefined or fewer than two replicates are defined.
     """
     if B < 2:
         raise ValueError("B must be at least 2")
@@ -174,15 +174,15 @@ def bootstrap_estimates(internal: AuditDataset, external: ExternalDataset | None
     out = {}
     for j, (key, entry) in enumerate(zip(keys, point_run.report.entries)):
         reps = matrix[:, j]
-        na_count = int(np.sum(np.isnan(reps)))
+        good = reps[~np.isnan(reps)]
+        na_count = B - len(good)
         point = entry.value if entry.defined else None
-        if point is None or na_count == B:
+        if point is None or len(good) < 2:  # no standard error to give
             out[key] = BootstrapResult(point=point, replicates=reps, se=None,
                                        lower=None, upper=None, B=B,
                                        na_count=na_count)
             continue
-        good = reps[~np.isnan(reps)]
-        se = float(np.std(good, ddof=1)) if len(good) > 1 else 0.0
+        se = float(np.std(good, ddof=1))
         raw_lo = point - t_mult * se
         raw_hi = point + t_mult * se
         lower = max(raw_lo, 0.0)

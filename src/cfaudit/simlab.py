@@ -24,7 +24,7 @@ import numpy as np
 from .config import check_at_least
 from .dataset import AuditDataset, Characteristic, ExternalDataset, SchemaSpec
 from .estimators import report_keys
-from .models import BinarySpec, MulticlassConfig, _softmax, sigmoid
+from .models import BinarySpec, ModelError, MulticlassConfig, _softmax, sigmoid
 from .pipeline import PipelineConfig, map_tasks, run_cells
 
 
@@ -43,12 +43,8 @@ INTERACTION_PAIRS = tuple(itertools.combinations(range(4), 2))
 INTERACTION_TRIPLES = tuple(itertools.combinations(range(4), 3))
 
 
-class SimulationError(Exception):
-    pass
-
-
-class DegenerateOutcome(SimulationError):
-    pass
+class DegenerateOutcome(ModelError):
+    """The risk model's training outcome is constant."""
 
 
 @dataclass

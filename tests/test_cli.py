@@ -403,6 +403,25 @@ def test_bad_number_in_model_config_is_a_config_error(tmp_path, monkeypatch, cap
     assert "'x'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("manifest", [False, True], ids=["config", "manifest"])
+@pytest.mark.parametrize("dotted,value,named", [
+    ("models.pi.l2", float("nan"), "NaN"),
+    ("models.h_internal.decay", float("inf"), "Infinity"),
+    ("borrowing.grid_step", float("-inf"), "-Infinity"),
+])
+def test_nan_or_infinity_in_a_run_config_exits_2_before_any_fit(tmp_path, monkeypatch, capsys,
+                                                                manifest, dotted, value, named):
+    make_audit_files(tmp_path)
+    fail_on_fit(monkeypatch)
+    path = rewrite(audit_config(tmp_path), dotted, value)  # json.dumps writes NaN as NaN
+    if manifest:
+        path.write_text(json.dumps({"config_sha256": "0", "config": json.loads(path.read_text())}))
+    assert main(["--config", str(path)]) == 2
+    assert (capsys.readouterr().err
+            == f"config error: config is not valid JSON: {named} is not a JSON number\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_importing_the_cli_leaves_scipy_stats_unloaded():
     proc = subprocess.run(
         [sys.executable, "-c",
@@ -718,6 +737,14 @@ def test_model_error_of_the_point_run_exits_1_without_traceback(tmp_path, monkey
     monkeypatch.setattr(cli, "run_pipeline", broken_pipeline)
     with pytest.raises(RuntimeError, match="a bug"):
         main(["--config", str(config)])
+
+
+def test_a_constant_risk_model_training_outcome_exits_1_without_traceback(tmp_path, capsys):
+    scenario = {"n_internal": 100, "n_external": 100, "n_train": 1, "n_validation": 500,
+                "n_trees": 3, "replications": 1}  # one training row: a constant outcome
+    assert main(["--config", str(simulate_config(tmp_path, scenario, seed=1))]) == 1
+    assert capsys.readouterr().err == "model error: training outcome is constant\n"
+    assert not (tmp_path / "simout").exists()
 
 
 def test_interaction_sweep_with_explicit_coefficients_of_the_wrong_shape(

@@ -1,4 +1,5 @@
 import codecs
+import contextlib
 import csv
 import tracemalloc
 from pathlib import Path
@@ -11,7 +12,7 @@ from cfaudit.dataset import (AuditDataset, Characteristic, DataError, DuplicateC
                              ExternalDataset, LevelSetMismatch,
                              MissingColumn, MissingValue,
                              NonBinaryValue, NonNumericValue, SchemaSpec, UnknownLevel,
-                             _parse_by_row, _read_cells, load_external, load_internal,
+                             _parse_by_row, _row_chunks, load_external, load_internal,
                              subgroup_counts, write_internal)
 
 
@@ -180,8 +181,9 @@ def test_roundtrip_identical(tmp_path):
 
 
 def parsed_by_row(path, schema, columns, binaries, covariates):
-    return _parse_by_row(_read_cells(path, columns), schema, binaries, covariates,
-                         UnknownLevel, "{cell} {char} {row}")
+    rows = [row for _, chunk in _row_chunks(path, columns) for row in chunk]
+    return _parse_by_row(1, rows, schema, binaries, covariates, UnknownLevel,
+                         "{cell} {char} {row}")
 
 
 def assert_same_arrays(got, want):
@@ -273,16 +275,19 @@ def test_loaders_accept_a_utf8_byte_order_mark(tmp_path):
 
 
 def load_peak(path, schema) -> int:
-    """tracemalloc peak, in bytes, of one load_internal call."""
+    """tracemalloc peak, in bytes, of one load_internal call, whether it
+    returns or raises a DataError."""
     tracemalloc.start()
     try:
-        load_internal(path, schema)
+        with contextlib.suppress(DataError):
+            load_internal(path, schema)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
-def test_loading_memory_is_the_arrays_plus_one_chunk(tmp_path):
+@pytest.mark.parametrize("bad_last_cell", [False, True], ids=["well-formed", "bad-last-cell"])
+def test_loading_memory_is_the_arrays_plus_one_chunk(tmp_path, bad_last_cell):
     schema = two_char_schema(covs=tuple(f"x{j}" for j in range(10)))
     ds = random_dataset(schema, np.arange(20_000) % 4, seed=19)
     path, chunk = tmp_path / "internal.csv", tmp_path / "chunk.csv"
@@ -292,6 +297,11 @@ def test_loading_memory_is_the_arrays_plus_one_chunk(tmp_path):
     loaded = load_internal(path, schema)
     array_bytes = sum(a.nbytes for a in (loaded.group_codes, loaded.d, loaded.y, loaded.s,
                                          loaded.x))
+    if bad_last_cell:  # the error path is bounded the same way
+        write_cells(path, ds, [(20_000, "x9", "abc")])
+        with pytest.raises(NonNumericValue) as raised:
+            load_internal(path, schema)
+        assert str(raised.value) == "non-numeric value 'abc' for x9 in row 20000"
     # the chunk arrays and their concatenation, plus one chunk's strings;
     # holding every row's cell strings at once takes about ten times the arrays
     assert load_peak(path, schema) < 3 * array_bytes + chunk_peak

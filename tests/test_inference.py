@@ -165,6 +165,25 @@ def test_bootstrap_na_replicates_excluded_from_se():
         assert res.se == pytest.approx(float(np.std(good, ddof=1)))
 
 
+def test_a_cell_with_one_defined_replicate_has_no_se_and_no_interval():
+    # group 1's three rows hold one false-negative cell, which most resamples lose
+    rng = np.random.default_rng(0)
+    schema = SchemaSpec(characteristics=(Characteristic("a", ("0", "1")),),
+                        treatment="d", outcome="y", prediction="s", covariates=("x1",))
+    n = 200
+    ds = AuditDataset(
+        schema=schema, group_codes=np.array([0] * (n - 3) + [1] * 3),
+        d=np.concatenate([rng.integers(0, 2, n - 3), [0, 1, 1]]).astype(np.int8),
+        y=np.concatenate([rng.integers(0, 2, n - 3), [1, 0, 0]]).astype(np.int8),
+        s=np.concatenate([rng.integers(0, 2, n - 3), [0, 1, 0]]).astype(np.int8),
+        x=rng.standard_normal((n, 1)),
+    )
+    config = fast_config(pi=BinarySpec(l2=0.01), mu=BinarySpec(l2=0.01))
+    res = bootstrap_estimates(ds, None, config, B=4, seed=19)[(1, "cFNR", "comparison")]
+    assert res.point == 1.0 and res.na_count == 3
+    assert res.se is None and res.lower is None and res.upper is None
+
+
 def test_replicate_na_only_for_model_errors(monkeypatch):
     ds = random_dataset(seed=5)
     keys = run_pipeline(ds, None, fast_config(), 1).report.keys()

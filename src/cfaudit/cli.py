@@ -21,8 +21,8 @@ from .config import (ConfigError, check_at_least, check_choice, check_level, dec
                      encode)
 from .dataset import (DataError, SchemaSpec, load_external, load_internal,
                       subgroup_counts)
-from .estimators import METRICS, group_label, report_keys
-from .models import ModelError
+from .estimators import METRICS, group_label
+from .models import ModelError, NuisanceModels
 from .pipeline import PipelineConfig, run_pipeline
 
 REPORT_SCHEMA_PATH = Path(__file__).with_name("report_schema.json")
@@ -71,25 +71,20 @@ class Bootstrap:
         check_level(self.level)
 
 
-# Pipeline settings that an audit config sets in its borrowing block, so that
-# each has one key path: PipelineConfig field -> borrowing key.
-BORROWING_KEYS = {"borrow": "enabled", "borrow_metric": "metric",
-                  "alpha_grid_step": "grid_step"}
-
-
 @dataclass(kw_only=True)
 class AuditConfig(RunConfig):
     internal: Path
     schema: Path
     external: Path | None = None
     reference_group: tuple[str, ...] | None = None
-    models: PipelineConfig = field(default_factory=PipelineConfig)
+    models: NuisanceModels = field(default_factory=NuisanceModels)
     borrowing: Borrowing = field(default_factory=Borrowing)
     bootstrap: Bootstrap = field(default_factory=Bootstrap)
 
     def pipeline(self) -> PipelineConfig:
-        return replace(self.models, **{name: getattr(self.borrowing, key)
-                                       for name, key in BORROWING_KEYS.items()})
+        return PipelineConfig(**vars(self.models), borrow=self.borrowing.enabled,
+                              borrow_metric=self.borrowing.metric,
+                              alpha_grid_step=self.borrowing.grid_step)
 
 
 @dataclass(kw_only=True)
@@ -110,6 +105,8 @@ def _read_json(path: Path, what: str):
         raise ConfigError(f"{what} file not found: {path}") from None
     except json.JSONDecodeError as err:
         raise ConfigError(f"{what} is not valid JSON: {err}") from None
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"{what} is not UTF-8 text: {err}") from None
 
 
 def _resolve(base: Path, path: Path) -> Path:
@@ -139,11 +136,6 @@ def load_run_config(path, overrides: dict) -> AuditConfig | SimulateConfig:
 
     base = path.parent
     if mode == "audit":
-        models = raw.get("models")
-        for name, key in BORROWING_KEYS.items():
-            if isinstance(models, dict) and name in models:
-                raise ConfigError(f"unknown key models.{name}: an audit config sets it "
-                                  f"as borrowing.{key}")
         cfg = decode(AuditConfig, raw)
         cfg.internal = _resolve(base, cfg.internal)
         cfg.schema = _resolve(base, cfg.schema)
@@ -281,13 +273,11 @@ def cmd_audit(cfg: AuditConfig) -> int:
     # each defined group's difference from the reference, methods in name order
     deltas = []
     if reference is not None:
-        methods = pipeline.reported_methods(external is not None)
-        table = result.report.values(report_keys(len(labels), methods)).reshape(
-            len(methods), len(METRICS), 1 + len(labels))  # overall, then each code
-        for method in sorted(methods):
-            for metric, rates in zip(METRICS, table[methods.index(method)]):
+        rate = dict(zip(result.report.keys(), result.report.values()))
+        for method in sorted(pipeline.reported_methods(external is not None)):
+            for metric in METRICS:
                 for code, label in enumerate(labels):
-                    value = rates[1 + code] - rates[1 + reference]
+                    value = rate[code, metric, method] - rate[reference, metric, method]
                     if code != reference and not np.isnan(value):
                         deltas.append({"metric": f"delta_{metric}", "method": method,
                                        "group": label, "reference": labels[reference],
@@ -325,10 +315,7 @@ def cmd_audit(cfg: AuditConfig) -> int:
                      _f(row.get("se")), _f(row.get("lower")), _f(row.get("upper"))])
     _write_csv(cfg.out / "report.csv", rows)
 
-    resolved = encode(cfg)
-    for name in BORROWING_KEYS:
-        del resolved["models"][name]  # the borrowing block holds them
-    _write_manifest(cfg.out, "audit", resolved, cfg.seed, ["report.json", "report.csv"])
+    _write_manifest(cfg.out, "audit", encode(cfg), cfg.seed, ["report.json", "report.csv"])
     return EXIT_OK
 
 

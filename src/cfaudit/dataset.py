@@ -286,28 +286,36 @@ def _row_chunks(path, columns):
     """(first row number, stripped cells in the order of columns) for each
     CHUNK_ROWS data rows of a CSV file, rows counted from 1 after the header.
     Raises MissingColumn for an empty file or a column the header lacks,
-    DuplicateColumn for one it names more than once, and MissingValue at the
-    first row with more or fewer cells than the header."""
+    DuplicateColumn for one it names more than once, MissingValue at the
+    first row with more or fewer cells than the header, and DataError naming
+    the file for a byte that is not UTF-8 or a line the csv reader rejects."""
     # utf-8-sig drops the byte-order mark that spreadsheet programs write
     with open(path, "r", encoding="utf-8-sig", newline="") as f:
         reader = csv.reader(f)
-        header = next(reader, None)
-        if header is None:
-            raise MissingColumn(f"{path}: empty file, header row required")
-        for name in columns:
-            if name not in header:
-                raise MissingColumn(f"{path}: missing column '{name}'")
-            if header.count(name) > 1:
-                raise DuplicateColumn(f"{path}: the header names column '{name}' more than once")
-        width, pos = len(header), [header.index(name) for name in columns]
-        first = 1
-        while chunk := list(itertools.islice(reader, CHUNK_ROWS)):
-            for row_num, row in enumerate(chunk, first):
-                if len(row) != width:
-                    raise MissingValue(f"row {row_num} has {len(row)} cells; "
-                                       f"the header has {width}")
-            yield first, [[row[i].strip() for i in pos] for row in chunk]
-            first += len(chunk)
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise MissingColumn(f"{path}: empty file, header row required")
+            for name in columns:
+                if name not in header:
+                    raise MissingColumn(f"{path}: missing column '{name}'")
+                if header.count(name) > 1:
+                    raise DuplicateColumn(f"{path}: the header names column '{name}' "
+                                          "more than once")
+            width, pos = len(header), [header.index(name) for name in columns]
+            first = 1
+            while chunk := list(itertools.islice(reader, CHUNK_ROWS)):
+                for row_num, row in enumerate(chunk, first):
+                    if len(row) != width:
+                        raise MissingValue(f"row {row_num} has {len(row)} cells; "
+                                           f"the header has {width}")
+                yield first, [[row[i].strip() for i in pos] for row in chunk]
+                first += len(chunk)
+        except UnicodeDecodeError as err:  # decoded by blocks, so its line is unknown
+            raise DataError(f"{path}: not UTF-8 text: {err.reason} "
+                            f"{err.object[err.start:err.end]!r}") from None
+        except csv.Error as err:
+            raise DataError(f"{path}: line {reader.line_num}: {err}") from None
 
 
 def _load(path, columns, schema: SchemaSpec, binaries, covariates, unknown, message):

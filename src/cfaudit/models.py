@@ -479,11 +479,18 @@ class BinarySpec:
 
 
 @dataclass
-class NuisanceSpec:
+class NuisanceModels:
+    """The propensity pi, the untreated-outcome regressions mu, the internal
+    and external group-membership models, and the cross-fitting folds."""
+
     pi: BinarySpec = field(default_factory=BinarySpec)
     mu: BinarySpec = field(default_factory=BinarySpec)
-    h: MulticlassConfig = field(default_factory=MulticlassConfig)
-    h_seed: int = 0  # the membership fit's seed
+    h_internal: MulticlassConfig = field(default_factory=MulticlassConfig)
+    h_external: MulticlassConfig = field(default_factory=MulticlassConfig)
+    crossfit_k: int = 1
+
+    def __post_init__(self):
+        check_at_least("crossfit_k", self.crossfit_k, 1)
 
 
 def _propensity_design(ds: AuditDataset) -> np.ndarray:
@@ -544,16 +551,17 @@ def _fit_outcome_models(ds, train_idx, spec: BinarySpec):
     return mu_by_s, mu_star
 
 
-def cross_fit(ds: AuditDataset, spec: NuisanceSpec, k=1, seed=0,
+def cross_fit(ds: AuditDataset, models: NuisanceModels, seed=0, h_seed=0,
               plan: CrossFitPlan | None = None) -> NuisanceEstimates:
     """Out-of-fold nuisance predictions for every row.
 
     Each (held-out rows, training rows) pair fits the models on its training
-    rows and predicts its held-out rows. With k == 1 the one pair is (all
-    rows, all rows): each model is fit once and predicts in sample (the GLM
-    path). With k >= 2 each fold is held out once and predicted by models
-    trained on its complement. The group-membership model is always fit once
-    on the full sample.
+    rows and predicts its held-out rows. With k = models.crossfit_k == 1 the
+    one pair is (all rows, all rows): each model is fit once and predicts in
+    sample (the GLM path). With k >= 2 each fold of plan, drawn from seed
+    when not given, is held out once and predicted by models trained on its
+    complement. The group-membership model models.h_internal is always fit
+    once on the full sample, with seed h_seed.
     """
     pi_design = _propensity_design(ds)
     n = ds.n
@@ -562,17 +570,17 @@ def cross_fit(ds: AuditDataset, spec: NuisanceSpec, k=1, seed=0,
     mu0_s0 = np.empty(n)
     mu0_all = np.empty(n)
 
-    if k == 1:
+    if models.crossfit_k == 1:
         pairs = [(np.arange(n), np.arange(n))]
     else:
         if plan is None:
-            plan = make_crossfit_plan(ds, k, seed)
+            plan = make_crossfit_plan(ds, models.crossfit_k, seed)
         pairs = [(np.flatnonzero(plan.fold == f), np.flatnonzero(plan.fold != f))
                  for f in range(plan.k)]
     for hold, train in pairs:
-        pi_model = fit_logistic(pi_design[train], ds.d[train], l2=spec.pi.l2)
+        pi_model = fit_logistic(pi_design[train], ds.d[train], l2=models.pi.l2)
         propensity[hold] = predict_binary(pi_model, pi_design[hold])
-        mu_by_s, mu_star = _fit_outcome_models(ds, train, spec.mu)
+        mu_by_s, mu_star = _fit_outcome_models(ds, train, models.mu)
         mu0_s0[hold] = predict_binary(mu_by_s[0], ds.x[hold])
         mu0_s1[hold] = predict_binary(mu_by_s[1], ds.x[hold])
         mu0_all[hold] = predict_binary(mu_star, ds.x[hold])
@@ -583,5 +591,5 @@ def cross_fit(ds: AuditDataset, spec: NuisanceSpec, k=1, seed=0,
         mu0_s0=mu0_s0,
         mu0_all=mu0_all,
         group_prob=membership_probs(ds.x, ds.group_codes, ds.x, ds.schema.n_groups,
-                                    spec.h, spec.h_seed),
+                                    models.h_internal, h_seed),
     )

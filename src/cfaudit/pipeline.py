@@ -5,34 +5,30 @@ and the simulation lab map over their tasks."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .borrowing import BORROW_METRICS, BlendedMembership, grid_intervals, select_alpha
-from .config import check_at_least, check_choice
+from .config import check_choice
 from .dataset import AuditDataset, ExternalDataset
 from .estimators import (METHODS, ErrorRateReport, NuisanceEstimates,
                          estimate_all)
-from .models import (BinarySpec, ModelError, MulticlassConfig, NuisanceSpec,
-                     cross_fit, membership_probs)
+from .models import ModelError, NuisanceModels, cross_fit, membership_probs
 
 
 @dataclass
-class PipelineConfig:
-    pi: BinarySpec = field(default_factory=BinarySpec)
-    mu: BinarySpec = field(default_factory=BinarySpec)
-    h_internal: MulticlassConfig = field(default_factory=MulticlassConfig)
-    h_external: MulticlassConfig = field(default_factory=MulticlassConfig)
-    crossfit_k: int = 1
+class PipelineConfig(NuisanceModels):
+    """The nuisance models plus the borrowing step's settings."""
+
     borrow: bool = True
     borrow_metric: str = "brier"
     alpha_grid_step: float = 0.001
 
     def __post_init__(self):
+        super().__post_init__()
         check_choice("borrow_metric", self.borrow_metric, BORROW_METRICS)
         grid_intervals(self.alpha_grid_step)
-        check_at_least("crossfit_k", self.crossfit_k, 1)
 
     def reported_methods(self, external: bool) -> tuple[str, ...]:
         """The methods a run reports: proposed-borrowing only when borrowing
@@ -58,8 +54,7 @@ def run_pipeline(internal: AuditDataset, external: ExternalDataset | None,
     h_int_seed = int(children[1].generate_state(1)[0])
     h_ext_seed = int(children[2].generate_state(1)[0])
 
-    spec = NuisanceSpec(pi=config.pi, mu=config.mu, h=config.h_internal, h_seed=h_int_seed)
-    nuis = cross_fit(internal, spec, k=config.crossfit_k, seed=crossfit_seed)
+    nuis = cross_fit(internal, config, seed=crossfit_seed, h_seed=h_int_seed)
 
     methods = config.reported_methods(external is not None)
     blend = None

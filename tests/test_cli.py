@@ -303,6 +303,24 @@ def test_header_only_internal_csv_exits_1_naming_the_file(tmp_path, monkeypatch,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("file", ["internal.csv", "external.csv"])
+@pytest.mark.parametrize("cell,named", [
+    (b"caf\xe9", "not UTF-8 text: invalid continuation byte b'\\xe9'"),
+    (b'"' + b"9" * 140_000 + b'"', "line 5: field larger than field limit (131072)"),
+], ids=["latin-1", "field-limit"])
+def test_an_unreadable_csv_exits_1_naming_the_file(tmp_path, monkeypatch, capsys,
+                                                    file, cell, named):
+    make_audit_files(tmp_path)
+    fail_on_fit(monkeypatch)
+    path = tmp_path / file
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[4] = cell + lines[4][lines[4].index(b","):]  # the first cell of data row 4
+    path.write_bytes(b"".join(lines))
+    assert main(["--config", str(audit_config(tmp_path))]) == 1
+    assert capsys.readouterr().err == f"data error: {path}: {named}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_simulate_rerun_from_manifest_byte_identical(tmp_path):
     cfgpath = simulate_config(tmp_path, scenario_dict())
     assert main(["--config", str(cfgpath)]) == 0
@@ -422,6 +440,17 @@ def test_nan_or_infinity_in_a_run_config_exits_2_before_any_fit(tmp_path, monkey
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("manifest", [False, True], ids=["config", "manifest"])
+def test_a_run_config_that_is_not_utf8_exits_2(tmp_path, capsys, manifest):
+    path = audit_config(tmp_path)
+    if manifest:
+        path.write_text(json.dumps({"config_sha256": "0", "config": json.loads(path.read_text())}))
+    path.write_bytes(path.read_bytes().replace(b'"out": "out"', b'"out": "caf\xe9"'))
+    assert main(["--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: config is not UTF-8 text: ")
+    assert not (tmp_path / "out").exists()
+
+
 def test_importing_the_cli_leaves_scipy_stats_unloaded():
     proc = subprocess.run(
         [sys.executable, "-c",
@@ -523,7 +552,9 @@ def rewrite(path, dotted, value):
     ("models.pi.kind", "logistic-gd", "'logistic-gd'"),
     ("models.pi.lr", 0.5, "unknown key models.pi.lr"),
     ("models.h_internal.seed", 4, "unknown key models.h_internal.seed"),
-    ("models.borrow_metric", "auc", "models.borrow_metric"),
+    ("models.borrow", False, "unknown key models.borrow"),
+    ("models.borrow_metric", "auc", "unknown key models.borrow_metric"),
+    ("models.alpha_grid_step", 0.01, "unknown key models.alpha_grid_step"),
     ("reference_group", ["9", "9"], "['9', '9']"),
     ("models.crossfit_k", 0, "crossfit_k must be at least 1; got 0"),
     ("models.h_internal.hidden", 0, "models.h_internal: hidden must be at least 1; got 0"),
@@ -691,11 +722,11 @@ def test_each_config_type_encodes_exactly_its_fields():
     import dataclasses
 
     from cfaudit.cli import AuditConfig, SimulateConfig
-    from cfaudit.models import BinarySpec, MulticlassConfig
+    from cfaudit.models import BinarySpec, MulticlassConfig, NuisanceModels
     from cfaudit.pipeline import PipelineConfig
 
     configs = [
-        PipelineConfig(), MulticlassConfig(), BinarySpec(), ScenarioConfig(),
+        PipelineConfig(), NuisanceModels(), MulticlassConfig(), BinarySpec(), ScenarioConfig(),
         AuditConfig(mode="audit", seed=1, out=Path("out"), internal=Path("internal.csv"),
                     schema=Path("schema.json")),
         SimulateConfig(mode="simulate", seed=1, out=Path("out"), scenario={}),

@@ -1,4 +1,5 @@
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -66,34 +67,61 @@ def referenced_names(tree: ast.AST) -> set[str]:
     return names
 
 
-def dead_private_functions(sources: dict[str, str]) -> list[str]:
-    """"file: name" of each module-level private function in sources, a map of
-    file name to text, that no statement but its own definition references as
-    a name, an attribute or an imported name."""
+def dead_definitions(sources: dict[str, str], users: dict[str, str], readme: str) -> list[str]:
+    """"file: name" of each module-level private function and each public
+    module-level function or class in sources, a map of file name to text,
+    that no statement but its own definition references as a name, an
+    attribute or an imported name. A public name also passes when a statement
+    of users, another such map, references it or when readme names it."""
     statements = [(file, node) for file, source in sources.items()
                   for node in ast.parse(source).body]
     used = [referenced_names(statement) for _, statement in statements]
+    public_uses = set(re.findall(r"\w+", readme)).union(
+        *(referenced_names(ast.parse(source)) for source in users.values()))
+
+    def checked(node) -> bool:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("__"):
+            return False
+        if node.name.startswith("_"):
+            return isinstance(node, ast.FunctionDef)
+        return node.name not in public_uses
+
     return [f"{file}: {node.name}" for i, (file, node) in enumerate(statements)
-            if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
-            and not node.name.startswith("__")
+            if checked(node)
             and not any(node.name in names for j, names in enumerate(used) if j != i)]
 
 
-def test_dead_private_functions_are_found():
+def test_dead_definitions_are_found():
     sources = {
         "a.py": ("def _imported():\n    pass\n\ndef _recursive(n):\n    return _recursive(n)\n\n"
                  "def _by_attribute():\n    pass\n\ndef __dunder__():\n    pass\n\n"
-                 "def public():\n    pass\n"),
+                 "def public():\n    pass\n\nclass Public:\n    pass\n\n"
+                 "class _Private:\n    pass\n\ndef used_by_a_user():\n    pass\n\n"
+                 "def named_by_the_readme():\n    pass\n\ndef _private_used_by_a_user():\n"
+                 "    pass\n"),
         "b.py": "import a\nfrom a import _imported\nf = a._by_attribute\n",
     }
-    assert dead_private_functions(sources) == ["a.py: _recursive"]
+    users = {"demo.py": "from a import used_by_a_user, _private_used_by_a_user\n"}
+    readme = "Call `named_by_the_readme()` first."
+    assert dead_definitions(sources, {}, "") == [
+        "a.py: _recursive", "a.py: public", "a.py: Public", "a.py: used_by_a_user",
+        "a.py: named_by_the_readme", "a.py: _private_used_by_a_user"]
+    assert dead_definitions(sources, users, readme) == [
+        "a.py: _recursive", "a.py: public", "a.py: Public", "a.py: _private_used_by_a_user"]
 
 
-def test_every_private_function_of_the_package_has_a_caller():
-    files = sorted((ROOT / "src").rglob("*.py"))
-    assert len(files) > 5
-    sources = {str(path.relative_to(ROOT)): path.read_text(encoding="utf-8") for path in files}
-    assert dead_private_functions(sources) == []
+def test_every_definition_of_the_package_has_a_user():
+    """Private functions need a caller in the package; public functions and
+    classes need one in the package, the demos or the benchmark, or a mention
+    in the README."""
+    def read(*folders):
+        return {str(path.relative_to(ROOT)): path.read_text(encoding="utf-8")
+                for folder in folders for path in sorted((ROOT / folder).rglob("*.py"))}
+
+    sources = read("src")
+    assert len(sources) > 5
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    assert dead_definitions(sources, read("demos", "bench"), readme) == []
 
 
 def test_third_party_imports_are_found():

@@ -9,7 +9,7 @@ import pytest
 import cfaudit
 from cfaudit.dataset import AuditDataset, Characteristic, SchemaSpec
 from cfaudit.models import (PROB_EPS, BinarySpec, DegenerateLabels, DimensionMismatch,
-                            InfeasibleFolds, MulticlassConfig, NuisanceSpec,
+                            InfeasibleFolds, MulticlassConfig, NuisanceModels,
                             Separation, cross_fit, fit_logistic, fit_multiclass,
                             make_crossfit_plan, membership_probs, mlp_objective,
                             predict_binary, predict_multiclass, _lbfgs, _softmax,
@@ -434,9 +434,9 @@ def _toy_dataset(n, seed=0, p=2):
     )
 
 
-def _spec():
-    return NuisanceSpec(pi=BinarySpec(l2=0.1), mu=BinarySpec(l2=0.1),
-                        h=MulticlassConfig(epochs=30, lr=0.5))
+def _models(k):
+    return NuisanceModels(pi=BinarySpec(l2=0.1), mu=BinarySpec(l2=0.1),
+                          h_internal=MulticlassConfig(epochs=30, lr=0.5), crossfit_k=k)
 
 
 def test_crossfit_fold_sizes_balanced():
@@ -448,23 +448,23 @@ def test_crossfit_fold_sizes_balanced():
 
 def test_crossfit_k1_equals_full_fit():
     ds = _toy_dataset(300, seed=2)
-    nuis = cross_fit(ds, _spec(), k=1, seed=3)
+    nuis = cross_fit(ds, _models(1), seed=3)
     from cfaudit.models import _propensity_design
     design = _propensity_design(ds)
-    full = fit_logistic(design, ds.d, l2=_spec().pi.l2)
+    full = fit_logistic(design, ds.d, l2=_models(1).pi.l2)
     assert np.allclose(nuis.propensity, predict_binary(full, design))
 
 
 def test_crossfit_heldout_rows_unaffected_by_own_outcome():
     ds = _toy_dataset(80, seed=3)
     plan = make_crossfit_plan(ds, 4, seed=9)
-    nuis = cross_fit(ds, _spec(), k=4, seed=9, plan=plan)
+    nuis = cross_fit(ds, _models(4), seed=9, plan=plan)
     perturbed = AuditDataset(schema=ds.schema, group_codes=ds.group_codes.copy(),
                              d=ds.d.copy(), y=ds.y.copy(), s=ds.s.copy(), x=ds.x.copy())
     i = 17
     perturbed.d[i] = 1 - perturbed.d[i]
     perturbed.y[i] = 1 - perturbed.y[i]
-    nuis2 = cross_fit(perturbed, _spec(), k=4, seed=9, plan=plan)
+    nuis2 = cross_fit(perturbed, _models(4), seed=9, plan=plan)
     assert nuis.propensity[i] == nuis2.propensity[i]
     assert nuis.mu0_all[i] == nuis2.mu0_all[i]
     assert nuis.mu0_s0[i] == nuis2.mu0_s0[i]
@@ -474,13 +474,13 @@ def test_crossfit_heldout_rows_unaffected_by_own_outcome():
 def test_crossfit_k2_hand_traced():
     ds = _toy_dataset(10, seed=7)
     plan = make_crossfit_plan(ds, 2, seed=4)
-    nuis = cross_fit(ds, _spec(), k=2, seed=4, plan=plan)
+    nuis = cross_fit(ds, _models(2), seed=4, plan=plan)
     from cfaudit.models import _propensity_design
     design = _propensity_design(ds)
     for fold in (0, 1):
         hold = np.flatnonzero(plan.fold == fold)
         train = np.flatnonzero(plan.fold != fold)
-        manual = fit_logistic(design[train], ds.d[train], l2=_spec().pi.l2)
+        manual = fit_logistic(design[train], ds.d[train], l2=_models(2).pi.l2)
         assert np.allclose(nuis.propensity[hold], predict_binary(manual, design[hold]))
 
 
@@ -515,35 +515,35 @@ def test_propensity_design_bit_equal_to_loop_reference(k):
 
 def test_crossfit_reproducible():
     ds = _toy_dataset(120, seed=8)
-    a = cross_fit(ds, _spec(), k=3, seed=11)
-    b = cross_fit(ds, _spec(), k=3, seed=11)
+    a = cross_fit(ds, _models(3), seed=11)
+    b = cross_fit(ds, _models(3), seed=11)
     assert np.array_equal(a.propensity, b.propensity)
     assert np.array_equal(a.group_prob, b.group_prob)
 
 
-def _cross_fit_two_branch(ds, spec, k, seed):
+def _cross_fit_two_branch(ds, models, seed):
     # the (all rows, all rows) branch and the fold loop that cross_fit's one
     # loop over (held-out rows, training rows) pairs replaced, kept as its reference
     from cfaudit.models import _fit_outcome_models, _propensity_design
     pi_design = _propensity_design(ds)
     n = ds.n
     out = {name: np.empty(n) for name in ("propensity", "mu0_s1", "mu0_s0", "mu0_all")}
-    if k == 1:
+    if models.crossfit_k == 1:
         all_idx = np.arange(n)
-        pi_model = fit_logistic(pi_design, ds.d, l2=spec.pi.l2)
+        pi_model = fit_logistic(pi_design, ds.d, l2=models.pi.l2)
         out["propensity"][:] = predict_binary(pi_model, pi_design)
-        mu_by_s, mu_star = _fit_outcome_models(ds, all_idx, spec.mu)
+        mu_by_s, mu_star = _fit_outcome_models(ds, all_idx, models.mu)
         out["mu0_s0"][:] = predict_binary(mu_by_s[0], ds.x)
         out["mu0_s1"][:] = predict_binary(mu_by_s[1], ds.x)
         out["mu0_all"][:] = predict_binary(mu_star, ds.x)
     else:
-        plan = make_crossfit_plan(ds, k, seed)
+        plan = make_crossfit_plan(ds, models.crossfit_k, seed)
         for f in range(plan.k):
             hold = np.flatnonzero(plan.fold == f)
             train = np.flatnonzero(plan.fold != f)
-            pi_model = fit_logistic(pi_design[train], ds.d[train], l2=spec.pi.l2)
+            pi_model = fit_logistic(pi_design[train], ds.d[train], l2=models.pi.l2)
             out["propensity"][hold] = predict_binary(pi_model, pi_design[hold])
-            mu_by_s, mu_star = _fit_outcome_models(ds, train, spec.mu)
+            mu_by_s, mu_star = _fit_outcome_models(ds, train, models.mu)
             out["mu0_s0"][hold] = predict_binary(mu_by_s[0], ds.x[hold])
             out["mu0_s1"][hold] = predict_binary(mu_by_s[1], ds.x[hold])
             out["mu0_all"][hold] = predict_binary(mu_star, ds.x[hold])
@@ -568,10 +568,10 @@ def _audit_wide_internal(tmp_path, seed):
 @pytest.mark.parametrize("k", [1, 3, 5])
 def test_crossfit_bit_equal_to_two_branch_reference(tmp_path, k):
     ds = _audit_wide_internal(tmp_path, seed=1)
-    spec = NuisanceSpec(pi=BinarySpec(l2=0.01), mu=BinarySpec(l2=0.01),
-                        h=MulticlassConfig(epochs=2))
-    nuis = cross_fit(ds, spec, k=k, seed=17)
-    for name, want in _cross_fit_two_branch(ds, spec, k, seed=17).items():
+    models = NuisanceModels(pi=BinarySpec(l2=0.01), mu=BinarySpec(l2=0.01),
+                            h_internal=MulticlassConfig(epochs=2), crossfit_k=k)
+    nuis = cross_fit(ds, models, seed=17)
+    for name, want in _cross_fit_two_branch(ds, models, seed=17).items():
         assert np.array_equal(getattr(nuis, name), want), name
 
 

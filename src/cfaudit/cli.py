@@ -25,8 +25,6 @@ from .estimators import METRICS, group_label
 from .models import ModelError, NuisanceModels
 from .pipeline import PipelineConfig, run_pipeline
 
-REPORT_SCHEMA_PATH = Path(__file__).with_name("report_schema.json")
-
 EXIT_OK = 0
 EXIT_DATA = 1
 EXIT_CONFIG = 2

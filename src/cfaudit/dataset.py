@@ -63,6 +63,9 @@ class Characteristic:
     def __post_init__(self):
         if not self.levels:
             raise ValueError(f"characteristic {self.name!r} has no levels")
+        if "" in self.levels:
+            raise ValueError(f"characteristic {self.name!r} has an empty level; "
+                             "an empty cell is a missing value")
         repeated = [level for i, level in enumerate(self.levels) if level in self.levels[:i]]
         if repeated:
             raise ValueError(f"characteristic {self.name!r} repeats level {repeated[0]!r}")
@@ -225,57 +228,38 @@ class ExternalDataset:
         return len(self.group_codes)
 
 
-def _parse_binary(cell, column, row_num):
-    if cell == "":
-        raise MissingValue(f"empty {column} cell in row {row_num}")
-    if cell not in ("0", "1"):
-        raise NonBinaryValue(f"non-binary value '{cell}' for {column} in row {row_num}")
-    return int(cell)
-
-
-def _parse_float(cell, column, row_num):
-    """A finite float; nan and inf are rejected as non-numeric."""
-    if cell == "":
-        raise MissingValue(f"empty {column} cell in row {row_num}")
-    try:
-        value = float(cell)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise NonNumericValue(f"non-numeric value '{cell}' for {column} in row {row_num}")
-    return value
-
-
-def _group_code(cells, schema: SchemaSpec, row_num, unknown, message) -> int:
-    """Group code of a row's level cells. A level outside the schema raises
-    the error class unknown with message formatted from cell, char and row."""
-    for char, cell in zip(schema.characteristics, cells):
-        if cell == "":
-            raise MissingValue(f"empty {char.name} cell in row {row_num}")
-        if cell not in char.levels:
-            raise unknown(message.format(cell=cell, char=char.name, row=row_num))
-    return schema.level_codes[tuple(cells)]
-
-
-def _parse_by_row(first, rows, schema: SchemaSpec, binaries, covariates, unknown, message):
-    """(group codes, binary block, covariate block) of the rows, numbered from
-    first, one cell at a time: the first bad cell raises, with its row number."""
-    k, b = len(schema.characteristics), len(binaries)
-    n = len(rows)
-    group_codes = np.empty(n, dtype=np.int64)
-    binary = np.empty((n, b), dtype=np.int8)
-    x = np.empty((n, len(covariates)), dtype=np.float64)
-    for i, row in enumerate(rows):
-        row_num = first + i
-        group_codes[i] = _group_code(row[:k], schema, row_num, unknown, message)
-        binary[i] = [_parse_binary(cell, name, row_num)
-                     for cell, name in zip(row[k:], binaries)]
-        x[i] = [_parse_float(cell, name, row_num)
-                for cell, name in zip(row[k + b:], covariates)]
-    return group_codes, binary, x
-
-
 _BINARY = {"0": 0, "1": 1}
+
+
+def _finite(cell) -> bool:
+    """Whether float() reads cell as a finite number; nan and inf are not."""
+    try:
+        return math.isfinite(float(cell))
+    except ValueError:
+        return False
+
+
+def _raise_first_bad_cell(path, first, rows, schema: SchemaSpec, binaries, covariates,
+                          unknown, message):
+    """Raise the error of the first bad cell of rows, numbered from first, in
+    column order within a row: MissingValue for an empty cell, then unknown
+    (with message formatted from cell, column and row) for a level outside
+    the schema, NonBinaryValue or NonNumericValue. _load calls it only on a
+    chunk that its bulk parse flagged, and each bulk check is as strict as
+    the rule here, so such a chunk always holds a cell that raises."""
+    rules = ([(c.name, c.levels.__contains__, unknown, message)
+              for c in schema.characteristics]
+             + [(name, _BINARY.__contains__, NonBinaryValue,
+                 "non-binary value '{cell}' for {column} in row {row}") for name in binaries]
+             + [(name, _finite, NonNumericValue,
+                 "non-numeric value '{cell}' for {column} in row {row}") for name in covariates])
+    for row_num, row in enumerate(rows, first):
+        for (column, valid, error, text), cell in zip(rules, row):
+            if cell == "":
+                raise MissingValue(f"{path}: empty {column} cell in row {row_num}")
+            if not valid(cell):
+                raise error(f"{path}: " + text.format(cell=cell, column=column, row=row_num))
+
 
 # Data rows per parse chunk: a load holds one chunk's cell strings at a time,
 # so its memory is the arrays plus a chunk, not the whole file's text.
@@ -287,8 +271,9 @@ def _row_chunks(path, columns):
     CHUNK_ROWS data rows of a CSV file, rows counted from 1 after the header.
     Raises MissingColumn for an empty file or a column the header lacks,
     DuplicateColumn for one it names more than once, MissingValue at the
-    first row with more or fewer cells than the header, and DataError naming
-    the file for a byte that is not UTF-8 or a line the csv reader rejects."""
+    first row with more or fewer cells than the header, and DataError for a
+    byte that is not UTF-8 or a line the csv reader rejects, each naming the
+    file."""
     # utf-8-sig drops the byte-order mark that spreadsheet programs write
     with open(path, "r", encoding="utf-8-sig", newline="") as f:
         reader = csv.reader(f)
@@ -307,7 +292,7 @@ def _row_chunks(path, columns):
             while chunk := list(itertools.islice(reader, CHUNK_ROWS)):
                 for row_num, row in enumerate(chunk, first):
                     if len(row) != width:
-                        raise MissingValue(f"row {row_num} has {len(row)} cells; "
+                        raise MissingValue(f"{path}: row {row_num} has {len(row)} cells; "
                                            f"the header has {width}")
                 yield first, [[row[i].strip() for i in pos] for row in chunk]
                 first += len(chunk)
@@ -322,9 +307,9 @@ def _load(path, columns, schema: SchemaSpec, binaries, covariates, unknown, mess
     """(group codes, binary block, covariate block) of a CSV file, read once.
     Each chunk of _row_chunks is parsed in bulk: one level lookup per row, one
     float() pass over its covariate cells and one finiteness check. A chunk
-    with a bad cell goes to _parse_by_row for the error naming the first bad
-    cell and its row. That error is raised once every later row's width is
-    checked, so that a row of the wrong width anywhere wins."""
+    with a bad cell goes to _raise_first_bad_cell for the error naming the
+    first bad cell and its row. That error is raised once every later row's
+    width is checked, so that a row of the wrong width anywhere wins."""
     k, b, p = len(schema.characteristics), len(binaries), len(covariates)
     level = schema.level_codes.get
     # the zero-row parts give a header-only file arrays of the right shapes
@@ -346,8 +331,8 @@ def _load(path, columns, schema: SchemaSpec, binaries, covariates, unknown, mess
         if (chunk_x is None or (chunk_codes < 0).any() or (chunk_binary < 0).any()
                 or not np.isfinite(chunk_x).all()):
             try:
-                chunk_codes, chunk_binary, chunk_x = _parse_by_row(
-                    first, rows, schema, binaries, covariates, unknown, message)
+                _raise_first_bad_cell(path, first, rows, schema, binaries, covariates,
+                                      unknown, message)
             except DataError as err:
                 error = err
                 continue
@@ -365,12 +350,12 @@ def load_internal(path, schema: SchemaSpec) -> AuditDataset:
     Raises MissingColumn or DuplicateColumn for a bad header, and
     NonBinaryValue, UnknownLevel, MissingValue, or NonNumericValue with the
     offending row number (1-based, header excluded), and MissingValue for a
-    file with no data rows.
+    file with no data rows. Every message starts with the path.
     """
     group_codes, binary, x = _load(
         path, schema.internal_columns, schema,
         (schema.treatment, schema.outcome, schema.prediction), schema.covariates,
-        UnknownLevel, "unknown level '{cell}' for {char} in row {row}")
+        UnknownLevel, "unknown level '{cell}' for {column} in row {row}")
     if not len(group_codes):
         raise MissingValue(f"{path}: no data rows; an audit needs at least one")
     d, y, s = np.ascontiguousarray(binary.T)
@@ -386,7 +371,7 @@ def load_external(path, schema: SchemaSpec) -> ExternalDataset:
     group_codes, _, x = _load(
         path, schema.external_columns, schema, (), schema.external_covariates,
         LevelSetMismatch,
-        "external level '{cell}' for {char} in row {row} not present in the internal schema")
+        "external level '{cell}' for {column} in row {row} not present in the internal schema")
     return ExternalDataset(schema=schema, group_codes=group_codes, x=x)
 
 

@@ -22,7 +22,10 @@ import numpy as np
 
 from .dataset import AuditDataset
 
-METRICS = ("cFPR", "cFNR")
+# The one definition of each metric: its error cell (flagged, outcome), so
+# that a group's rate is P(S = flagged | Y0 = outcome, A = a). Cells are
+# listed in this order everywhere.
+METRICS = {"cFPR": (1, 0), "cFNR": (0, 1)}
 METHODS = ("comparison", "proposed-internal", "proposed-borrowing")
 
 # weighted sums below this are treated as exactly zero
@@ -60,7 +63,7 @@ class NuisanceEstimates:
 
 @dataclass
 class ErrorRateEstimate:
-    metric: str  # "cFPR" | "cFNR"
+    metric: str  # a key of METRICS
     method: str
     group: int | None  # group code; None = overall
     value: float | None  # clipped to [0, 1]; None when undefined
@@ -74,54 +77,34 @@ def _undefined(metric, method, group) -> ErrorRateEstimate:
                              value=None, raw_value=None, defined=False)
 
 
-def _weighted_ratio(numer_ind, denom_ind, weights) -> tuple[float, bool]:
-    num = float(np.sum(numer_ind * weights))
-    den = float(np.sum(denom_ind * weights))
-    if den < SUM_FLOOR:
-        return np.nan, False
-    return num / den, True
+def _cell(metric: str) -> tuple[int, int]:
+    """The (flagged, outcome) cell of a metric in METRICS."""
+    try:
+        return METRICS[metric]
+    except KeyError:
+        raise ValueError(f"unknown metric: {metric!r}") from None
 
 
-def _cell_indicators(ds: AuditDataset, metric: str):
-    untreated = (ds.d == 0).astype(np.float64)
-    if metric == "cFPR":
-        numer = untreated * ds.s * (1 - ds.y)
-        denom = untreated * (1 - ds.y)
-    elif metric == "cFNR":
-        numer = untreated * (1 - ds.s) * ds.y
-        denom = untreated * ds.y
-    else:
-        raise ValueError(f"unknown metric: {metric!r}")
-    return numer, denom
+def comparison_rate(ds: AuditDataset, propensity, group: int | None, metric: str,
+                    method: str = "comparison") -> ErrorRateEstimate:
+    """Inverse-probability-weighted rate of one group, or overall for None.
 
-
-def comparison_rate(ds: AuditDataset, propensity, group: int,
-                    metric: str) -> ErrorRateEstimate:
-    """Cell-restricted weighted estimator for one group.
-
-    Untreated rows in the relevant confusion cells, weighted by
-    1 / (1 - propensity), restricted to the group. Undefined (not an error)
-    when the group contributes no denominator weight.
+    Untreated rows with the metric's outcome, weighted by
+    1 / (1 - propensity) and restricted to the group: the weighted share of
+    them whose prediction is the metric's flag. Undefined (not an error)
+    when they carry no weight.
     """
-    numer, denom = _cell_indicators(ds, metric)
-    in_group = (ds.group_codes == group).astype(np.float64)
-    weights = 1.0 / (1.0 - np.asarray(propensity, dtype=np.float64))
-    value, ok = _weighted_ratio(numer * in_group, denom * in_group, weights)
-    if not ok:
-        return _undefined(metric, "comparison", group)
-    return ErrorRateEstimate(metric=metric, method="comparison", group=group,
-                             value=value, raw_value=value)
-
-
-def overall_rate(ds: AuditDataset, propensity, metric: str,
-                 method: str = "comparison") -> ErrorRateEstimate:
-    """Overall weighted rate: the group estimator with the indicator removed."""
-    numer, denom = _cell_indicators(ds, metric)
-    weights = 1.0 / (1.0 - np.asarray(propensity, dtype=np.float64))
-    value, ok = _weighted_ratio(numer, denom, weights)
-    if not ok:
-        return _undefined(metric, method, None)
-    return ErrorRateEstimate(metric=metric, method=method, group=None,
+    flagged, outcome = _cell(metric)
+    in_denom = (ds.d == 0) & (ds.y == outcome)
+    if group is not None:
+        in_denom &= ds.group_codes == group
+    denom = in_denom * (1.0 / (1.0 - np.asarray(propensity, dtype=np.float64)))
+    num = float(np.sum(denom * (ds.s == flagged)))
+    den = float(np.sum(denom))
+    if den < SUM_FLOOR:
+        return _undefined(metric, method, group)
+    value = num / den
+    return ErrorRateEstimate(metric=metric, method=method, group=group,
                              value=value, raw_value=value)
 
 
@@ -129,27 +112,22 @@ def membership_ratio(ds: AuditDataset, nuis: NuisanceEstimates, group: int,
                      metric: str) -> float:
     """Plug-in estimate of the group-membership probability ratio.
 
-    The numerator conditions on the prediction stratum via the stratified
-    untreated outcome regression and the group indicator; the denominator
-    uses the unstratified regression and the group-membership model. For the
-    false-positive metric the outcome regressions enter as complements.
-    Returns NaN when a required sum is zero.
+    The numerator conditions on the metric's prediction stratum via the
+    stratified untreated outcome regression and the group indicator; the
+    denominator uses the unstratified regression and the group-membership
+    model. The regressions model Y = 1, so a metric whose outcome is 0 takes
+    their complements. Returns NaN when a required sum is zero.
     """
     if nuis.group_prob.shape[1] != ds.schema.n_groups:
         raise ValueError(f"group_prob has {nuis.group_prob.shape[1]} columns; the schema "
                          f"has {ds.schema.n_groups} groups")
+    flagged, outcome = _cell(metric)
+    mu_strat, mu_all = (nuis.mu0_s1 if flagged else nuis.mu0_s0), nuis.mu0_all
+    if not outcome:
+        mu_strat, mu_all = 1.0 - mu_strat, 1.0 - mu_all
     in_group = (ds.group_codes == group).astype(np.float64)
+    in_stratum = (ds.s == flagged).astype(np.float64)
     h_col = nuis.group_prob[:, group]
-    if metric == "cFNR":
-        mu_strat = nuis.mu0_s0
-        mu_all = nuis.mu0_all
-        in_stratum = (1 - ds.s).astype(np.float64)
-    elif metric == "cFPR":
-        mu_strat = 1.0 - nuis.mu0_s1
-        mu_all = 1.0 - nuis.mu0_all
-        in_stratum = ds.s.astype(np.float64)
-    else:
-        raise ValueError(f"unknown metric: {metric!r}")
 
     num_top = float(np.sum(mu_strat * in_group * in_stratum))
     num_bot = float(np.sum(mu_strat * in_stratum))
@@ -249,7 +227,7 @@ def estimate_all(ds: AuditDataset, nuis: NuisanceEstimates,
     for group, metric, method in report_keys(ds.schema.n_groups, methods):
         nuis_m = by_method[method]
         if group is None:
-            estimate = overall = overall_rate(ds, nuis_m.propensity, metric, method=method)
+            estimate = overall = comparison_rate(ds, nuis_m.propensity, None, metric, method)
         elif method == "comparison":
             estimate = comparison_rate(ds, nuis_m.propensity, group, metric)
         else:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .config import check_at_least
 from .dataset import AuditDataset, Characteristic, ExternalDataset, SchemaSpec
-from .estimators import report_keys
+from .estimators import METRICS, report_keys
 from .models import BinarySpec, ModelError, MulticlassConfig, _softmax, sigmoid
 from .pipeline import PipelineConfig, map_tasks, run_cells
 
@@ -558,8 +558,8 @@ def oracle_error_rates(validation: Iterable[Population], model: RiskModel) -> di
     counts = counts.reshape(k, 2, 2)  # [group, s, y0]
     rates = {}
     for code, c in [(None, counts.sum(axis=0)), *enumerate(counts)]:
-        rates[(code, "cFPR")] = _rate(c[1, 0], c[0, 0] + c[1, 0])
-        rates[(code, "cFNR")] = _rate(c[0, 1], c[0, 1] + c[1, 1])
+        for metric, (flagged, outcome) in METRICS.items():
+            rates[(code, metric)] = _rate(c[flagged, outcome], c[:, outcome].sum())
     return rates
 
 

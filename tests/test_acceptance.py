@@ -14,8 +14,7 @@ import numpy as np
 from cfaudit.borrowing import alpha_grid, brier_score, multiclass_auc, select_alpha
 from cfaudit.cli import main as cli_main
 from cfaudit.dataset import AuditDataset, Characteristic, SchemaSpec
-from cfaudit.estimators import (NuisanceEstimates, comparison_rate,
-                                overall_rate, proposed_rate)
+from cfaudit.estimators import NuisanceEstimates, comparison_rate, proposed_rate
 from cfaudit.inference import bootstrap_estimates
 from cfaudit.models import (BinarySpec, MulticlassConfig, fit_logistic,
                             mlp_objective, softmax_objective)
@@ -110,7 +109,7 @@ def test_criterion_02_estimator_agreement_clean_data():
             nuis = NuisanceEstimates(propensity=np.zeros(n), mu0_s1=y, mu0_s0=y,
                                      mu0_all=y, group_prob=onehot)
             for metric in ("cFPR", "cFNR"):
-                ov = overall_rate(ds, nuis.propensity, metric)
+                ov = comparison_rate(ds, nuis.propensity, None, metric)
                 for g in groups:
                     cmp_ = comparison_rate(ds, nuis.propensity, g, metric)
                     prop = proposed_rate(ds, nuis, ov, g)

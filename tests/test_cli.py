@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import cfaudit
-from cfaudit.cli import REPORT_SCHEMA_PATH, main
+from cfaudit.cli import main
 from cfaudit.config import encode
 from cfaudit.dataset import write_external, write_internal
 from cfaudit.simlab import (ScenarioConfig, generate_population, sim_schema,
@@ -139,7 +139,7 @@ def test_deltas_are_the_defined_differences_from_the_reference(tmp_path):
 def test_report_json_validates_against_shipped_schema(tmp_path):
     make_audit_files(tmp_path)
     assert main(["--config", str(audit_config(tmp_path, bootstrap_b=6))]) == 0
-    with open(REPORT_SCHEMA_PATH) as f:
+    with open(Path(cfaudit.__file__).with_name("report_schema.json")) as f:
         schema = json.load(f)
     jsonschema.validate(read_report(tmp_path), schema)
 
@@ -643,6 +643,8 @@ def _use_treatment_as_covariate(schema):
      "schema.characteristics[0].levels[0]: expected str, got 0"),
     (lambda schema: schema["characteristics"][1].update(levels=[]),
      "schema.characteristics[1]: characteristic 'a2' has no levels"),
+    (lambda schema: schema["characteristics"][1].update(levels=["", "1"]),
+     "schema.characteristics[1]: characteristic 'a2' has an empty level"),
     (lambda schema: schema.update(treatment=5), "schema.treatment: expected str, got 5"),
     (lambda schema: schema["characteristics"][0].update(colour="red"),
      "unknown key schema.characteristics[0].colour"),
@@ -656,7 +658,7 @@ def _use_treatment_as_covariate(schema):
      "schema: group label 'a|b|c' names more than one report row"),
     (lambda schema: schema.update(characteristics=[{"name": "a1", "levels": ["x", "overall"]}]),
      "schema: group label 'overall' names more than one report row"),
-], ids=["misspelled-key", "string-covariates", "numeric-levels", "no-levels",
+], ids=["misspelled-key", "string-covariates", "numeric-levels", "no-levels", "empty-level",
         "numeric-treatment", "unknown-characteristic-key", "repeated-characteristic",
         "covariate-named-like-treatment", "no-external-covariates", "clashing-group-labels",
         "group-labelled-overall"])
@@ -745,7 +747,24 @@ def test_non_finite_external_cell_exits_1_before_any_fit(tmp_path, monkeypatch, 
     with open(tmp_path / "external.csv", "w", newline="") as f:
         csv.writer(f).writerows(rows)
     assert main(["--config", str(audit_config(tmp_path))]) == 1
-    assert "non-numeric value 'nan' for x2 in row 3" in capsys.readouterr().err
+    external = tmp_path / "external.csv"
+    assert f"{external}: non-numeric value 'nan' for x2 in row 3" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name", ["internal.csv", "external.csv"])
+def test_a_row_of_the_wrong_width_exits_1_naming_its_file(tmp_path, monkeypatch, capsys, name):
+    make_audit_files(tmp_path)
+    fail_on_fit(monkeypatch)
+    path = tmp_path / name
+    rows = list(csv.reader(open(path)))
+    rows[3].append("0")
+    with open(path, "w", newline="") as f:
+        csv.writer(f).writerows(rows)
+    assert main(["--config", str(audit_config(tmp_path))]) == 1
+    width = len(rows[0])
+    assert (f"{path}: row 3 has {width + 1} cells; the header has {width}"
+            in capsys.readouterr().err)
     assert not (tmp_path / "out").exists()
 
 

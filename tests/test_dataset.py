@@ -12,7 +12,7 @@ from cfaudit.dataset import (AuditDataset, Characteristic, DataError, DuplicateC
                              ExternalDataset, LevelSetMismatch,
                              MissingColumn, MissingValue,
                              NonBinaryValue, NonNumericValue, SchemaSpec, UnknownLevel,
-                             _parse_by_row, _row_chunks, load_external, load_internal,
+                             _row_chunks, load_external, load_internal,
                              subgroup_counts, write_internal)
 
 
@@ -181,9 +181,17 @@ def test_roundtrip_identical(tmp_path):
 
 
 def parsed_by_row(path, schema, columns, binaries, covariates):
+    """(group codes, binary block, covariate block) of a well-formed CSV,
+    converted one row and one cell at a time: the reference for the loaders'
+    bulk parse."""
     rows = [row for _, chunk in _row_chunks(path, columns) for row in chunk]
-    return _parse_by_row(1, rows, schema, binaries, covariates, UnknownLevel,
-                         "{cell} {char} {row}")
+    k, b, p = len(schema.characteristics), len(binaries), len(covariates)
+    codes = np.array([schema.level_codes[tuple(row[:k])] for row in rows], dtype=np.int64)
+    binary = np.array([[int(cell) for cell in row[k:k + b]] for row in rows],
+                      dtype=np.int8).reshape(len(rows), b)
+    x = np.array([[float(cell) for cell in row[k + b:]] for row in rows],
+                 dtype=np.float64).reshape(len(rows), p)
+    return codes, binary, x
 
 
 def assert_same_arrays(got, want):
@@ -257,7 +265,7 @@ def test_a_bad_cell_in_the_last_row_raises_the_per_row_error(tmp_path, column, c
                        "not present in the internal schema")
         with pytest.raises(error) as raised:
             load(path, schema)
-        assert str(raised.value) == message
+        assert str(raised.value) == f"{path}: {message}"
 
 
 def test_loaders_accept_a_utf8_byte_order_mark(tmp_path):
@@ -301,7 +309,7 @@ def test_loading_memory_is_the_arrays_plus_one_chunk(tmp_path, bad_last_cell):
         write_cells(path, ds, [(20_000, "x9", "abc")])
         with pytest.raises(NonNumericValue) as raised:
             load_internal(path, schema)
-        assert str(raised.value) == "non-numeric value 'abc' for x9 in row 20000"
+        assert str(raised.value) == f"{path}: non-numeric value 'abc' for x9 in row 20000"
     # the chunk arrays and their concatenation, plus one chunk's strings;
     # holding every row's cell strings at once takes about ten times the arrays
     assert load_peak(path, schema) < 3 * array_bytes + chunk_peak
@@ -346,7 +354,7 @@ def test_a_row_of_the_wrong_width_in_a_later_chunk_wins(tmp_path, small_chunks, 
         for load, _ in loaders_with_columns(schema):
             with pytest.raises(MissingValue) as raised:
                 load(path, schema)
-            assert str(raised.value) == f"row {row} has {cells} cells; the header has 7"
+            assert str(raised.value) == f"{path}: row {row} has {cells} cells; the header has 7"
 
 
 LAST = 3 * CHUNK + 2  # rows of the file in the chunk-edge cases; the last chunk is short
@@ -378,7 +386,23 @@ def test_a_bad_cell_at_a_chunk_edge_raises_the_per_row_error(tmp_path, small_chu
                        "not present in the internal schema")
         with pytest.raises(error) as raised:
             load(path, schema)
-        assert str(raised.value) == message.format(row=row, cell=cell, column=column)
+        assert str(raised.value) == f"{path}: " + message.format(row=row, cell=cell,
+                                                                 column=column)
+
+
+def test_the_first_bad_cell_of_a_chunk_is_named(tmp_path, small_chunks):
+    # row 4 holds two bad cells and row 6 a third, all in the chunk of rows
+    # 1-7: an earlier row wins, and within a row the earlier column
+    schema = two_char_schema(covs=("x1", "x2"))
+    ds = random_dataset(schema, np.arange(CHUNK) % 4, seed=24)
+    path = tmp_path / "bad.csv"
+    write_cells(path, ds, [(4, "x1", "abc"), (4, "s", "2"), (6, "a1", "9")])
+    with pytest.raises(NonBinaryValue) as raised:
+        load_internal(path, schema)
+    assert str(raised.value) == f"{path}: non-binary value '2' for s in row 4"
+    with pytest.raises(NonNumericValue) as raised:  # the external file has no s column
+        load_external(path, schema)
+    assert str(raised.value) == f"{path}: non-numeric value 'abc' for x1 in row 4"
 
 
 def test_quoted_cells_holding_commas_across_chunks(tmp_path, small_chunks):
@@ -397,7 +421,7 @@ def test_quoted_cells_holding_commas_across_chunks(tmp_path, small_chunks):
     write_cells(path, ds, [(CHUNK + 1, "x2", "1,5")])
     with pytest.raises(NonNumericValue) as raised:
         load_internal(path, schema)
-    assert str(raised.value) == f"non-numeric value '1,5' for x2 in row {CHUNK + 1}"
+    assert str(raised.value) == f"{path}: non-numeric value '1,5' for x2 in row {CHUNK + 1}"
 
 
 def test_crlf_line_ends_load_as_lf_ones(tmp_path, small_chunks):
@@ -413,7 +437,7 @@ def test_crlf_line_ends_load_as_lf_ones(tmp_path, small_chunks):
     write_cells(crlf, ds, [(CHUNK + 1, "s", "")], lineterminator="\r\n")
     with pytest.raises(MissingValue) as raised:
         load_internal(crlf, schema)
-    assert str(raised.value) == f"empty s cell in row {CHUNK + 1}"
+    assert str(raised.value) == f"{crlf}: empty s cell in row {CHUNK + 1}"
 
 
 def test_header_only_files(tmp_path, small_chunks):

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from cfaudit.dataset import AuditDataset, Characteristic, SchemaSpec
-from cfaudit.estimators import (METHODS, NuisanceEstimates, comparison_rate,
-                                estimate_all, membership_ratio, overall_rate,
-                                proposed_rate, report_keys)
+from cfaudit.estimators import (METHODS, METRICS, NuisanceEstimates, comparison_rate,
+                                estimate_all, membership_ratio, proposed_rate,
+                                report_keys)
 
 
 def one_char_schema(levels=("p", "q")):
@@ -73,7 +73,7 @@ def test_overall_equals_comparison_for_single_group():
                rng.integers(0, 2, n))
     pi = rng.uniform(0.1, 0.9, n)
     for metric in ("cFPR", "cFNR"):
-        ov = overall_rate(ds, pi, metric)
+        ov = comparison_rate(ds, pi, None, metric)
         cmp_ = comparison_rate(ds, pi, 0, metric)
         if ov.defined:
             assert ov.value == cmp_.value
@@ -82,7 +82,7 @@ def test_overall_equals_comparison_for_single_group():
 def test_overall_all_predicted_positive_gives_zero_cfnr():
     schema = one_char_schema()
     ds = build(schema, [0, 1], [0, 0], [1, 1], [1, 1])
-    est = overall_rate(ds, np.full(2, 0.2), "cFNR")
+    est = comparison_rate(ds, np.full(2, 0.2), None, "cFNR")
     assert est.defined and est.value == 0.0
 
 
@@ -98,7 +98,7 @@ def test_overall_hand_computed_six_rows():
     w = 1.0 / (1.0 - pi)  # 2, 4, 1.25, 5/3, 10, 2.5
     num = w[0] + w[2] + w[5]  # rows with y=1, s=0
     den = w[0] + w[1] + w[2] + w[4] + w[5]  # rows with y=1
-    est = overall_rate(ds, pi, "cFNR")
+    est = comparison_rate(ds, pi, None, "cFNR")
     assert est.value == pytest.approx(num / den, abs=1e-12)
 
 
@@ -169,7 +169,7 @@ def test_proposed_equals_overall_for_single_group():
         group_prob=np.ones((n, 1)),
     )
     for metric in ("cFPR", "cFNR"):
-        ov = overall_rate(ds, nuis.propensity, metric)
+        ov = comparison_rate(ds, nuis.propensity, None, metric)
         prop = proposed_rate(ds, nuis, ov, 0)
         assert prop.value == pytest.approx(ov.value, abs=1e-12)
 
@@ -178,7 +178,7 @@ def test_proposed_zero_overall_pins_groups_at_zero():
     schema = one_char_schema()
     ds = build(schema, [0, 1], [0, 0], [1, 1], [1, 1])  # no false negatives
     nuis = exact_nuisances(ds)
-    ov = overall_rate(ds, nuis.propensity, "cFNR")
+    ov = comparison_rate(ds, nuis.propensity, None, "cFNR")
     assert ov.value == 0.0
     for g in range(schema.n_groups):
         prop = proposed_rate(ds, nuis, ov, g)
@@ -236,7 +236,7 @@ def test_exact_count_agreement_untreated_data():
     ds = build(schema, codes, [0] * n, rng.integers(0, 2, n), rng.integers(0, 2, n))
     nuis = exact_nuisances(ds)
     for metric in ("cFPR", "cFNR"):
-        ov = overall_rate(ds, nuis.propensity, metric)
+        ov = comparison_rate(ds, nuis.propensity, None, metric)
         for g in range(schema.n_groups):
             cmp_ = comparison_rate(ds, nuis.propensity, g, metric)
             prop = proposed_rate(ds, nuis, ov, g)
@@ -255,8 +255,8 @@ def test_weight_scale_invariance():
         # scaling all weights by c means using pi' = 1 - (1 - pi)/c
         pi_scaled = 1.0 - (1.0 - pi) / c
         for metric in ("cFPR", "cFNR"):
-            a = overall_rate(ds, pi, metric)
-            b = overall_rate(ds, pi_scaled, metric)
+            a = comparison_rate(ds, pi, None, metric)
+            b = comparison_rate(ds, pi_scaled, None, metric)
             assert b.value == pytest.approx(a.value, rel=1e-12)
             for g in range(schema.n_groups):
                 ca = comparison_rate(ds, pi, g, metric)
@@ -294,7 +294,7 @@ def test_estimate_all_cardinality_and_consistency():
 
     # entries match individually invoked operations
     for metric in ("cFPR", "cFNR"):
-        ov = overall_rate(ds, nuis.propensity, metric)
+        ov = comparison_rate(ds, nuis.propensity, None, metric)
         assert lookup(None, metric, "comparison").value == ov.value
         for g in range(schema.n_groups):
             cmp_ = comparison_rate(ds, nuis.propensity, g, metric)
@@ -302,8 +302,8 @@ def test_estimate_all_cardinality_and_consistency():
             prop = proposed_rate(ds, nuis, ov, g)
             assert lookup(g, metric, "proposed-internal").value == prop.value
             prop_b = proposed_rate(ds, replace(nuis, group_prob=borrowed),
-                                   overall_rate(ds, nuis.propensity, metric,
-                                                method="proposed-borrowing"),
+                                   comparison_rate(ds, nuis.propensity, None, metric,
+                                                   method="proposed-borrowing"),
                                    g, method="proposed-borrowing")
             assert lookup(g, metric, "proposed-borrowing").value == prop_b.value
 
@@ -337,6 +337,17 @@ def test_membership_ratio_checks_the_column_count():
     nuis = replace(exact_nuisances(ds), group_prob=np.ones((2, 1)))
     with pytest.raises(ValueError, match="1 columns; the schema has 2 groups"):
         membership_ratio(ds, nuis, 0, "cFNR")
+
+
+def test_an_unknown_metric_raises_naming_it():
+    ds = build(one_char_schema(), [0, 1], [0, 0], [1, 1], [0, 1])
+    nuis = exact_nuisances(ds)
+    assert "cTPR" not in METRICS
+    for estimate in (lambda: comparison_rate(ds, nuis.propensity, None, "cTPR"),
+                     lambda: comparison_rate(ds, nuis.propensity, 0, "cTPR"),
+                     lambda: membership_ratio(ds, nuis, 0, "cTPR")):
+        with pytest.raises(ValueError, match="unknown metric: 'cTPR'"):
+            estimate()
 
 
 def test_report_order_is_report_keys_for_levels_out_of_string_order():

@@ -67,28 +67,45 @@ def referenced_names(tree: ast.AST) -> set[str]:
     return names
 
 
+def defined_names(node: ast.stmt) -> list[str]:
+    """The names a module-level statement defines: a function's or a class's
+    name, or each plain name an assignment binds."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return []
+    return [n.id for target in targets for n in ast.walk(target)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
+
+
 def dead_definitions(sources: dict[str, str], users: dict[str, str], readme: str) -> list[str]:
-    """"file: name" of each module-level private function and each public
-    module-level function or class in sources, a map of file name to text,
-    that no statement but its own definition references as a name, an
-    attribute or an imported name. A public name also passes when a statement
-    of users, another such map, references it or when readme names it."""
+    """"file: name" of each module-level private function or assignment and
+    each public module-level function, class or assignment in sources, a map
+    of file name to text, that no statement but its own definition references
+    as a name, an attribute or an imported name. A public name also passes
+    when a statement of users, another such map, references it or when
+    readme names it."""
     statements = [(file, node) for file, source in sources.items()
                   for node in ast.parse(source).body]
     used = [referenced_names(statement) for _, statement in statements]
     public_uses = set(re.findall(r"\w+", readme)).union(
         *(referenced_names(ast.parse(source)) for source in users.values()))
 
-    def checked(node) -> bool:
-        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("__"):
+    def checked(node, name) -> bool:
+        if name.startswith("__"):
             return False
-        if node.name.startswith("_"):
-            return isinstance(node, ast.FunctionDef)
-        return node.name not in public_uses
+        if name.startswith("_"):
+            return not isinstance(node, ast.ClassDef)
+        return name not in public_uses
 
-    return [f"{file}: {node.name}" for i, (file, node) in enumerate(statements)
-            if checked(node)
-            and not any(node.name in names for j, names in enumerate(used) if j != i)]
+    return [f"{file}: {name}" for i, (file, node) in enumerate(statements)
+            for name in defined_names(node)
+            if checked(node, name)
+            and not any(name in names for j, names in enumerate(used) if j != i)]
 
 
 def test_dead_definitions_are_found():
@@ -98,22 +115,26 @@ def test_dead_definitions_are_found():
                  "def public():\n    pass\n\nclass Public:\n    pass\n\n"
                  "class _Private:\n    pass\n\ndef used_by_a_user():\n    pass\n\n"
                  "def named_by_the_readme():\n    pass\n\ndef _private_used_by_a_user():\n"
-                 "    pass\n"),
-        "b.py": "import a\nfrom a import _imported\nf = a._by_attribute\n",
+                 "    pass\n\n"
+                 "__all__ = []\nUNUSED = 1\n_UNUSED: int = 2\nA, (B, _C) = 1, (2, 3)\n"
+                 "_READ = 4\nLIMIT = _READ\nCONSTANT = 5\ntable = {}\ntable[_READ] = 6\n"),
+        "b.py": "import a\nfrom a import _imported\nf = a._by_attribute\nprint(a.B)\n",
     }
-    users = {"demo.py": "from a import used_by_a_user, _private_used_by_a_user\n"}
-    readme = "Call `named_by_the_readme()` first."
+    users = {"demo.py": "from a import used_by_a_user, _private_used_by_a_user, LIMIT\n"}
+    readme = "Call `named_by_the_readme()` first; it reads CONSTANT."
     assert dead_definitions(sources, {}, "") == [
         "a.py: _recursive", "a.py: public", "a.py: Public", "a.py: used_by_a_user",
-        "a.py: named_by_the_readme", "a.py: _private_used_by_a_user"]
+        "a.py: named_by_the_readme", "a.py: _private_used_by_a_user", "a.py: UNUSED",
+        "a.py: _UNUSED", "a.py: A", "a.py: _C", "a.py: LIMIT", "a.py: CONSTANT", "b.py: f"]
     assert dead_definitions(sources, users, readme) == [
-        "a.py: _recursive", "a.py: public", "a.py: Public", "a.py: _private_used_by_a_user"]
+        "a.py: _recursive", "a.py: public", "a.py: Public", "a.py: _private_used_by_a_user",
+        "a.py: UNUSED", "a.py: _UNUSED", "a.py: A", "a.py: _C", "b.py: f"]
 
 
 def test_every_definition_of_the_package_has_a_user():
-    """Private functions need a caller in the package; public functions and
-    classes need one in the package, the demos or the benchmark, or a mention
-    in the README."""
+    """Private functions and module-level names need a user in the package;
+    public functions, classes and module-level names need one in the package,
+    the demos or the benchmark, or a mention in the README."""
     def read(*folders):
         return {str(path.relative_to(ROOT)): path.read_text(encoding="utf-8")
                 for folder in folders for path in sorted((ROOT / folder).rglob("*.py"))}

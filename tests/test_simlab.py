@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from cfaudit import models, pipeline
+from cfaudit.estimators import METRICS
 from cfaudit.models import BinarySpec, ModelError, MulticlassConfig
 from cfaudit.pipeline import PipelineConfig
 from cfaudit.simlab import (DRAW_ROWS, INTERACTION_PAIRS, INTERACTION_TRIPLES,
@@ -141,6 +142,9 @@ def test_oracle_hand_built_twelve_records():
     pop = Population(x=x, group_codes=codes, y0=y0,
                      y1=y0.copy(), d=np.zeros(12, np.int8), y=y0.copy())
     truth = oracle_error_rates([pop], stump_on_first_covariate())
+    # every metric of the overall row, then of each group code, an empty group included
+    assert list(truth) == [(code, metric) for code in (None, *range(len(SIM_GROUPS)))
+                           for metric in METRICS]
     maj = 0
     minority = 3
     # majority: y0=1 rows have s = 1,1,0 -> cFNR = 1/3; y0=0 rows s = 1,0,0 -> cFPR = 1/3

@@ -38,7 +38,7 @@ print(f"internal sample: n={internal.n}, group sizes {sizes}")
 pipeline = PipelineConfig(
     pi=BinarySpec(l2=0.01),
     mu=BinarySpec(l2=0.01),
-    h_internal=MulticlassConfig(kind="softmax-linear", epochs=300, lr=1.0),
+    h_internal=MulticlassConfig(kind="softmax-linear", epochs=300),
     crossfit_k=1,
     borrow=False,
 )

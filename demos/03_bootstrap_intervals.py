@@ -27,7 +27,7 @@ internal = to_audit_dataset(
 
 pipeline = PipelineConfig(
     pi=BinarySpec(l2=0.01), mu=BinarySpec(l2=0.01),
-    h_internal=MulticlassConfig(kind="softmax-linear", epochs=200, lr=1.0),
+    h_internal=MulticlassConfig(kind="softmax-linear", epochs=200),
     crossfit_k=1, borrow=False,
 )
 

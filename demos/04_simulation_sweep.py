@@ -19,8 +19,8 @@ from cfaudit.simlab import ScenarioConfig, run_scenario
 
 pipeline = PipelineConfig(
     pi=BinarySpec(l2=0.01), mu=BinarySpec(l2=0.01),
-    h_internal=MulticlassConfig(kind="softmax-linear", epochs=200, lr=1.0),
-    h_external=MulticlassConfig(kind="softmax-linear", epochs=200, lr=1.0),
+    h_internal=MulticlassConfig(kind="softmax-linear", epochs=200),
+    h_external=MulticlassConfig(kind="softmax-linear", epochs=200),
     crossfit_k=1, alpha_grid_step=0.01,
 )
 base = ScenarioConfig(n_internal=100, replications=40, seed=11, pipeline=pipeline)

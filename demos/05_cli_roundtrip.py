@@ -35,8 +35,8 @@ run_config = {
     "models": {
         "pi": {"kind": "logistic-IRLS", "l2": 0.01},
         "mu": {"kind": "logistic-IRLS", "l2": 0.01},
-        "h_internal": {"kind": "softmax-linear", "epochs": 200, "lr": 1.0},
-        "h_external": {"kind": "softmax-linear", "epochs": 200, "lr": 1.0},
+        "h_internal": {"kind": "softmax-linear", "epochs": 200},
+        "h_external": {"kind": "softmax-linear", "epochs": 200},
         "crossfit_k": 1,
     },
     "borrowing": {"enabled": True, "metric": "brier", "grid_step": 0.01},

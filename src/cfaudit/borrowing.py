@@ -223,20 +223,15 @@ def select_alpha(h_external, h_internal, codes, metric="brier",
     grid = alpha_grid(grid_step)
     if metric == "brier":
         scores = _brier_curve(h_external, h_internal, _one_hot(h_internal.shape, codes), grid)
-        better = lambda a, b: a < b
+        best = np.argmin(scores)
     elif metric == "auc":
         positives = _auc_positives(h_internal.shape, codes)
         scores = _auc_curve(h_external, h_internal, positives, grid)
-        better = lambda a, b: a > b
+        best = np.argmax(scores)
     else:
         raise ValueError(f"unknown borrowing metric: {metric!r}")
 
-    curve = []
-    best_alpha, best_score = None, None
-    for alpha, score in zip(grid.tolist(), scores):
-        curve.append((alpha, score))
-        if best_score is None or better(score, best_score):
-            best_alpha, best_score = alpha, score
-
-    h_star = best_alpha * h_external + (1.0 - best_alpha) * h_internal
-    return BlendedMembership(alpha=best_alpha, h_star=h_star, metric_curve=curve)
+    curve = list(zip(grid.tolist(), scores))
+    alpha = curve[best][0]  # the first best score, so the smallest alpha on a tie
+    h_star = alpha * h_external + (1.0 - alpha) * h_internal
+    return BlendedMembership(alpha=alpha, h_star=h_star, metric_curve=curve)

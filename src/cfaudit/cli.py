@@ -18,7 +18,7 @@ import numpy as np
 from . import __version__
 from .borrowing import BORROW_METRICS, grid_intervals
 from .config import (ConfigError, check_at_least, check_choice, check_level, decode,
-                     encode)
+                     encode, read_json)
 from .dataset import (DataError, SchemaSpec, load_external, load_internal,
                       subgroup_counts)
 from .estimators import METRICS, group_label
@@ -90,23 +90,6 @@ class SimulateConfig(RunConfig):
     scenario: dict  # decoded with its sweep block by _scenario_points
 
 
-def _read_json(path: Path, what: str):
-    """The file's JSON value. NaN and Infinity, which json.load accepts and
-    the strict JSON outputs cannot hold, raise ConfigError."""
-    def non_finite(name):
-        raise ConfigError(f"{what} is not valid JSON: {name} is not a JSON number")
-
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            return json.load(f, parse_constant=non_finite)
-    except FileNotFoundError:
-        raise ConfigError(f"{what} file not found: {path}") from None
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"{what} is not valid JSON: {err}") from None
-    except UnicodeDecodeError as err:
-        raise ConfigError(f"{what} is not UTF-8 text: {err}") from None
-
-
 def _resolve(base: Path, path: Path) -> Path:
     return (base / path).absolute()  # base / path is path when path is absolute
 
@@ -119,7 +102,10 @@ def load_run_config(path, overrides: dict) -> AuditConfig | SimulateConfig:
     directory; all of them are made absolute, so a manifest re-runs from
     anywhere and writes where the run it records wrote."""
     path = Path(path)
-    raw = _read_json(path, "config")
+    try:
+        raw = read_json(path, "config")
+    except FileNotFoundError:
+        raise ConfigError(f"config file not found: {path}") from None
     if isinstance(raw, dict) and "config_sha256" in raw and "config" in raw:
         raw = raw["config"]  # manifest re-run
     if not isinstance(raw, dict):
@@ -235,7 +221,7 @@ def _write_manifest(out: Path, mode: str, resolved_config: dict, seed: int,
 def cmd_audit(cfg: AuditConfig) -> int:
     try:
         schema = SchemaSpec.from_json(cfg.schema)
-    except (ConfigError, ValueError) as err:  # ValueError: not JSON
+    except (ConfigError, ValueError) as err:  # ValueError: a path open() refuses
         raise ConfigError(f"schema {cfg.schema}: {err}") from None
     labels = schema.group_labels
     reference = 0 if len(labels) > 1 else None  # a group code
@@ -264,8 +250,7 @@ def cmd_audit(cfg: AuditConfig) -> int:
             row.update({
                 "se": boot.se, "lower": boot.lower, "upper": boot.upper,
                 "B": boot.B, "na_count": boot.na_count,
-                "truncated_low": boot.truncated_low if boot.lower is not None else None,
-                "truncated_high": boot.truncated_high if boot.lower is not None else None,
+                "truncated_low": boot.truncated_low, "truncated_high": boot.truncated_high,
             })
 
     # each defined group's difference from the reference, methods in name order

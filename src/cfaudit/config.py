@@ -5,12 +5,14 @@ tuples and arrays become lists. Decoding is its inverse. It rejects any key
 the dataclass does not declare and any value of the wrong JSON type, naming
 the dotted key path and the value, so a misspelt or mistyped setting stops a
 run before anything is fitted instead of being ignored. Booleans must be JSON
-booleans, and a float setting accepts a JSON integer.
+booleans, and a float setting accepts a JSON integer. ``read_json`` is the
+one reader of the JSON files a run takes.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import json
 import types
 import typing
 from pathlib import Path
@@ -46,6 +48,32 @@ def check_level(level: float) -> float:
         raise ValueError(f"level must lie in (0, 1), with 1 - (1 - level) / 2 "
                          f"strictly between 1/2 and 1 as a float; got {level!r}")
     return q
+
+
+def read_json(path, what: str):
+    """The JSON value of a run config, a manifest or a schema file, read
+    strictly. Text that is not UTF-8 or not JSON, NaN or Infinity (which the
+    strict JSON outputs cannot hold) and a key repeated within one object (of
+    which json.load would keep the last copy) raise ConfigError naming what
+    the file is. A missing file raises FileNotFoundError."""
+    def non_finite(name):
+        raise ConfigError(f"{what} is not valid JSON: {name} is not a JSON number")
+
+    def unique_keys(pairs):
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ConfigError(f"{what}: key {key!r} appears twice in one object")
+            obj[key] = value
+        return obj
+
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            return json.load(f, parse_constant=non_finite, object_pairs_hook=unique_keys)
+    except json.JSONDecodeError as err:
+        raise ConfigError(f"{what} is not valid JSON: {err}") from None
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"{what} is not UTF-8 text: {err}") from None
 
 
 def encode(value):

@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import csv
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .config import decode
+from .config import decode, read_json
 
 
 class DataError(Exception):
@@ -157,8 +156,7 @@ class SchemaSpec:
     @classmethod
     def from_json(cls, path) -> "SchemaSpec":
         """Decode a schema file strictly; raises ConfigError naming the key path."""
-        with open(path, "r", encoding="utf-8") as f:
-            return decode(cls, json.load(f), "schema")
+        return decode(cls, read_json(path, "schema"), "schema")
 
 
 def _check_codes(codes, n_groups: int, error=ValueError) -> np.ndarray:

@@ -10,8 +10,8 @@ against the untreated outcome:
   group-membership model, which stays computable for groups too small for
   the cell-restricted route.
 
-Estimates carry a ``defined`` flag instead of raising when a denominator
-is empty, so replication sweeps can count inestimable cells.
+An estimate whose denominator is empty has no value instead of raising, so
+replication sweeps can count inestimable cells.
 """
 
 from __future__ import annotations
@@ -68,13 +68,18 @@ class ErrorRateEstimate:
     group: int | None  # group code; None = overall
     value: float | None  # clipped to [0, 1]; None when undefined
     raw_value: float | None = None  # unclipped, for diagnostics
-    defined: bool = True
-    clipped: bool = False
+
+    @property
+    def defined(self) -> bool:
+        return self.value is not None
+
+    @property
+    def clipped(self) -> bool:
+        return self.value != self.raw_value
 
 
 def _undefined(metric, method, group) -> ErrorRateEstimate:
-    return ErrorRateEstimate(metric=metric, method=method, group=group,
-                             value=None, raw_value=None, defined=False)
+    return ErrorRateEstimate(metric=metric, method=method, group=group, value=None)
 
 
 def _cell(metric: str) -> tuple[int, int]:
@@ -146,8 +151,8 @@ def proposed_rate(ds: AuditDataset, nuis: NuisanceEstimates,
                   method: str = "proposed-internal") -> ErrorRateEstimate:
     """Proposed group estimator: overall rate times the membership ratio.
 
-    The raw product can leave [0, 1]; the reported value is clipped with the
-    clipped flag recorded and the raw product kept for diagnostics.
+    The raw product can leave [0, 1]; the reported value is clipped to it,
+    and the raw product is kept for diagnostics.
     """
     metric = overall.metric
     if not overall.defined:
@@ -162,7 +167,7 @@ def proposed_rate(ds: AuditDataset, nuis: NuisanceEstimates,
     raw = overall.value * ratio
     value = min(max(raw, 0.0), 1.0)
     return ErrorRateEstimate(metric=metric, method=method, group=group,
-                             value=value, raw_value=raw, clipped=value != raw)
+                             value=value, raw_value=raw)
 
 
 def report_keys(n_groups: int, methods) -> list[tuple[int | None, str, str]]:

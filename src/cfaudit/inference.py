@@ -27,13 +27,20 @@ from .pipeline import PipelineConfig, map_tasks, run_cells, run_pipeline
 class BootstrapResult:
     point: float | None
     replicates: np.ndarray  # (B,) with NaN marking NA replicates
-    se: float | None
-    lower: float | None
-    upper: float | None
-    B: int
-    na_count: int
-    truncated_low: bool = False
-    truncated_high: bool = False
+    se: float | None = None
+    lower: float | None = None
+    upper: float | None = None
+    # whether the interval was cut at 0 or at 1; None without an interval
+    truncated_low: bool | None = None
+    truncated_high: bool | None = None
+
+    @property
+    def B(self) -> int:
+        return len(self.replicates)
+
+    @property
+    def na_count(self) -> int:
+        return int(np.count_nonzero(np.isnan(self.replicates)))
 
 
 def stratified_resample(ds: AuditDataset, rng) -> AuditDataset:
@@ -175,21 +182,16 @@ def bootstrap_estimates(internal: AuditDataset, external: ExternalDataset | None
     for j, (key, entry) in enumerate(zip(keys, point_run.report.entries)):
         reps = matrix[:, j]
         good = reps[~np.isnan(reps)]
-        na_count = B - len(good)
-        point = entry.value if entry.defined else None
+        point = entry.value
         if point is None or len(good) < 2:  # no standard error to give
-            out[key] = BootstrapResult(point=point, replicates=reps, se=None,
-                                       lower=None, upper=None, B=B,
-                                       na_count=na_count)
+            out[key] = BootstrapResult(point=point, replicates=reps)
             continue
         se = float(np.std(good, ddof=1))
         raw_lo = point - t_mult * se
         raw_hi = point + t_mult * se
-        lower = max(raw_lo, 0.0)
-        upper = min(raw_hi, 1.0)
         out[key] = BootstrapResult(
-            point=point, replicates=reps, se=se, lower=lower, upper=upper,
-            B=B, na_count=na_count,
+            point=point, replicates=reps, se=se,
+            lower=max(raw_lo, 0.0), upper=min(raw_hi, 1.0),
             truncated_low=raw_lo < 0.0, truncated_high=raw_hi > 1.0,
         )
     return out

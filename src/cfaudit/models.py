@@ -458,17 +458,6 @@ def membership_probs(x, group_codes, x_eval, n_groups: int, config: MulticlassCo
 
 
 @dataclass
-class CrossFitPlan:
-    k: int
-    fold: np.ndarray  # (n,) fold id per row
-
-    def __post_init__(self):
-        sizes = np.bincount(self.fold, minlength=self.k)
-        if sizes.max() - sizes.min() > 1:
-            raise ValueError("fold sizes must differ by at most 1")
-
-
-@dataclass
 class BinarySpec:
     kind: str = "logistic-IRLS"  # the only binary fit
     l2: float = 0.0
@@ -518,8 +507,9 @@ def _complement_feasible(ds, train_mask) -> bool:
 MAX_REDRAWS = 10
 
 
-def make_crossfit_plan(ds: AuditDataset, k, seed) -> CrossFitPlan:
-    """Random fold assignment with sizes differing by at most one.
+def make_crossfit_plan(ds: AuditDataset, k, seed) -> np.ndarray:
+    """The fold id, in 0..k-1, of each row: a random assignment whose fold
+    sizes differ by at most one.
 
     Each fold's training complement must contain both treatment arms and
     both outcome classes among untreated rows; infeasible draws are retried
@@ -528,11 +518,8 @@ def make_crossfit_plan(ds: AuditDataset, k, seed) -> CrossFitPlan:
     rng = np.random.default_rng(seed)
     for _ in range(MAX_REDRAWS):
         fold = _draw_plan(ds.n, k, rng)
-        ok = all(
-            _complement_feasible(ds, fold != f) for f in range(k)
-        )
-        if ok:
-            return CrossFitPlan(k=k, fold=fold)
+        if all(_complement_feasible(ds, fold != f) for f in range(k)):
+            return fold
     raise InfeasibleFolds(f"no feasible {k}-fold split after {MAX_REDRAWS} draws")
 
 
@@ -551,15 +538,14 @@ def _fit_outcome_models(ds, train_idx, spec: BinarySpec):
     return mu_by_s, mu_star
 
 
-def cross_fit(ds: AuditDataset, models: NuisanceModels, seed=0, h_seed=0,
-              plan: CrossFitPlan | None = None) -> NuisanceEstimates:
+def cross_fit(ds: AuditDataset, models: NuisanceModels, seed=0, h_seed=0) -> NuisanceEstimates:
     """Out-of-fold nuisance predictions for every row.
 
     Each (held-out rows, training rows) pair fits the models on its training
     rows and predicts its held-out rows. With k = models.crossfit_k == 1 the
     one pair is (all rows, all rows): each model is fit once and predicts in
-    sample (the GLM path). With k >= 2 each fold of plan, drawn from seed
-    when not given, is held out once and predicted by models trained on its
+    sample (the GLM path). With k >= 2 each fold of make_crossfit_plan(ds,
+    k, seed) is held out once and predicted by models trained on its
     complement. The group-membership model models.h_internal is always fit
     once on the full sample, with seed h_seed.
     """
@@ -573,10 +559,9 @@ def cross_fit(ds: AuditDataset, models: NuisanceModels, seed=0, h_seed=0,
     if models.crossfit_k == 1:
         pairs = [(np.arange(n), np.arange(n))]
     else:
-        if plan is None:
-            plan = make_crossfit_plan(ds, models.crossfit_k, seed)
-        pairs = [(np.flatnonzero(plan.fold == f), np.flatnonzero(plan.fold != f))
-                 for f in range(plan.k)]
+        fold = make_crossfit_plan(ds, models.crossfit_k, seed)
+        pairs = [(np.flatnonzero(fold == f), np.flatnonzero(fold != f))
+                 for f in range(models.crossfit_k)]
     for hold, train in pairs:
         pi_model = fit_logistic(pi_design[train], ds.d[train], l2=models.pi.l2)
         propensity[hold] = predict_binary(pi_model, pi_design[hold])

@@ -180,10 +180,6 @@ class Population:
     y: np.ndarray | None = None
     s: np.ndarray | None = None
 
-    @property
-    def n(self) -> int:
-        return len(self.group_codes)
-
 
 def _interaction_block(x_inf) -> np.ndarray:
     cols = [x_inf[:, i] * x_inf[:, j] for i, j in INTERACTION_PAIRS]

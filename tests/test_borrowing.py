@@ -90,11 +90,12 @@ def test_alpha_grid_shape():
         alpha_grid(0.3)
 
 
-def test_select_alpha_identical_inputs_tie_breaks_to_zero():
+@pytest.mark.parametrize("metric", BORROW_METRICS)
+def test_select_alpha_identical_inputs_tie_breaks_to_zero(metric):
     rng = np.random.default_rng(1)
     h = rng.dirichlet(np.ones(4), size=30)
     labels = keys(rng.integers(0, 4, 30))
-    blend = select_alpha(h, h.copy(), labels, grid_step=0.01)
+    blend = select_alpha(h, h.copy(), labels, metric=metric, grid_step=0.01)
     assert blend.alpha == 0.0
 
 

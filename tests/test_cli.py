@@ -154,6 +154,33 @@ def test_audit_bootstrap_fields_present(tmp_path):
         assert 0.0 <= e["lower"] <= e["upper"] <= 1.0
 
 
+def test_a_bootstrap_cell_without_a_point_estimate_reports_no_interval(tmp_path):
+    make_audit_files(tmp_path)
+    # every row of group 1|1 treated: its comparison cells have no untreated row
+    path = tmp_path / "internal.csv"
+    with open(path, newline="") as f:
+        rows = list(csv.reader(f))
+    for row in rows[1:]:
+        if row[:2] == ["1", "1"]:
+            row[2] = "1"
+    with open(path, "w", newline="") as f:
+        csv.writer(f, lineterminator="\n").writerows(rows)
+    assert main(["--config", str(audit_config(tmp_path, bootstrap_b=3))]) == 0
+    estimates = read_report(tmp_path)["estimates"]
+    undefined = [e for e in estimates if e["group"] == "1|1" and e["method"] == "comparison"]
+    assert len(undefined) == 2
+    for e in undefined:
+        assert e["value"] is None and not e["defined"]
+        assert [e[k] for k in ("se", "lower", "upper", "truncated_low", "truncated_high")] == [
+            None] * 5
+        assert (type(e["B"]), type(e["na_count"])) == (int, int)
+        assert (e["B"], e["na_count"]) == (3, 3)
+    with_interval = [e for e in estimates if e["lower"] is not None]
+    assert with_interval
+    for e in with_interval:
+        assert type(e["truncated_low"]) is bool and type(e["truncated_high"]) is bool
+
+
 def test_exit_code_config_error(tmp_path, capsys):
     path = tmp_path / "bad.json"
     with open(path, "w") as f:
@@ -448,6 +475,42 @@ def test_a_run_config_that_is_not_utf8_exits_2(tmp_path, capsys, manifest):
     path.write_bytes(path.read_bytes().replace(b'"out": "out"', b'"out": "caf\xe9"'))
     assert main(["--config", str(path)]) == 2
     assert capsys.readouterr().err.startswith("config error: config is not UTF-8 text: ")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("manifest", [False, True], ids=["config", "manifest"])
+def test_a_key_repeated_in_a_run_config_exits_2_naming_it(tmp_path, monkeypatch, capsys,
+                                                          manifest):
+    make_audit_files(tmp_path)
+    fail_on_fit(monkeypatch)
+    path = audit_config(tmp_path, bootstrap_b=3)
+    if manifest:
+        path.write_text(json.dumps({"config_sha256": "0", "config": json.loads(path.read_text())}))
+    # json.load would keep the second block and run with B = 3
+    path.write_text(path.read_text().replace(
+        '"bootstrap": {', '"bootstrap": {"B": 0, "level": 0.95}, "bootstrap": {'))
+    assert main(["--config", str(path)]) == 2
+    assert (capsys.readouterr().err
+            == "config error: config: key 'bootstrap' appears twice in one object\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("change,named", [
+    (lambda text: text.replace('"treatment": "d"', '"treatment": "y", "treatment": "d"'),
+     "schema: key 'treatment' appears twice in one object"),
+    (lambda text: text.replace('"treatment": "d"', '"treatment": NaN'),
+     "schema is not valid JSON: NaN is not a JSON number"),
+], ids=["repeated-key", "nan"])
+def test_a_schema_file_is_read_as_strictly_as_a_run_config(tmp_path, monkeypatch, capsys,
+                                                           change, named):
+    make_audit_files(tmp_path)
+    fail_on_fit(monkeypatch)
+    path = tmp_path / "schema.json"
+    text = path.read_text()
+    assert '"treatment": "d"' in text
+    path.write_text(change(text))
+    assert main(["--config", str(audit_config(tmp_path))]) == 2
+    assert capsys.readouterr().err == f"config error: schema {path}: {named}\n"
     assert not (tmp_path / "out").exists()
 
 

@@ -6,6 +6,13 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def read(*folders) -> dict[str, str]:
+    """The text of each Python file under the folders of the repository, by
+    its path relative to the root."""
+    return {str(path.relative_to(ROOT)): path.read_text(encoding="utf-8")
+            for folder in folders for path in sorted((ROOT / folder).rglob("*.py"))}
+
+
 def unused_imports(source: str) -> list[tuple[int, str]]:
     """(line, name) of each name the module imports and never reads. A name
     read anywhere in the module counts as used; `import a.b` binds `a`."""
@@ -135,14 +142,81 @@ def test_every_definition_of_the_package_has_a_user():
     """Private functions and module-level names need a user in the package;
     public functions, classes and module-level names need one in the package,
     the demos or the benchmark, or a mention in the README."""
-    def read(*folders):
-        return {str(path.relative_to(ROOT)): path.read_text(encoding="utf-8")
-                for folder in folders for path in sorted((ROOT / folder).rglob("*.py"))}
-
     sources = read("src")
     assert len(sources) > 5
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     assert dead_definitions(sources, read("demos", "bench"), readme) == []
+
+
+def optional_parameters(node: ast.FunctionDef, method: bool) -> dict[str, int | None]:
+    """Each parameter of a function that has a default, mapped to the number of
+    positional arguments a call passes it at, or None when only a keyword can;
+    a method's calls do not pass its first parameter."""
+    positional = node.args.posonlyargs + node.args.args
+    bound = 1 if method else 0  # self or cls
+    first_default = len(positional) - len(node.args.defaults)
+    found = {arg.arg: i + 1 - bound for i, arg in enumerate(positional) if i >= first_default}
+    found.update((arg.arg, None) for arg, default in zip(node.args.kwonlyargs,
+                                                         node.args.kw_defaults)
+                 if default is not None)
+    return found
+
+
+def unpassed_optional_parameters(sources: dict[str, str], users: dict[str, str]) -> list[str]:
+    """"file: function(parameter)" of each parameter with a default of a
+    function in sources that no call in sources or users passes, by keyword
+    or by position. Calls are matched by the name of the called function or
+    attribute; a call that unpacks *args passes every positional parameter,
+    and one that unpacks **kwargs every parameter."""
+    passed = {}  # function name -> (most positional arguments, keywords)
+    for source in [*sources.values(), *users.values()]:
+        for call in ast.walk(ast.parse(source)):
+            if not isinstance(call, ast.Call):
+                continue
+            name = getattr(call.func, "id", getattr(call.func, "attr", None))
+            most, keywords = passed.get(name, (0, set()))
+            starred = any(isinstance(arg, ast.Starred) for arg in call.args)
+            keywords = keywords | {kw.arg for kw in call.keywords}
+            passed[name] = (max(most, float("inf") if starred else len(call.args)), keywords)
+
+    found = []
+    for file, source in sources.items():
+        tree = ast.parse(source)
+        methods = {id(node) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                   for node in cls.body}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            most, keywords = passed.get(node.name, (0, set()))
+            params = optional_parameters(node, id(node) in methods)
+            found += [f"{file}: {node.name}({param})" for param, position in params.items()
+                      if param not in keywords and None not in keywords
+                      and (position is None or most < position)]
+    return found
+
+
+def test_unpassed_optional_parameters_are_found():
+    sources = {"a.py": ("def f(a, b=1, *, c=2, d=3):\n    pass\n\n"
+                        "def g(a, b=1, c=2):\n    pass\n\n"
+                        "def h(a=1, b=2):\n    pass\n\n"
+                        "def unused(a=1):\n    pass\n\n"
+                        "class C:\n    def m(self, a=1, b=2):\n        pass\n\n"
+                        "    def n(self, a=1):\n        pass\n")}
+    users = {"b.py": ("import a\na.f(0, c=1)\na.g(0, 1)\nh(*args)\nC().m(1)\n"
+                      "a.C.n(**options)\n")}
+    assert unpassed_optional_parameters(sources, {}) == [
+        "a.py: f(b)", "a.py: f(c)", "a.py: f(d)", "a.py: g(b)", "a.py: g(c)", "a.py: h(a)",
+        "a.py: h(b)", "a.py: unused(a)", "a.py: m(a)", "a.py: m(b)", "a.py: n(a)"]
+    assert unpassed_optional_parameters(sources, users) == [
+        "a.py: f(b)", "a.py: f(d)", "a.py: g(c)", "a.py: unused(a)", "a.py: m(b)"]
+
+
+def test_every_optional_parameter_of_the_package_is_passed_outside_the_tests():
+    """An optional parameter that only the tests pass is an API that only the
+    tests call."""
+    sources = read("src")
+    assert len(sources) > 5
+    assert unpassed_optional_parameters(sources, read("demos", "bench")) == []
 
 
 def test_third_party_imports_are_found():

@@ -441,8 +441,8 @@ def _models(k):
 
 def test_crossfit_fold_sizes_balanced():
     ds = _toy_dataset(1000, seed=1)
-    plan = make_crossfit_plan(ds, 10, seed=5)
-    sizes = np.bincount(plan.fold, minlength=10)
+    fold = make_crossfit_plan(ds, 10, seed=5)
+    sizes = np.bincount(fold, minlength=10)
     assert np.all(sizes == 100)
 
 
@@ -457,14 +457,16 @@ def test_crossfit_k1_equals_full_fit():
 
 def test_crossfit_heldout_rows_unaffected_by_own_outcome():
     ds = _toy_dataset(80, seed=3)
-    plan = make_crossfit_plan(ds, 4, seed=9)
-    nuis = cross_fit(ds, _models(4), seed=9, plan=plan)
+    nuis = cross_fit(ds, _models(4), seed=9)
     perturbed = AuditDataset(schema=ds.schema, group_codes=ds.group_codes.copy(),
                              d=ds.d.copy(), y=ds.y.copy(), s=ds.s.copy(), x=ds.x.copy())
     i = 17
     perturbed.d[i] = 1 - perturbed.d[i]
     perturbed.y[i] = 1 - perturbed.y[i]
-    nuis2 = cross_fit(perturbed, _models(4), seed=9, plan=plan)
+    # both datasets draw the same folds from seed 9, so row i is held out of the same fold
+    assert np.array_equal(make_crossfit_plan(ds, 4, seed=9),
+                          make_crossfit_plan(perturbed, 4, seed=9))
+    nuis2 = cross_fit(perturbed, _models(4), seed=9)
     assert nuis.propensity[i] == nuis2.propensity[i]
     assert nuis.mu0_all[i] == nuis2.mu0_all[i]
     assert nuis.mu0_s0[i] == nuis2.mu0_s0[i]
@@ -473,13 +475,13 @@ def test_crossfit_heldout_rows_unaffected_by_own_outcome():
 
 def test_crossfit_k2_hand_traced():
     ds = _toy_dataset(10, seed=7)
-    plan = make_crossfit_plan(ds, 2, seed=4)
-    nuis = cross_fit(ds, _models(2), seed=4, plan=plan)
+    fold_ids = make_crossfit_plan(ds, 2, seed=4)
+    nuis = cross_fit(ds, _models(2), seed=4)
     from cfaudit.models import _propensity_design
     design = _propensity_design(ds)
     for fold in (0, 1):
-        hold = np.flatnonzero(plan.fold == fold)
-        train = np.flatnonzero(plan.fold != fold)
+        hold = np.flatnonzero(fold_ids == fold)
+        train = np.flatnonzero(fold_ids != fold)
         manual = fit_logistic(design[train], ds.d[train], l2=_models(2).pi.l2)
         assert np.allclose(nuis.propensity[hold], predict_binary(manual, design[hold]))
 
@@ -537,10 +539,10 @@ def _cross_fit_two_branch(ds, models, seed):
         out["mu0_s1"][:] = predict_binary(mu_by_s[1], ds.x)
         out["mu0_all"][:] = predict_binary(mu_star, ds.x)
     else:
-        plan = make_crossfit_plan(ds, models.crossfit_k, seed)
-        for f in range(plan.k):
-            hold = np.flatnonzero(plan.fold == f)
-            train = np.flatnonzero(plan.fold != f)
+        fold = make_crossfit_plan(ds, models.crossfit_k, seed)
+        for f in range(models.crossfit_k):
+            hold = np.flatnonzero(fold == f)
+            train = np.flatnonzero(fold != f)
             pi_model = fit_logistic(pi_design[train], ds.d[train], l2=models.pi.l2)
             out["propensity"][hold] = predict_binary(pi_model, pi_design[hold])
             mu_by_s, mu_star = _fit_outcome_models(ds, train, models.mu)

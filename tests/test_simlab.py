@@ -59,7 +59,7 @@ def test_generate_population_deterministic():
 def test_group_proportions_majority_modal_minority_rarest():
     cfg = ScenarioConfig(n_validation=50000, replications=1, seed=0)
     pop = generate_population(cfg, "validation", 42)
-    shares = np.bincount(pop.group_codes, minlength=4) / pop.n
+    shares = np.bincount(pop.group_codes, minlength=4) / len(pop.group_codes)
     assert np.argmax(shares) == 0  # (0,0) majority
     assert np.argmin(shares) == 3  # (1,1) minority
     assert shares[0] > 0.45
@@ -71,8 +71,8 @@ def test_external_b_one_matches_internal_group_distribution():
     ext = generate_population(cfg, "external", 3)
     val = generate_population(ScenarioConfig(n_validation=20000, replications=1, seed=0),
                               "validation", 3)
-    ext_shares = np.bincount(ext.group_codes, minlength=4) / ext.n
-    val_shares = np.bincount(val.group_codes, minlength=4) / val.n
+    ext_shares = np.bincount(ext.group_codes, minlength=4) / len(ext.group_codes)
+    val_shares = np.bincount(val.group_codes, minlength=4) / len(val.group_codes)
     assert np.all(np.abs(ext_shares - val_shares) < 0.02)
 
 
@@ -265,7 +265,7 @@ def test_default_coefficients_shapes_with_interactions():
     cfg = ScenarioConfig(n_internal=50, replications=1, seed=1, interactions=True)
     pop = generate_population(cfg, "internal", 2,
                               risk_model=constant_model(1.0))
-    assert pop.n == 50
+    assert len(pop.group_codes) == 50
 
 
 def test_scenario_config_validation():

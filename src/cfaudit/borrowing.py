@@ -14,14 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import _check_codes
-from .models import DimensionMismatch, ModelError, _row_sum
+from .models import ModelError, _row_sum
 
 
 BORROW_METRICS = ("brier", "auc")
-
-
-class SingleClassLabels(ModelError):
-    pass
 
 
 @dataclass
@@ -34,8 +30,8 @@ class BlendedMembership:
 def _columns(codes, shape) -> np.ndarray:
     """Group codes as column indices of a probability matrix of shape (rows, K)."""
     if np.shape(codes) != shape[:1]:
-        raise DimensionMismatch("one probability row per group code required")
-    return _check_codes(codes, shape[1], DimensionMismatch)
+        raise ModelError("one probability row per group code required")
+    return _check_codes(codes, shape[1], ModelError)
 
 
 # The largest entry a probability matrix may hold. A blend
@@ -50,7 +46,7 @@ def _probabilities(probs, name) -> np.ndarray:
     the metrics would score it as a number, and the AUC keys need it."""
     probs = np.asarray(probs, dtype=np.float64)
     if probs.ndim != 2:
-        raise DimensionMismatch(f"{name} must be a (rows, K) matrix; got shape {probs.shape}")
+        raise ModelError(f"{name} must be a (rows, K) matrix; got shape {probs.shape}")
     outside = ~((probs >= 0.0) & (probs <= PROB_MAX))
     if outside.any():
         row, col = np.argwhere(outside)[0].tolist()
@@ -127,7 +123,7 @@ def _auc_positives(shape, codes) -> list[tuple[int, np.ndarray]]:
     codes = _columns(codes, shape)
     present = np.flatnonzero(np.bincount(codes))
     if len(present) < 2:
-        raise SingleClassLabels("multiclass AUC needs at least two group codes")
+        raise ModelError("multiclass AUC needs at least two group codes")
     return [(j, codes == j) for j in present]
 
 
@@ -219,7 +215,7 @@ def select_alpha(h_external, h_internal, codes, metric="brier",
     h_external = _probabilities(h_external, "h_external")
     h_internal = _probabilities(h_internal, "h_internal")
     if h_external.shape != h_internal.shape:
-        raise DimensionMismatch("blend inputs must have identical shapes")
+        raise ModelError("blend inputs must have identical shapes")
     grid = alpha_grid(grid_step)
     if metric == "brier":
         scores = _brier_curve(h_external, h_internal, _one_hot(h_internal.shape, codes), grid)

@@ -21,35 +21,8 @@ from .config import decode, read_json
 
 
 class DataError(Exception):
-    """Base class for schema / data validation failures."""
-
-
-class MissingColumn(DataError):
-    pass
-
-
-class NonBinaryValue(DataError):
-    pass
-
-
-class UnknownLevel(DataError):
-    pass
-
-
-class MissingValue(DataError):
-    pass
-
-
-class LevelSetMismatch(DataError):
-    pass
-
-
-class NonNumericValue(DataError):
-    pass
-
-
-class DuplicateColumn(DataError):
-    pass
+    """A CSV file that does not load; the message names the file and the
+    row or column at fault."""
 
 
 @dataclass(frozen=True)
@@ -238,25 +211,24 @@ def _finite(cell) -> bool:
 
 
 def _raise_first_bad_cell(path, first, rows, schema: SchemaSpec, binaries, covariates,
-                          unknown, message):
-    """Raise the error of the first bad cell of rows, numbered from first, in
-    column order within a row: MissingValue for an empty cell, then unknown
-    (with message formatted from cell, column and row) for a level outside
-    the schema, NonBinaryValue or NonNumericValue. _load calls it only on a
-    chunk that its bulk parse flagged, and each bulk check is as strict as
-    the rule here, so such a chunk always holds a cell that raises."""
-    rules = ([(c.name, c.levels.__contains__, unknown, message)
-              for c in schema.characteristics]
-             + [(name, _BINARY.__contains__, NonBinaryValue,
+                          unknown):
+    """Raise DataError for the first bad cell of rows, numbered from first,
+    in column order within a row: an empty cell, then a level outside the
+    schema (with the message unknown, formatted from cell, column and row),
+    a non-binary or a non-numeric value. _load calls it only on a chunk that
+    its bulk parse flagged, and each bulk check is as strict as the rule
+    here, so such a chunk always holds a cell that raises."""
+    rules = ([(c.name, c.levels.__contains__, unknown) for c in schema.characteristics]
+             + [(name, _BINARY.__contains__,
                  "non-binary value '{cell}' for {column} in row {row}") for name in binaries]
-             + [(name, _finite, NonNumericValue,
+             + [(name, _finite,
                  "non-numeric value '{cell}' for {column} in row {row}") for name in covariates])
     for row_num, row in enumerate(rows, first):
-        for (column, valid, error, text), cell in zip(rules, row):
+        for (column, valid, text), cell in zip(rules, row):
             if cell == "":
-                raise MissingValue(f"{path}: empty {column} cell in row {row_num}")
+                raise DataError(f"{path}: empty {column} cell in row {row_num}")
             if not valid(cell):
-                raise error(f"{path}: " + text.format(cell=cell, column=column, row=row_num))
+                raise DataError(f"{path}: " + text.format(cell=cell, column=column, row=row_num))
 
 
 # Data rows per parse chunk: a load holds one chunk's cell strings at a time,
@@ -267,31 +239,30 @@ CHUNK_ROWS = 1 << 9
 def _row_chunks(path, columns):
     """(first row number, stripped cells in the order of columns) for each
     CHUNK_ROWS data rows of a CSV file, rows counted from 1 after the header.
-    Raises MissingColumn for an empty file or a column the header lacks,
-    DuplicateColumn for one it names more than once, MissingValue at the
-    first row with more or fewer cells than the header, and DataError for a
-    byte that is not UTF-8 or a line the csv reader rejects, each naming the
-    file."""
+    Raises DataError, naming the file, for an empty file, a column the
+    header lacks or names more than once, the first row with more or fewer
+    cells than the header, a byte that is not UTF-8 and a line the csv
+    reader rejects."""
     # utf-8-sig drops the byte-order mark that spreadsheet programs write
     with open(path, "r", encoding="utf-8-sig", newline="") as f:
         reader = csv.reader(f)
         try:
             header = next(reader, None)
             if header is None:
-                raise MissingColumn(f"{path}: empty file, header row required")
+                raise DataError(f"{path}: empty file, header row required")
             for name in columns:
                 if name not in header:
-                    raise MissingColumn(f"{path}: missing column '{name}'")
+                    raise DataError(f"{path}: missing column '{name}'")
                 if header.count(name) > 1:
-                    raise DuplicateColumn(f"{path}: the header names column '{name}' "
-                                          "more than once")
+                    raise DataError(f"{path}: the header names column '{name}' "
+                                    "more than once")
             width, pos = len(header), [header.index(name) for name in columns]
             first = 1
             while chunk := list(itertools.islice(reader, CHUNK_ROWS)):
                 for row_num, row in enumerate(chunk, first):
                     if len(row) != width:
-                        raise MissingValue(f"{path}: row {row_num} has {len(row)} cells; "
-                                           f"the header has {width}")
+                        raise DataError(f"{path}: row {row_num} has {len(row)} cells; "
+                                        f"the header has {width}")
                 yield first, [[row[i].strip() for i in pos] for row in chunk]
                 first += len(chunk)
         except UnicodeDecodeError as err:  # decoded by blocks, so its line is unknown
@@ -301,7 +272,7 @@ def _row_chunks(path, columns):
             raise DataError(f"{path}: line {reader.line_num}: {err}") from None
 
 
-def _load(path, columns, schema: SchemaSpec, binaries, covariates, unknown, message):
+def _load(path, columns, schema: SchemaSpec, binaries, covariates, unknown):
     """(group codes, binary block, covariate block) of a CSV file, read once.
     Each chunk of _row_chunks is parsed in bulk: one level lookup per row, one
     float() pass over its covariate cells and one finiteness check. A chunk
@@ -329,8 +300,7 @@ def _load(path, columns, schema: SchemaSpec, binaries, covariates, unknown, mess
         if (chunk_x is None or (chunk_codes < 0).any() or (chunk_binary < 0).any()
                 or not np.isfinite(chunk_x).all()):
             try:
-                _raise_first_bad_cell(path, first, rows, schema, binaries, covariates,
-                                      unknown, message)
+                _raise_first_bad_cell(path, first, rows, schema, binaries, covariates, unknown)
             except DataError as err:
                 error = err
                 continue
@@ -345,17 +315,17 @@ def _load(path, columns, schema: SchemaSpec, binaries, covariates, unknown, mess
 def load_internal(path, schema: SchemaSpec) -> AuditDataset:
     """Load and validate an internal audit CSV against the schema.
 
-    Raises MissingColumn or DuplicateColumn for a bad header, and
-    NonBinaryValue, UnknownLevel, MissingValue, or NonNumericValue with the
-    offending row number (1-based, header excluded), and MissingValue for a
-    file with no data rows. Every message starts with the path.
+    Raises DataError for a bad header, for a missing, unknown, non-binary
+    or non-numeric cell with the offending row number (1-based, header
+    excluded), and for a file with no data rows. Every message starts with
+    the path.
     """
     group_codes, binary, x = _load(
         path, schema.internal_columns, schema,
         (schema.treatment, schema.outcome, schema.prediction), schema.covariates,
-        UnknownLevel, "unknown level '{cell}' for {column} in row {row}")
+        "unknown level '{cell}' for {column} in row {row}")
     if not len(group_codes):
-        raise MissingValue(f"{path}: no data rows; an audit needs at least one")
+        raise DataError(f"{path}: no data rows; an audit needs at least one")
     d, y, s = np.ascontiguousarray(binary.T)
     return AuditDataset(schema=schema, group_codes=group_codes, d=d, y=y, s=s, x=x)
 
@@ -363,12 +333,12 @@ def load_internal(path, schema: SchemaSpec) -> AuditDataset:
 def load_external(path, schema: SchemaSpec) -> ExternalDataset:
     """Load an external CSV: group labels plus the declared shared covariates.
 
-    A group label absent from the internal schema raises LevelSetMismatch.
-    A header-only file yields an empty (valid) dataset.
+    Raises DataError as load_internal does; the message for a group label
+    absent from the internal schema says so. A header-only file yields an
+    empty (valid) dataset.
     """
     group_codes, _, x = _load(
         path, schema.external_columns, schema, (), schema.external_covariates,
-        LevelSetMismatch,
         "external level '{cell}' for {column} in row {row} not present in the internal schema")
     return ExternalDataset(schema=schema, group_codes=group_codes, x=x)
 

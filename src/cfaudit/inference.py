@@ -12,9 +12,9 @@ a bug and propagates.
 from __future__ import annotations
 
 import decimal
-import math
 from dataclasses import dataclass
 from decimal import Decimal
+from statistics import NormalDist
 
 import numpy as np
 
@@ -92,14 +92,9 @@ def _atan(y: Decimal) -> Decimal:
 
 def _t_start(nu: int, q: float) -> float:
     """A positive float start for the t_nu quantile at q in (1/2, 1): the
-    normal quantile z by Abramowitz & Stegun 26.2.23 and one Newton step on
-    erfc, plus the first Cornish-Fisher term (z^3 + z) / (4 nu), A&S 26.7.5."""
-    tail = 1.0 - q
-    w = math.sqrt(-2.0 * math.log(tail))
-    z = w - (2.515517 + w * (0.802853 + w * 0.010328)) / (
-        1.0 + w * (1.432788 + w * (0.189269 + w * 0.001308)))
-    z += (0.5 * math.erfc(z / math.sqrt(2.0)) - tail) / (
-        math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi))
+    normal quantile z plus the first Cornish-Fisher term (z^3 + z) / (4 nu),
+    Abramowitz & Stegun 26.7.5."""
+    z = NormalDist().inv_cdf(q)
     return z + (z * z + 1.0) * z / (4.0 * nu)
 
 

@@ -37,27 +37,11 @@ IRLS_TOL = 1e-8
 
 
 class ModelError(Exception):
-    pass
-
-
-class Separation(ModelError):
-    """Unpenalized fit diverging (a coefficient passed the separation bound)."""
-
-
-class SingularDesign(ModelError):
-    pass
-
-
-class DimensionMismatch(ModelError):
-    pass
+    """A model fit or prediction that cannot run on its inputs."""
 
 
 class DegenerateLabels(ModelError):
     """Fewer than two classes in the training labels."""
-
-
-class InfeasibleFolds(ModelError):
-    pass
 
 
 def sigmoid(z):
@@ -90,7 +74,7 @@ def fit_logistic(x, y, l2=0.0) -> BinaryModel:
 
     IRLS takes at most IRLS_MAX_ITER damped Newton steps (step halving
     whenever a full step would reduce the objective). With l2 == 0 a
-    coefficient exceeding the separation bound raises Separation; set l2 > 0
+    coefficient exceeding the separation bound raises ModelError; set l2 > 0
     to fit separable or constant-outcome data.
     """
     xb = _add_intercept(x)
@@ -110,7 +94,7 @@ def fit_logistic(x, y, l2=0.0) -> BinaryModel:
         try:
             direction = np.linalg.solve(hess, grad)
         except np.linalg.LinAlgError:
-            raise SingularDesign("singular weighted design; add l2 or drop columns") from None
+            raise ModelError("singular weighted design; add l2 or drop columns") from None
 
         # Step halving: accept the largest step that does not decrease the objective.
         scale = 1.0
@@ -129,7 +113,7 @@ def fit_logistic(x, y, l2=0.0) -> BinaryModel:
         trace.append(ll)
 
         if l2 == 0.0 and np.max(np.abs(beta)) > SEPARATION_BOUND:
-            raise Separation("coefficients diverging; refit with l2 > 0")
+            raise ModelError("coefficients diverging; refit with l2 > 0")
         if np.max(np.abs(step)) < IRLS_TOL:
             converged = True
             break
@@ -141,9 +125,7 @@ def predict_binary(model: BinaryModel, x) -> np.ndarray:
     """Predicted probabilities, clamped to (PROB_EPS, 1 - PROB_EPS)."""
     xb = _add_intercept(x)
     if xb.shape[1] != len(model.coef):
-        raise DimensionMismatch(
-            f"model expects {len(model.coef) - 1} columns, got {xb.shape[1] - 1}"
-        )
+        raise ModelError(f"model expects {len(model.coef) - 1} columns, got {xb.shape[1] - 1}")
     return np.clip(sigmoid(xb @ model.coef), PROB_EPS, 1.0 - PROB_EPS)
 
 
@@ -379,7 +361,7 @@ def fit_multiclass(x, labels, config: MulticlassConfig, seed=0) -> MulticlassMod
     n = xb.shape[0]
     classes, columns = np.unique(np.asarray(labels), return_inverse=True)
     if len(columns) != n:
-        raise DimensionMismatch(f"{len(columns)} labels for {n} rows")
+        raise ModelError(f"{len(columns)} labels for {n} rows")
     if len(classes) < 2:
         raise DegenerateLabels("need at least two distinct labels")
     y_onehot = np.zeros((n, len(classes)))
@@ -418,12 +400,12 @@ def predict_multiclass(model: MulticlassModel, x) -> np.ndarray:
     if model.kind == "softmax-linear":
         (w,) = model.params
         if xb.shape[1] != w.shape[0]:
-            raise DimensionMismatch("covariate count differs from training")
+            raise ModelError("covariate count differs from training")
         return _softmax(xb @ w)
     if model.kind == "mlp-1hidden":
         w1, w2 = model.params
         if xb.shape[1] != w1.shape[0]:
-            raise DimensionMismatch("covariate count differs from training")
+            raise ModelError("covariate count differs from training")
         return _mlp_forward(xb, w1, w2, _buffers(xb.shape[0], w2.shape[1], w1.shape[1]))
     raise ValueError(f"unknown multiclass kind: {model.kind!r}")
 
@@ -441,12 +423,11 @@ def membership_probs(x, group_codes, x_eval, n_groups: int, config: MulticlassCo
     try:
         model = fit_multiclass(x, group_codes, config, seed)
     except DegenerateLabels:  # bincount, unlike a plain np.unique, needs no numpy.ma
-        classes = np.flatnonzero(np.bincount(_check_codes(group_codes, n_groups,
-                                                          DimensionMismatch)))
+        classes = np.flatnonzero(np.bincount(_check_codes(group_codes, n_groups, ModelError)))
         raw = np.ones((len(x_eval), len(classes)))
     else:
         classes, raw = model.classes, predict_multiclass(model, x_eval)
-    _check_codes(classes, n_groups, DimensionMismatch)
+    _check_codes(classes, n_groups, ModelError)
     out = np.zeros((raw.shape[0], n_groups))
     out[:, classes] = raw
     out = np.clip(out, PROB_EPS, None)
@@ -513,14 +494,14 @@ def make_crossfit_plan(ds: AuditDataset, k, seed) -> np.ndarray:
 
     Each fold's training complement must contain both treatment arms and
     both outcome classes among untreated rows; infeasible draws are retried
-    up to MAX_REDRAWS times before InfeasibleFolds.
+    up to MAX_REDRAWS times before ModelError.
     """
     rng = np.random.default_rng(seed)
     for _ in range(MAX_REDRAWS):
         fold = _draw_plan(ds.n, k, rng)
         if all(_complement_feasible(ds, fold != f) for f in range(k)):
             return fold
-    raise InfeasibleFolds(f"no feasible {k}-fold split after {MAX_REDRAWS} draws")
+    raise ModelError(f"no feasible {k}-fold split after {MAX_REDRAWS} draws")
 
 
 def _fit_outcome_models(ds, train_idx, spec: BinarySpec):

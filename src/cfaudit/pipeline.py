@@ -61,8 +61,9 @@ def run_pipeline(internal: AuditDataset, external: ExternalDataset | None,
     alpha = None
     borrowed = None
     if "proposed-borrowing" in methods:
-        if external.n == 0:
-            # nothing to borrow from: the blend degenerates to the internal model
+        if external.n == 0 or np.count_nonzero(np.bincount(internal.group_codes)) < 2:
+            # nothing to borrow from, or no second group to score a blend on:
+            # the blend degenerates to the internal model
             alpha = 0.0
             borrowed = nuis.group_prob
         else:

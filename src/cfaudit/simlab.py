@@ -43,10 +43,6 @@ INTERACTION_PAIRS = tuple(itertools.combinations(range(4), 2))
 INTERACTION_TRIPLES = tuple(itertools.combinations(range(4), 3))
 
 
-class DegenerateOutcome(ModelError):
-    """The risk model's training outcome is constant."""
-
-
 @dataclass
 class DgpCoefficients:
     """Linear-predictor coefficients of the generative models.
@@ -132,11 +128,10 @@ class ScenarioConfig:
 
     def __post_init__(self):
         if not -1.0 <= self.b <= 1.0:
-            raise ValueError("b must lie in [-1, 1]")
+            raise ValueError(f"b must lie in [-1, 1]; got {self.b!r}")
         for name in ("n_internal", "n_external", "n_train", "n_validation",
                      "p_informative", "replications"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
+            check_at_least(name, getattr(self, name), 1)
         check_at_least("p_noise", self.p_noise, 0)
         check_at_least("seed", self.seed, 0)
         _check_risk_settings(self.n_trees, self.max_depth, self.positive_rate)
@@ -516,7 +511,7 @@ def train_risk_model(x, y, n_trees=100, max_depth=4, positive_rate=0.2,
     if not np.all((y == 0) | (y == 1)):
         raise ValueError("the training outcome must be 0/1")
     if y.min() == y.max():
-        raise DegenerateOutcome("training outcome is constant")
+        raise ModelError("training outcome is constant")
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     trees = []
     for child in root.spawn(n_trees):

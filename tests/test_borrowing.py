@@ -6,9 +6,9 @@ import pytest
 from scipy.stats import rankdata
 
 from cfaudit import borrowing
-from cfaudit.borrowing import (BORROW_METRICS, PROB_MAX, DimensionMismatch, SingleClassLabels,
-                               _binary_auc, alpha_grid, brier_score, multiclass_auc,
-                               select_alpha)
+from cfaudit.borrowing import (BORROW_METRICS, PROB_MAX, _binary_auc, alpha_grid, brier_score,
+                               multiclass_auc, select_alpha)
+from cfaudit.models import ModelError
 
 
 def keys(values):
@@ -36,7 +36,7 @@ def test_brier_totally_wrong_is_two():
 
 
 def test_brier_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ModelError, match="one probability row per group code required"):
         brier_score(np.eye(4), keys([0, 1]))
 
 
@@ -53,7 +53,7 @@ def test_auc_constant_rows_half():
 
 
 def test_auc_single_class_raises():
-    with pytest.raises(SingleClassLabels):
+    with pytest.raises(ModelError, match="multiclass AUC needs at least two group codes"):
         multiclass_auc(np.full((3, 2), 0.5), keys([1, 1, 1]))
 
 
@@ -185,7 +185,7 @@ def test_select_alpha_brier_curve_is_brier_score_bit_for_bit():
     assert [a for a, _ in blend.metric_curve] == list(alpha_grid(0.01))
     for alpha, score in blend.metric_curve:
         assert score == brier_score(alpha * h_ext + (1 - alpha) * h_int, labels)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ModelError, match=re.escape("group codes must lie in [0, 4); got 0..9")):
         select_alpha(h_ext, h_int, keys([*labels[:-1], 9]), grid_step=0.01)
 
 
@@ -244,24 +244,25 @@ def test_select_alpha_auc_curve_is_multiclass_auc_bit_for_bit():
     assert [a for a, _ in blend.metric_curve] == list(alpha_grid(0.01))
     for alpha, score in blend.metric_curve:
         assert score == multiclass_auc(alpha * h_ext + (1 - alpha) * h_int, labels)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ModelError, match=re.escape("group codes must lie in [0, 4); got 0..9")):
         select_alpha(h_ext, h_int, keys([*labels[:-1], 9]), metric="auc")
-    with pytest.raises(SingleClassLabels):
+    with pytest.raises(ModelError, match="multiclass AUC needs at least two group codes"):
         select_alpha(h_ext, h_int, keys([1] * len(labels)), metric="auc")
 
 
 @pytest.mark.parametrize("bad", [-1, 4])
-def test_out_of_range_codes_raise_dimension_mismatch(bad):
+def test_out_of_range_codes_raise_model_error(bad):
     # a negative code must not wrap round to the last column
     rng = np.random.default_rng(13)
     codes = keys([0, 1, 2, 3, 0, bad])
     h = rng.dirichlet(np.ones(4), size=len(codes))
-    with pytest.raises(DimensionMismatch):
+    message = re.escape(f"group codes must lie in [0, 4); got {min(bad, 0)}..{max(bad, 3)}")
+    with pytest.raises(ModelError, match=message):
         brier_score(h, codes)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ModelError, match=message):
         multiclass_auc(h, codes)
     for metric in ("brier", "auc"):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ModelError, match=message):
             select_alpha(h, h.copy(), codes, metric=metric, grid_step=0.5)
 
 

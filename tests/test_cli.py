@@ -99,6 +99,28 @@ def test_audit_full_run_reports_alpha_and_deltas(tmp_path):
     assert total == report["n_internal"]
 
 
+@pytest.mark.parametrize("metric", ["brier", "auc"])
+def test_internal_data_of_one_group_borrow_nothing(tmp_path, metric):
+    # no second group to score a blend on: alpha is 0 and the borrowed
+    # membership model is the internal one, as with an empty external sample
+    make_audit_files(tmp_path)
+    rows = list(csv.reader(open(tmp_path / "internal.csv")))
+    col = {name: i for i, name in enumerate(rows[0])}
+    kept = [row for row in rows[1:] if (row[col["a1"]], row[col["a2"]]) == ("0", "0")]
+    assert 0 < len(kept) < len(rows) - 1
+    with open(tmp_path / "internal.csv", "w", newline="") as f:
+        csv.writer(f).writerows([rows[0], *kept])
+    assert main(["--config", str(audit_config(tmp_path, borrowing={
+        "enabled": True, "metric": metric, "grid_step": 0.05}))]) == 0
+    report = read_report(tmp_path)
+    assert report["alpha"] == 0.0
+    est = {(e["group"], e["metric"], e["method"]): e["value"] for e in report["estimates"]}
+    borrowed = [key for key in est if key[2] == "proposed-borrowing"]
+    assert len(borrowed) == 2 * 5  # 4 groups and overall, 2 metrics
+    assert all(est[group, rate, "proposed-borrowing"] == est[group, rate, "proposed-internal"]
+               for group, rate, _ in borrowed)
+
+
 def test_deltas_are_the_defined_differences_from_the_reference(tmp_path):
     make_audit_files(tmp_path)
     # no untreated y = 1 row in group 1|1 leaves its comparison cFNR undefined;
@@ -664,6 +686,9 @@ def test_bad_audit_config_exits_2_before_any_fit(tmp_path, monkeypatch, capsys,
     ("scenario.pipeline.mu.l2", -1, "l2 must be at least 0; got -1.0"),
     ("threads", 0, "threads must be at least 1; got 0"),
     ("scenario.seed", -3, "scenario: seed must be at least 0; got -3"),
+    ("scenario.n_internal", 0, "scenario: n_internal must be at least 1; got 0"),
+    ("scenario.replications", 0, "scenario: replications must be at least 1; got 0"),
+    ("scenario.b", 1.5, "scenario: b must lie in [-1, 1]; got 1.5"),
 ])
 def test_bad_simulate_config_exits_2_before_any_fit(tmp_path, monkeypatch, capsys,
                                                     dotted, value, named):

@@ -8,11 +8,8 @@ import numpy as np
 import pytest
 
 from cfaudit import dataset
-from cfaudit.dataset import (AuditDataset, Characteristic, DataError, DuplicateColumn,
-                             ExternalDataset, LevelSetMismatch,
-                             MissingColumn, MissingValue,
-                             NonBinaryValue, NonNumericValue, SchemaSpec, UnknownLevel,
-                             _row_chunks, load_external, load_internal,
+from cfaudit.dataset import (AuditDataset, Characteristic, DataError, ExternalDataset,
+                             SchemaSpec, _row_chunks, load_external, load_internal,
                              subgroup_counts, write_internal)
 
 
@@ -55,7 +52,7 @@ def test_load_internal_nonbinary_names_row(tmp_path):
         ["0", "0", 1, 0, 1, 0.5],
         ["0", "0", 2, 0, 0, 0.5],
     ])
-    with pytest.raises(NonBinaryValue, match="row 3"):
+    with pytest.raises(DataError, match="non-binary value '2' for d in row 3"):
         load_internal(path, two_char_schema())
 
 
@@ -64,21 +61,21 @@ def test_load_internal_missing_value(tmp_path):
     write_csv(path, ["a1", "a2", "d", "y", "s", "x1"], [
         ["0", "0", 0, 1, 0, ""],
     ])
-    with pytest.raises(MissingValue):
+    with pytest.raises(DataError, match="empty x1 cell in row 1"):
         load_internal(path, two_char_schema())
 
 
 def test_load_internal_missing_column(tmp_path):
     path = tmp_path / "bad.csv"
     write_csv(path, ["a1", "a2", "d", "y", "x1"], [["0", "0", 0, 1, 0.5]])
-    with pytest.raises(MissingColumn, match="'s'"):
+    with pytest.raises(DataError, match="missing column 's'"):
         load_internal(path, two_char_schema())
 
 
 def test_load_internal_unknown_level(tmp_path):
     path = tmp_path / "bad.csv"
     write_csv(path, ["a1", "a2", "d", "y", "s", "x1"], [["3", "0", 0, 1, 0, 0.5]])
-    with pytest.raises(UnknownLevel):
+    with pytest.raises(DataError, match="unknown level '3' for a1 in row 1"):
         load_internal(path, two_char_schema())
 
 
@@ -93,7 +90,8 @@ def test_load_external_valid_and_mismatch(tmp_path):
 
     bad = tmp_path / "ext_bad.csv"
     write_csv(bad, ["a1", "a2", "x1"], [["0", "9", 1.5]])
-    with pytest.raises(LevelSetMismatch):
+    with pytest.raises(DataError, match="external level '9' for a2 in row 1 not present "
+                                        "in the internal schema"):
         load_external(bad, schema)
 
 
@@ -112,11 +110,11 @@ def test_loaders_reject_non_finite_covariate_cells(tmp_path, cell):
         ["0", "0", 0, 1, 0, 0.5, 1.0],
         ["1", "0", 0, 1, 0, 0.5, cell],
     ])
-    with pytest.raises(NonNumericValue, match=f"'{cell}' for x2 in row 2"):
+    with pytest.raises(DataError, match=f"non-numeric value '{cell}' for x2 in row 2"):
         load_internal(internal, schema)
     external = tmp_path / "external.csv"
     write_csv(external, ["a1", "a2", "x1", "x2"], [["0", "1", cell, 1.5]])
-    with pytest.raises(NonNumericValue, match=f"'{cell}' for x1 in row 1"):
+    with pytest.raises(DataError, match=f"non-numeric value '{cell}' for x1 in row 1"):
         load_external(external, schema)
 
 
@@ -126,16 +124,16 @@ def test_loaders_reject_a_row_shorter_than_the_header(tmp_path):
         ["0", "0", 0, 1, 0, 0.5],
         ["1", "1", 0],
     ])
-    with pytest.raises(MissingValue, match="row 2 has 3 cells; the header has 6"):
+    with pytest.raises(DataError, match="row 2 has 3 cells; the header has 6"):
         load_internal(internal, two_char_schema())
     write_csv(internal, ["a1", "a2", "d", "y", "s", "x1"], [
         ["1", "0", 1, 0, 1, 2.5, 9.0],
     ])
-    with pytest.raises(MissingValue, match="row 1 has 7 cells; the header has 6"):
+    with pytest.raises(DataError, match="row 1 has 7 cells; the header has 6"):
         load_internal(internal, two_char_schema())
     external = tmp_path / "external.csv"
     write_csv(external, ["a1", "a2", "x1", "extra"], [["0", "1", 1.5]])
-    with pytest.raises(MissingValue, match="row 1 has 3 cells; the header has 4"):
+    with pytest.raises(DataError, match="row 1 has 3 cells; the header has 4"):
         load_external(external, two_char_schema())
 
 
@@ -145,12 +143,11 @@ def test_loaders_reject_a_header_naming_a_schema_column_twice(tmp_path):
     write_csv(internal, ["a1", "a2", "d", "y", "s", "x1", "x1", "x2"], [
         ["0", "0", 0, 1, 0, 0.5, 9.0, 1.5],
     ])
-    with pytest.raises(DuplicateColumn, match="column 'x1' more than once") as err:
+    with pytest.raises(DataError, match="column 'x1' more than once"):
         load_internal(internal, schema)
-    assert isinstance(err.value, DataError)
     external = tmp_path / "external.csv"
     write_csv(external, ["a1", "a1", "a2", "x1", "x2"], [["0", "0", "1", 1.5, 2.5]])
-    with pytest.raises(DuplicateColumn, match="column 'a1' more than once"):
+    with pytest.raises(DataError, match="column 'a1' more than once"):
         load_external(external, schema)
     # a repeated column outside the schema is not read, so it is no error
     write_csv(external, ["a1", "a2", "x1", "x2", "note", "note"],
@@ -234,17 +231,16 @@ def test_bulk_parse_equals_the_per_row_parse_on_the_bench_inputs(tmp_path, monke
 LAST_ROW = 30
 
 
-@pytest.mark.parametrize("column,cell,error,message", [
-    ("x2", "abc", NonNumericValue, "non-numeric value 'abc' for x2 in row 30"),
-    ("x1", "inf", NonNumericValue, "non-numeric value 'inf' for x1 in row 30"),
-    ("x2", "", MissingValue, "empty x2 cell in row 30"),
-    ("d", "2", NonBinaryValue, "non-binary value '2' for d in row 30"),
-    ("s", "", MissingValue, "empty s cell in row 30"),
-    ("a2", "9", UnknownLevel, "unknown level '9' for a2 in row 30"),
-    ("a1", "", MissingValue, "empty a1 cell in row 30"),
+@pytest.mark.parametrize("column,cell,message", [
+    ("x2", "abc", "non-numeric value 'abc' for x2 in row 30"),
+    ("x1", "inf", "non-numeric value 'inf' for x1 in row 30"),
+    ("x2", "", "empty x2 cell in row 30"),
+    ("d", "2", "non-binary value '2' for d in row 30"),
+    ("s", "", "empty s cell in row 30"),
+    ("a2", "9", "unknown level '9' for a2 in row 30"),
+    ("a1", "", "empty a1 cell in row 30"),
 ])
-def test_a_bad_cell_in_the_last_row_raises_the_per_row_error(tmp_path, column, cell, error,
-                                                             message):
+def test_a_bad_cell_in_the_last_row_raises_the_per_row_error(tmp_path, column, cell, message):
     schema = two_char_schema(covs=("x1", "x2"))
     rng = np.random.default_rng(17)
     ds = random_dataset(schema, rng.integers(0, 4, LAST_ROW), seed=17)
@@ -259,11 +255,10 @@ def test_a_bad_cell_in_the_last_row_raises_the_per_row_error(tmp_path, column, c
         header = rows[0]
         rows[-1][header.index(column)] = cell
         write_csv(path, header, rows[1:])
-        if load is load_external and error is UnknownLevel:
-            error = LevelSetMismatch
+        if load is load_external and message.startswith("unknown level"):
             message = (f"external level '{cell}' for {column} in row {LAST_ROW} "
                        "not present in the internal schema")
-        with pytest.raises(error) as raised:
+        with pytest.raises(DataError) as raised:
             load(path, schema)
         assert str(raised.value) == f"{path}: {message}"
 
@@ -307,7 +302,7 @@ def test_loading_memory_is_the_arrays_plus_one_chunk(tmp_path, bad_last_cell):
                                          loaded.x))
     if bad_last_cell:  # the error path is bounded the same way
         write_cells(path, ds, [(20_000, "x9", "abc")])
-        with pytest.raises(NonNumericValue) as raised:
+        with pytest.raises(DataError) as raised:
             load_internal(path, schema)
         assert str(raised.value) == f"{path}: non-numeric value 'abc' for x9 in row 20000"
     # the chunk arrays and their concatenation, plus one chunk's strings;
@@ -352,7 +347,7 @@ def test_a_row_of_the_wrong_width_in_a_later_chunk_wins(tmp_path, small_chunks, 
     for row in (2 * CHUNK + 1, 3 * CHUNK):
         write_cells(path, ds, [*earlier, (row, None, cells)])
         for load, _ in loaders_with_columns(schema):
-            with pytest.raises(MissingValue) as raised:
+            with pytest.raises(DataError) as raised:
                 load(path, schema)
             assert str(raised.value) == f"{path}: row {row} has {cells} cells; the header has 7"
 
@@ -361,15 +356,15 @@ LAST = 3 * CHUNK + 2  # rows of the file in the chunk-edge cases; the last chunk
 
 
 @pytest.mark.parametrize("row", [CHUNK, CHUNK + 1, 2 * CHUNK, 2 * CHUNK + 1, LAST])
-@pytest.mark.parametrize("column,cell,error,message", [
-    ("x2", "abc", NonNumericValue, "non-numeric value 'abc' for x2 in row {row}"),
-    ("x1", "nan", NonNumericValue, "non-numeric value 'nan' for x1 in row {row}"),
-    ("x1", "", MissingValue, "empty x1 cell in row {row}"),
-    ("y", "1.0", NonBinaryValue, "non-binary value '1.0' for y in row {row}"),
-    ("a2", "9", UnknownLevel, "unknown level '9' for a2 in row {row}"),
+@pytest.mark.parametrize("column,cell,message", [
+    ("x2", "abc", "non-numeric value 'abc' for x2 in row {row}"),
+    ("x1", "nan", "non-numeric value 'nan' for x1 in row {row}"),
+    ("x1", "", "empty x1 cell in row {row}"),
+    ("y", "1.0", "non-binary value '1.0' for y in row {row}"),
+    ("a2", "9", "unknown level '9' for a2 in row {row}"),
 ])
 def test_a_bad_cell_at_a_chunk_edge_raises_the_per_row_error(tmp_path, small_chunks, row, column,
-                                                             cell, error, message):
+                                                             cell, message):
     schema = two_char_schema(covs=("x1", "x2"))
     ds = random_dataset(schema, np.arange(LAST) % 4, seed=21)
     path = tmp_path / "bad.csv"
@@ -380,11 +375,10 @@ def test_a_bad_cell_at_a_chunk_edge_raises_the_per_row_error(tmp_path, small_chu
     for load, columns in loaders_with_columns(schema):
         if column not in columns:
             continue
-        if load is load_external and error is UnknownLevel:
-            error = LevelSetMismatch
+        if load is load_external and message.startswith("unknown level"):
             message = ("external level '{cell}' for {column} in row {row} "
                        "not present in the internal schema")
-        with pytest.raises(error) as raised:
+        with pytest.raises(DataError) as raised:
             load(path, schema)
         assert str(raised.value) == f"{path}: " + message.format(row=row, cell=cell,
                                                                  column=column)
@@ -397,10 +391,10 @@ def test_the_first_bad_cell_of_a_chunk_is_named(tmp_path, small_chunks):
     ds = random_dataset(schema, np.arange(CHUNK) % 4, seed=24)
     path = tmp_path / "bad.csv"
     write_cells(path, ds, [(4, "x1", "abc"), (4, "s", "2"), (6, "a1", "9")])
-    with pytest.raises(NonBinaryValue) as raised:
+    with pytest.raises(DataError) as raised:
         load_internal(path, schema)
     assert str(raised.value) == f"{path}: non-binary value '2' for s in row 4"
-    with pytest.raises(NonNumericValue) as raised:  # the external file has no s column
+    with pytest.raises(DataError) as raised:  # the external file has no s column
         load_external(path, schema)
     assert str(raised.value) == f"{path}: non-numeric value 'abc' for x1 in row 4"
 
@@ -419,7 +413,7 @@ def test_quoted_cells_holding_commas_across_chunks(tmp_path, small_chunks):
         got = load(path, schema)
         assert_same_arrays((got.group_codes, got.x), (codes, x))
     write_cells(path, ds, [(CHUNK + 1, "x2", "1,5")])
-    with pytest.raises(NonNumericValue) as raised:
+    with pytest.raises(DataError) as raised:
         load_internal(path, schema)
     assert str(raised.value) == f"{path}: non-numeric value '1,5' for x2 in row {CHUNK + 1}"
 
@@ -435,7 +429,7 @@ def test_crlf_line_ends_load_as_lf_ones(tmp_path, small_chunks):
     assert_same_arrays((got.group_codes, got.d, got.y, got.s, got.x),
                        (want.group_codes, want.d, want.y, want.s, want.x))
     write_cells(crlf, ds, [(CHUNK + 1, "s", "")], lineterminator="\r\n")
-    with pytest.raises(MissingValue) as raised:
+    with pytest.raises(DataError) as raised:
         load_internal(crlf, schema)
     assert str(raised.value) == f"{crlf}: empty s cell in row {CHUNK + 1}"
 
@@ -446,12 +440,12 @@ def test_header_only_files(tmp_path, small_chunks):
     write_csv(path, schema.internal_columns, [])
     external = load_external(path, schema)
     assert external.group_codes.shape == (0,) and external.x.shape == (0, 2)
-    with pytest.raises(MissingValue) as raised:
+    with pytest.raises(DataError) as raised:
         load_internal(path, schema)
     assert str(raised.value) == f"{path}: no data rows; an audit needs at least one"
     # a missing column still comes first
     write_csv(path, schema.internal_columns[:-1], [])
-    with pytest.raises(MissingColumn, match="missing column 'x2'"):
+    with pytest.raises(DataError, match="missing column 'x2'"):
         load_internal(path, schema)
 
 

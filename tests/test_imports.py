@@ -1,4 +1,5 @@
 import ast
+import builtins
 import re
 import sys
 from pathlib import Path
@@ -217,6 +218,66 @@ def test_every_optional_parameter_of_the_package_is_passed_outside_the_tests():
     sources = read("src")
     assert len(sources) > 5
     assert unpassed_optional_parameters(sources, read("demos", "bench")) == []
+
+
+def exception_classes(sources: dict[str, str]) -> list[str]:
+    """"file: name" of each class in sources whose bases lead to Exception:
+    a built-in exception, or a class of sources that is one. Bases are
+    matched by name, so `errors.Base` is the class Base of any file."""
+    bases = {}  # class name -> (file, names of its bases)
+    for file, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ClassDef):
+                bases[node.name] = (file, [getattr(base, "id", getattr(base, "attr", None))
+                                           for base in node.bases])
+
+    def is_exception(name, seen=()) -> bool:
+        if name in bases:
+            return name not in seen and any(is_exception(base, (*seen, name))
+                                            for base in bases[name][1])
+        builtin = getattr(builtins, name or "", None)
+        return isinstance(builtin, type) and issubclass(builtin, Exception)
+
+    return [f"{file}: {name}" for name, (file, _) in bases.items() if is_exception(name)]
+
+
+def uncaught_exceptions(sources: dict[str, str]) -> list[str]:
+    """"file: name" of each exception class of sources that no except clause
+    of sources names, alone or in a tuple, as a name or an attribute."""
+    caught = set()
+    for source in sources.values():
+        for handler in ast.walk(ast.parse(source)):
+            if isinstance(handler, ast.ExceptHandler) and handler.type is not None:
+                caught |= {getattr(node, "id", getattr(node, "attr", None))
+                           for node in ast.walk(handler.type)}
+    return [found for found in exception_classes(sources)
+            if found.split(": ")[1] not in caught]
+
+
+def test_uncaught_exceptions_are_found():
+    sources = {
+        "a.py": ("class Base(Exception):\n    pass\n\nclass Sub(Base):\n    pass\n\n"
+                 "class Caught(ValueError):\n    pass\n\nclass InTuple(Exception):\n    pass\n\n"
+                 "class ByAttribute(Base):\n    pass\n\nclass Plain:\n    pass\n\n"
+                 "class Child(Plain):\n    pass\n\nclass Warned(Warning):\n    pass\n\n"
+                 "try:\n    raise Sub('raised, not caught')\nexcept Caught:\n    pass\n"
+                 "except (InTuple, OSError):\n    pass\n"
+                 "except errors.ByAttribute as err:\n    pass\n"),
+        "b.py": "import a\n\nclass Other(a.Sub):\n    pass\n",
+    }
+    assert exception_classes(sources) == [
+        "a.py: Base", "a.py: Sub", "a.py: Caught", "a.py: InTuple", "a.py: ByAttribute",
+        "a.py: Warned", "b.py: Other"]
+    assert uncaught_exceptions(sources) == [
+        "a.py: Base", "a.py: Sub", "a.py: Warned", "b.py: Other"]
+
+
+def test_every_exception_class_of_the_package_is_caught_in_the_package():
+    """An error type that only the tests catch tells apart nothing that the
+    package acts on; raise the type that is caught instead."""
+    sources = read("src")
+    assert len(exception_classes(sources)) >= 3
+    assert uncaught_exceptions(sources) == []
 
 
 def test_third_party_imports_are_found():

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,9 +9,9 @@ import pytest
 
 import cfaudit
 from cfaudit.dataset import AuditDataset, Characteristic, SchemaSpec
-from cfaudit.models import (PROB_EPS, BinarySpec, DegenerateLabels, DimensionMismatch,
-                            InfeasibleFolds, MulticlassConfig, NuisanceModels,
-                            Separation, cross_fit, fit_logistic, fit_multiclass,
+from cfaudit.models import (PROB_EPS, BinarySpec, DegenerateLabels, ModelError,
+                            MulticlassConfig, NuisanceModels, cross_fit, fit_logistic,
+                            fit_multiclass,
                             make_crossfit_plan, membership_probs, mlp_objective,
                             predict_binary, predict_multiclass, _lbfgs, _softmax,
                             softmax_objective)
@@ -50,7 +51,7 @@ def test_logistic_all_zero_outcome_with_ridge():
 def test_logistic_separation_raises():
     x = np.array([[-2.0], [-1.0], [1.0], [2.0]])
     y = np.array([0, 0, 1, 1])
-    with pytest.raises(Separation):
+    with pytest.raises(ModelError, match="coefficients diverging; refit with l2 > 0"):
         fit_logistic(x, y, l2=0.0)
 
 
@@ -84,7 +85,7 @@ def test_predict_binary_monotone_in_positive_coefficient():
 def test_predict_binary_dimension_mismatch():
     model = fit_logistic(np.random.default_rng(0).standard_normal((50, 2)),
                          np.array([0, 1] * 25), l2=0.5)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ModelError, match="model expects 2 columns, got 5"):
         predict_binary(model, np.zeros((3, 5)))
 
 
@@ -129,7 +130,7 @@ def test_multiclass_deterministic_given_seed():
 
 def test_multiclass_degenerate_labels():
     x = np.zeros((5, 2))
-    with pytest.raises(DegenerateLabels):
+    with pytest.raises(DegenerateLabels, match="need at least two distinct labels"):
         fit_multiclass(x, _keys([1] * 5), MulticlassConfig())
     probs = membership_probs(x, _keys([0] * 5), x, 1, MulticlassConfig())
     assert probs.shape == (5, 1) and np.all(probs == 1.0)
@@ -173,7 +174,7 @@ def test_membership_classes_are_sorted_codes_at_their_columns():
     expected[:, [0, 2, 3]] = np.clip(predict_multiclass(model, x), PROB_EPS, None)
     expected /= expected.sum(axis=1, keepdims=True)
     assert np.array_equal(membership_probs(x, codes, x, schema.n_groups, config), expected)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ModelError, match=re.escape("group codes must lie in [0, 3); got 0..3")):
         membership_probs(x, codes, x, 3, config)
 
     # one code present: the fallback puts (almost) all mass on it
@@ -181,7 +182,7 @@ def test_membership_classes_are_sorted_codes_at_their_columns():
     assert np.argmax(probs, axis=1).tolist() == [2] * 60
     assert np.array_equal(probs[0], np.array([PROB_EPS, PROB_EPS, 1.0, PROB_EPS])
                           / (1.0 + 3 * PROB_EPS))
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ModelError, match="59 labels for 60 rows"):
         fit_multiclass(x, codes[:-1], MulticlassConfig(epochs=30))
 
 
@@ -204,7 +205,7 @@ def test_membership_probs_predicts_rows_other_than_its_training_rows():
 
 def test_the_one_code_fallback_checks_codes_and_loads_no_numpy_ma():
     x = np.zeros((6, 2))
-    with pytest.raises(DimensionMismatch, match=r"got -1\.\.-1"):
+    with pytest.raises(ModelError, match=r"got -1\.\.-1"):
         membership_probs(x, np.full(6, -1), x, 4, MulticlassConfig())
     # a plain np.unique imports numpy.ma, 10-14 ms of every process that calls it
     code = ("import sys, numpy as np\n"
@@ -589,5 +590,5 @@ def test_crossfit_infeasible_folds():
         s=np.zeros(n, dtype=np.int8),
         x=np.zeros((n, 1)),
     )
-    with pytest.raises(InfeasibleFolds):
+    with pytest.raises(ModelError, match="no feasible 4-fold split after 10 draws"):
         make_crossfit_plan(ds, 4, seed=0)

@@ -9,8 +9,7 @@ from cfaudit.estimators import METRICS
 from cfaudit.models import BinarySpec, ModelError, MulticlassConfig
 from cfaudit.pipeline import PipelineConfig
 from cfaudit.simlab import (DRAW_ROWS, INTERACTION_PAIRS, INTERACTION_TRIPLES,
-                            SIM_GROUPS, WALK_CELLS, DegenerateOutcome,
-                            Population, RiskModel, ScenarioConfig,
+                            SIM_GROUPS, WALK_CELLS, Population, RiskModel, ScenarioConfig,
                             _grow_tree, _population_blocks, _sample_categorical,
                             _Tree, default_coefficients,
                             generate_population, oracle_error_rates,
@@ -114,7 +113,7 @@ def test_risk_model_learns_separable_signal():
 
 
 def test_risk_model_degenerate_outcome():
-    with pytest.raises(DegenerateOutcome):
+    with pytest.raises(ModelError, match="training outcome is constant"):
         train_risk_model(np.zeros((10, 2)), np.ones(10), n_trees=5, seed=0)
 
 

@@ -152,10 +152,12 @@ def proposed_rate(ds: AuditDataset, nuis: NuisanceEstimates,
     """Proposed group estimator: overall rate times the membership ratio.
 
     The raw product can leave [0, 1]; the reported value is clipped to it,
-    and the raw product is kept for diagnostics.
+    and the raw product is kept for diagnostics. A group with no rows has no
+    estimate: only the clamp of its membership probability would keep the
+    ratio's denominator above zero.
     """
     metric = overall.metric
-    if not overall.defined:
+    if not overall.defined or not np.any(ds.group_codes == group):
         return _undefined(metric, method, group)
     if overall.value == 0.0:
         # multiplicative form: a zero overall rate pins every group at zero

@@ -2,7 +2,10 @@
 
 Binary outcome regressions are penalized logistic fits, solved by IRLS
 (Newton with step halving, so the penalized log-likelihood never decreases).
-Group-membership models are multiclass.
+Group-membership models are multiclass feed-forward networks with a softmax
+output: softmax-linear has no hidden layer (multinomial logistic regression;
+Bishop, Pattern Recognition and Machine Learning, 2006, 4.3.4 and 5.1) and
+mlp-1hidden one, and both share one forward pass, gradient and objective.
 The softmax-linear model has a convex objective and is fitted to convergence
 from zero weights by L-BFGS (Liu & Nocedal, 1989; Nocedal & Wright,
 Numerical Optimization, 2006, Alg. 7.4 with the strong-Wolfe line search of
@@ -38,10 +41,6 @@ IRLS_TOL = 1e-8
 
 class ModelError(Exception):
     """A model fit or prediction that cannot run on its inputs."""
-
-
-class DegenerateLabels(ModelError):
-    """Fewer than two classes in the training labels."""
 
 
 def sigmoid(z):
@@ -148,11 +147,13 @@ class MulticlassConfig:
         check_choice("kind", self.kind, MULTICLASS_KINDS)
         check_at_least("hidden", self.hidden, 1)
         check_at_least("decay", self.decay, 0)
+        check_at_least("epochs", self.epochs, 0)
+        if not self.lr > 0:  # NaN too
+            raise ValueError(f"lr must be greater than 0; got {self.lr!r}")
 
 
 @dataclass
 class MulticlassModel:
-    kind: str  # one of MULTICLASS_KINDS
     classes: np.ndarray  # sorted int labels; column j of a prediction is classes[j]
     params: tuple  # (w,) softmax-linear; (w1, w2) mlp-1hidden
     converged: bool  # the MLP's gradient descent never claims convergence
@@ -192,65 +193,61 @@ def _softmax(z, out=None):
     return np.divide(e, _row_sum(e)[:, None], out=e)
 
 
-def _buffers(n, k, hidden=0):
-    """Work arrays of one gradient evaluation; a fit reuses one set per epoch.
-    "hb" holds the hidden layer after a column of ones."""
+def _buffers(params, n):
+    """Work arrays of one evaluation of the model with weights params on n
+    rows; a fit reuses one set per epoch. "hb" holds the hidden layer after a
+    column of ones."""
+    k = params[-1].shape[1]
     buf = {"probs": np.empty((n, k)), "delta": np.empty((n, k))}
-    if hidden:
+    if len(params) == 2:
+        hidden = params[0].shape[1]
         buf.update(hb=np.ones((n, hidden + 1)), pre=np.empty((n, hidden)),
                    back=np.empty((n, hidden)))
     return buf
 
 
-def softmax_objective(w, xb, y_onehot, decay, buf=None):
-    """Total cross-entropy plus decay * sum of squared weights, with gradient.
-
-    w: (p+1, k) weights including the intercept row; xb includes the
-    intercept column. A fit passes its work buffers as buf.
-    """
-    buf = _buffers(*y_onehot.shape) if buf is None else buf
-    probs = _softmax(np.matmul(xb, w, out=buf["probs"]), out=buf["probs"])
-    grad = xb.T @ np.subtract(probs, y_onehot, out=buf["delta"]) + 2.0 * decay * w
-    ll = np.sum(y_onehot * np.log(np.clip(probs, PROB_EPS, None)))
-    loss = -ll + decay * float(np.sum(w * w))
-    return loss, grad
+def _forward(params, xb, buf):
+    """Class probabilities, in buf["probs"]. The network's sigmoid hidden
+    layer is written into buf["hb"][:, 1:], after its column of ones, and
+    feeds the output softmax in place of xb."""
+    if len(params) == 2:
+        z = np.matmul(xb, np.negative(params[0]), out=buf["pre"])  # -(xb @ w1), bit for bit
+        np.exp(z, out=z)
+        np.divide(1.0, np.add(1.0, z, out=z), out=buf["hb"][:, 1:])
+        xb = buf["hb"]
+    return _softmax(np.matmul(xb, params[-1], out=buf["probs"]), out=buf["probs"])
 
 
-def _mlp_forward(xb, w1, w2, buf):
-    """Class probabilities of the network. The sigmoid hidden layer is
-    written into buf["hb"][:, 1:], after its column of ones."""
-    z = np.matmul(xb, np.negative(w1), out=buf["pre"])  # -(xb @ w1), bit for bit
-    np.exp(z, out=z)
-    np.divide(1.0, np.add(1.0, z, out=z), out=buf["hb"][:, 1:])
-    return _softmax(np.matmul(buf["hb"], w2, out=buf["probs"]), out=buf["probs"])
-
-
-def _mlp_grads(params, xb, y_onehot, decay, buf=None):
-    """Class probabilities (in buf) and the gradients of mlp_objective."""
-    w1, w2 = params
-    buf = _buffers(*y_onehot.shape, w1.shape[1]) if buf is None else buf
-    probs = _mlp_forward(xb, w1, w2, buf)
-    hb, hidden = buf["hb"], buf["hb"][:, 1:]
+def _gradients(params, xb, y_onehot, decay, buf):
+    """The gradients of softmax_objective, one per weight matrix of params,
+    leaving the class probabilities in buf["probs"]."""
+    probs = _forward(params, xb, buf)
+    top = buf["hb"] if len(params) == 2 else xb  # the output layer's inputs
     delta_out = np.subtract(probs, y_onehot, out=buf["delta"])  # (n, k)
-    g2 = hb.T @ delta_out + 2.0 * decay * w2
+    g_out = top.T @ delta_out + 2.0 * decay * params[-1]
+    if len(params) == 1:
+        return (g_out,)
+    w1, w2 = params
+    hidden = top[:, 1:]
     delta_hidden = np.matmul(delta_out, w2[1:].T, out=buf["back"])  # no intercept row
     delta_hidden *= hidden
     delta_hidden *= np.subtract(1.0, hidden, out=buf["pre"])
-    g1 = xb.T @ delta_hidden + 2.0 * decay * w1
-    return probs, (g1, g2)
+    return (xb.T @ delta_hidden + 2.0 * decay * w1, g_out)
 
 
-def mlp_objective(params, xb, y_onehot, decay, buf=None):
-    """Objective and gradients for the single-hidden-layer network.
+def softmax_objective(params, xb, y_onehot, decay, buf=None):
+    """Total cross-entropy plus decay * the sum of squared weights, with its
+    gradients, of the membership model with weights params.
 
-    Hidden activation is the logistic sigmoid; decay penalizes every weight
-    in both layers. A fit passes its work buffers as buf.
+    params is (w,) for softmax-linear, the network with no hidden layer, and
+    (w1, w2) for the network with one logistic hidden layer. xb includes the
+    intercept column, and each weight matrix an intercept row. A fit passes
+    its work buffers as buf.
     """
-    w1, w2 = params
-    probs, grads = _mlp_grads(params, xb, y_onehot, decay, buf)
-    ll = np.sum(y_onehot * np.log(np.clip(probs, PROB_EPS, None)))
-    loss = -ll + decay * (float(np.sum(w1 * w1)) + float(np.sum(w2 * w2)))
-    return loss, grads
+    buf = _buffers(params, len(xb)) if buf is None else buf
+    grads = _gradients(params, xb, y_onehot, decay, buf)
+    ll = np.sum(y_onehot * np.log(np.clip(buf["probs"], PROB_EPS, None)))
+    return -ll + decay * sum(float(np.sum(w * w)) for w in params), grads
 
 
 # L-BFGS memory and stopping rule. Memory and the max|g| bound are scipy
@@ -355,7 +352,7 @@ def fit_multiclass(x, labels, config: MulticlassConfig, seed=0) -> MulticlassMod
     gradient-descent epochs of step config.lr from an initialization drawn
     from seed.
     Classes are the sorted unique labels, and training is deterministic.
-    Raises DegenerateLabels when only one class is present.
+    Raises ModelError unless there are two classes or more.
     """
     xb = _add_intercept(x)
     n = xb.shape[0]
@@ -363,51 +360,40 @@ def fit_multiclass(x, labels, config: MulticlassConfig, seed=0) -> MulticlassMod
     if len(columns) != n:
         raise ModelError(f"{len(columns)} labels for {n} rows")
     if len(classes) < 2:
-        raise DegenerateLabels("need at least two distinct labels")
+        raise ModelError("need at least two distinct labels")
     y_onehot = np.zeros((n, len(classes)))
     y_onehot[np.arange(n), columns] = 1.0
 
     if config.kind == "softmax-linear":
-        buf = _buffers(n, len(classes))
-        w, loss, converged, iterations = _lbfgs(
-            lambda w: softmax_objective(w, xb, y_onehot, config.decay, buf),
-            np.zeros((xb.shape[1], len(classes))), config.epochs)
-        return MulticlassModel(kind=config.kind, classes=classes, params=(w,),
-                               converged=converged, iterations=iterations,
-                               objective=float(loss))
+        w0 = np.zeros((xb.shape[1], len(classes)))
+        buf = _buffers((w0,), n)
 
-    if config.kind == "mlp-1hidden":
-        h = config.hidden
+        def objective(w):
+            loss, (grad,) = softmax_objective((w,), xb, y_onehot, config.decay, buf)
+            return loss, grad
+
+        w, loss, converged, iterations = _lbfgs(objective, w0, config.epochs)
+        params = (w,)
+    else:
         rng = np.random.default_rng(seed)
-        w1 = _xavier_uniform(rng, xb.shape[1], h)
-        w2 = _xavier_uniform(rng, h + 1, len(classes))
-        buf = _buffers(n, len(classes), h)
+        params = (_xavier_uniform(rng, xb.shape[1], config.hidden),
+                  _xavier_uniform(rng, config.hidden + 1, len(classes)))
+        buf = _buffers(params, n)
         for _ in range(config.epochs):
-            _, (g1, g2) = _mlp_grads((w1, w2), xb, y_onehot, config.decay, buf)
-            w1 -= (config.lr / n) * g1
-            w2 -= (config.lr / n) * g2
-        loss, _ = mlp_objective((w1, w2), xb, y_onehot, config.decay, buf)
-        return MulticlassModel(kind=config.kind, classes=classes, params=(w1, w2),
-                               converged=False, iterations=config.epochs,
-                               objective=float(loss))
-
-    raise ValueError(f"unknown multiclass kind: {config.kind!r}")
+            for w, g in zip(params, _gradients(params, xb, y_onehot, config.decay, buf)):
+                w -= (config.lr / n) * g
+        loss, _ = softmax_objective(params, xb, y_onehot, config.decay, buf)
+        converged, iterations = False, config.epochs
+    return MulticlassModel(classes=classes, params=params, converged=converged,
+                           iterations=iterations, objective=float(loss))
 
 
 def predict_multiclass(model: MulticlassModel, x) -> np.ndarray:
     """Row-stochastic probability matrix over model.classes."""
     xb = _add_intercept(x)
-    if model.kind == "softmax-linear":
-        (w,) = model.params
-        if xb.shape[1] != w.shape[0]:
-            raise ModelError("covariate count differs from training")
-        return _softmax(xb @ w)
-    if model.kind == "mlp-1hidden":
-        w1, w2 = model.params
-        if xb.shape[1] != w1.shape[0]:
-            raise ModelError("covariate count differs from training")
-        return _mlp_forward(xb, w1, w2, _buffers(xb.shape[0], w2.shape[1], w1.shape[1]))
-    raise ValueError(f"unknown multiclass kind: {model.kind!r}")
+    if xb.shape[1] != model.params[0].shape[0]:
+        raise ModelError("covariate count differs from training")
+    return _forward(model.params, xb, _buffers(model.params, xb.shape[0]))
 
 
 def membership_probs(x, group_codes, x_eval, n_groups: int, config: MulticlassConfig,
@@ -420,14 +406,14 @@ def membership_probs(x, group_codes, x_eval, n_groups: int, config: MulticlassCo
     zero probability; rows are then renormalized so they stay strictly
     positive and sum to one.
     """
-    try:
-        model = fit_multiclass(x, group_codes, config, seed)
-    except DegenerateLabels:  # bincount, unlike a plain np.unique, needs no numpy.ma
-        classes = np.flatnonzero(np.bincount(_check_codes(group_codes, n_groups, ModelError)))
+    codes = _check_codes(group_codes, n_groups, ModelError)
+    # bincount, unlike a plain np.unique, needs no numpy.ma
+    classes = np.flatnonzero(np.bincount(codes))
+    if len(classes) < 2 and len(codes) == len(x):
         raw = np.ones((len(x_eval), len(classes)))
-    else:
-        classes, raw = model.classes, predict_multiclass(model, x_eval)
-    _check_codes(classes, n_groups, ModelError)
+    else:  # fit_multiclass rejects a label count other than the row count
+        model = fit_multiclass(x, codes, config, seed)
+        raw = predict_multiclass(model, x_eval)
     out = np.zeros((raw.shape[0], n_groups))
     out[:, classes] = raw
     out = np.clip(out, PROB_EPS, None)

@@ -340,7 +340,8 @@ def _grow_tree(x, y, max_depth) -> _Tree:
     no node sorts again. A node splits at its lowest score over every feature
     and every cut between distinct values, the first feature and then the
     first cut on ties, with the threshold at the cut's midpoint. Nodes are
-    numbered in depth-first preorder, left subtree first.
+    numbered level by level, the root 0; each level's left children come
+    before its right ones.
     """
     n, p = x.shape
     xt = np.ascontiguousarray(x.T)
@@ -416,29 +417,12 @@ def _grow_tree(x, y, max_depth) -> _Tree:
         order = np.concatenate([order[sides == 0].reshape(p, -1),
                                 order[sides == 1].reshape(p, -1)], axis=1)
         nodes, counts, positives = kids[is_open], counts[is_open], positives[is_open]
-    return _preorder(_Tree(feature=feature[:created], threshold=threshold[:created],
-                           left=left[:created], right=right[:created], value=value[:created]))
+    return _Tree(feature=feature[:created], threshold=threshold[:created],
+                 left=left[:created], right=right[:created], value=value[:created])
 
 
 def _can_split(counts, positives):
     return (counts >= 2) & (positives > 0) & (positives < counts)
-
-
-def _preorder(tree: _Tree) -> _Tree:
-    """The tree with its nodes renumbered in depth-first preorder, left first."""
-    left, right = tree.left.tolist(), tree.right.tolist()
-    visit, stack = [], [0]
-    while stack:
-        node = stack.pop()
-        visit.append(node)
-        if left[node] != node:
-            stack += (right[node], left[node])
-    visit = np.array(visit)
-    rank = np.empty_like(visit)
-    rank[visit] = np.arange(visit.size)
-    return _Tree(feature=tree.feature[visit], threshold=tree.threshold[visit],
-                 left=rank[tree.left[visit]], right=rank[tree.right[visit]],
-                 value=tree.value[visit])
 
 
 # Tree x row cells per block of the all-tree walk in RiskModel.predict_score:

@@ -16,8 +16,7 @@ from cfaudit.cli import main as cli_main
 from cfaudit.dataset import AuditDataset, Characteristic, SchemaSpec
 from cfaudit.estimators import NuisanceEstimates, comparison_rate, proposed_rate
 from cfaudit.inference import bootstrap_estimates
-from cfaudit.models import (BinarySpec, MulticlassConfig, fit_logistic,
-                            mlp_objective, softmax_objective)
+from cfaudit.models import BinarySpec, MulticlassConfig, fit_logistic, softmax_objective
 from cfaudit.pipeline import PipelineConfig
 from cfaudit.simlab import (SIM_GROUPS, Population, RiskModel, ScenarioConfig,
                             _Tree, default_coefficients, oracle_error_rates,
@@ -269,21 +268,21 @@ def test_criterion_09_multiclass_gradient_check():
 
         for point in range(10):
             w = rng.standard_normal((p + 1, k))
-            _, grad = softmax_objective(w, xb, y, decay=0.7)
-            approx = fd(lambda t: softmax_objective(t.reshape(w.shape), xb, y, 0.7)[0],
+            _, (grad,) = softmax_objective((w,), xb, y, decay=0.7)
+            approx = fd(lambda t: softmax_objective((t.reshape(w.shape),), xb, y, 0.7)[0],
                         w.ravel()).reshape(w.shape)
             denom = np.maximum(np.abs(approx), 1.0)
             assert np.max(np.abs(grad - approx) / denom) < 1e-5
 
             w1 = 0.5 * rng.standard_normal((p + 1, hidden))
             w2 = 0.5 * rng.standard_normal((hidden + 1, k))
-            _, (g1, g2) = mlp_objective((w1, w2), xb, y, decay=0.3)
+            _, (g1, g2) = softmax_objective((w1, w2), xb, y, decay=0.3)
             n1 = w1.size
 
             def loss_of(flat):
                 a = flat[:n1].reshape(w1.shape)
                 b = flat[n1:].reshape(w2.shape)
-                return mlp_objective((a, b), xb, y, 0.3)[0]
+                return softmax_objective((a, b), xb, y, 0.3)[0]
 
             approx = fd(loss_of, np.concatenate([w1.ravel(), w2.ravel()]))
             grad = np.concatenate([g1.ravel(), g2.ravel()])

@@ -121,6 +121,23 @@ def test_internal_data_of_one_group_borrow_nothing(tmp_path, metric):
                for group, rate, _ in borrowed)
 
 
+def test_a_schema_group_without_internal_rows_has_no_estimate(tmp_path):
+    # a1 level "2" never occurs: groups 2|0 and 2|1 have no rows, so no method
+    # can estimate their rates, and no delta is taken from them
+    make_audit_files(tmp_path)
+    schema = json.loads((tmp_path / "schema.json").read_text())
+    schema["characteristics"][0]["levels"] = ["0", "1", "2"]
+    (tmp_path / "schema.json").write_text(json.dumps(schema))
+    assert main(["--config", str(audit_config(tmp_path))]) == 0
+    report = read_report(tmp_path)
+    empty = [e for e in report["estimates"] if e["group"] in ("2|0", "2|1")]
+    assert len(empty) == 2 * 2 * 3  # 2 groups, 2 metrics, 3 methods
+    assert all(not e["defined"] and e["value"] is None for e in empty)
+    assert not any(d["group"] in ("2|0", "2|1") for d in report["deltas"])
+    assert all(e["defined"] for e in report["estimates"]
+               if e["method"] != "comparison" and e["group"] not in ("2|0", "2|1"))
+
+
 def test_deltas_are_the_defined_differences_from_the_reference(tmp_path):
     make_audit_files(tmp_path)
     # no untreated y = 1 row in group 1|1 leaves its comparison cFNR undefined;
@@ -645,6 +662,9 @@ def rewrite(path, dotted, value):
     ("models.h_internal.hidden", 0, "models.h_internal: hidden must be at least 1; got 0"),
     ("models.h_external.decay", -1, "models.h_external: decay must be at least 0; got -1.0"),
     ("models.pi.l2", -0.5, "models.pi: l2 must be at least 0; got -0.5"),
+    ("models.h_internal.epochs", -3, "models.h_internal: epochs must be at least 0; got -3"),
+    ("models.h_external.lr", -50, "models.h_external: lr must be greater than 0; got -50.0"),
+    ("models.h_internal.lr", 0, "models.h_internal: lr must be greater than 0; got 0.0"),
     ("threads", -3, "threads must be at least 1; got -3"),
     ("models.pi.max_iter", 100, "unknown key models.pi.max_iter"),
     ("seed", -1, "config: seed must be at least 0; got -1"),
@@ -684,6 +704,10 @@ def test_bad_audit_config_exits_2_before_any_fit(tmp_path, monkeypatch, capsys,
     ("scenario.p_noise", -1, "scenario: p_noise must be at least 0; got -1"),
     ("scenario.pipeline.h_external.hidden", 0, "hidden must be at least 1; got 0"),
     ("scenario.pipeline.mu.l2", -1, "l2 must be at least 0; got -1.0"),
+    ("scenario.pipeline.h_external.epochs", -1,
+     "scenario.pipeline.h_external: epochs must be at least 0; got -1"),
+    ("scenario.pipeline.h_internal.lr", -0.5,
+     "scenario.pipeline.h_internal: lr must be greater than 0; got -0.5"),
     ("threads", 0, "threads must be at least 1; got 0"),
     ("scenario.seed", -3, "scenario: seed must be at least 0; got -3"),
     ("scenario.n_internal", 0, "scenario: n_internal must be at least 1; got 0"),

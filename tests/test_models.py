@@ -9,10 +9,10 @@ import pytest
 
 import cfaudit
 from cfaudit.dataset import AuditDataset, Characteristic, SchemaSpec
-from cfaudit.models import (PROB_EPS, BinarySpec, DegenerateLabels, ModelError,
+from cfaudit.models import (PROB_EPS, BinarySpec, ModelError,
                             MulticlassConfig, NuisanceModels, cross_fit, fit_logistic,
                             fit_multiclass,
-                            make_crossfit_plan, membership_probs, mlp_objective,
+                            make_crossfit_plan, membership_probs,
                             predict_binary, predict_multiclass, _lbfgs, _softmax,
                             softmax_objective)
 
@@ -130,7 +130,7 @@ def test_multiclass_deterministic_given_seed():
 
 def test_multiclass_degenerate_labels():
     x = np.zeros((5, 2))
-    with pytest.raises(DegenerateLabels, match="need at least two distinct labels"):
+    with pytest.raises(ModelError, match="need at least two distinct labels"):
         fit_multiclass(x, _keys([1] * 5), MulticlassConfig())
     probs = membership_probs(x, _keys([0] * 5), x, 1, MulticlassConfig())
     assert probs.shape == (5, 1) and np.all(probs == 1.0)
@@ -184,6 +184,14 @@ def test_membership_classes_are_sorted_codes_at_their_columns():
                           / (1.0 + 3 * PROB_EPS))
     with pytest.raises(ModelError, match="59 labels for 60 rows"):
         fit_multiclass(x, codes[:-1], MulticlassConfig(epochs=30))
+
+
+def test_membership_fallback_still_rejects_a_label_count_other_than_the_rows():
+    # one code present takes the frequency fallback, which fits nothing, but
+    # labels and rows must still pair up
+    with pytest.raises(ModelError, match="5 labels for 10 rows"):
+        membership_probs(np.zeros((10, 2)), np.zeros(5, int), np.zeros((3, 2)), 4,
+                         MulticlassConfig())
 
 
 def test_membership_probs_predicts_rows_other_than_its_training_rows():
@@ -311,9 +319,9 @@ def test_fit_and_predict_multiclass_bit_equal_to_reference(cfg, k):
     if cfg.kind == "softmax-linear":
         # L-BFGS: at the optimum, below the reference gradient descent, repeatable
         xb, y = _design(x, labels, model.classes)
-        loss, grad = softmax_objective(model.params[0], xb, y, cfg.decay)
+        loss, (grad,) = softmax_objective(model.params, xb, y, cfg.decay)
         assert np.max(np.abs(grad)) < 0.01
-        assert loss <= softmax_objective(expected[0], xb, y, cfg.decay)[0]
+        assert loss <= softmax_objective(expected, xb, y, cfg.decay)[0]
         assert model.converged and model.objective == loss
         assert np.array_equal(fit_multiclass(x, labels, cfg).params[0], model.params[0])
         assert np.array_equal(predict_multiclass(model, new_x),
@@ -333,7 +341,7 @@ def test_mlp_reports_its_epochs_and_final_objective():
     model = fit_multiclass(x, labels, cfg, seed=2)
     xb, y = _design(x, labels, model.classes)
     assert not model.converged and model.iterations == 15
-    assert model.objective == mlp_objective(model.params, xb, y, cfg.decay)[0]
+    assert model.objective == softmax_objective(model.params, xb, y, cfg.decay)[0]
 
 
 def test_lbfgs_minimises_a_convex_quadratic():
@@ -373,46 +381,29 @@ def _finite_difference(f, theta, eps=1e-6):
     return grad
 
 
-def test_softmax_gradient_matches_central_differences():
-    rng = np.random.default_rng(8)
-    n, p, k = 40, 3, 4
+@pytest.mark.parametrize("seed,n,hidden,k,scale,decay", [
+    (8, 40, 0, 4, 1.0, 0.7),  # (w,): softmax-linear
+    (9, 25, 6, 3, 0.5, 0.3),  # (w1, w2): one hidden layer
+], ids=["softmax-linear", "mlp-1hidden"])
+def test_objective_gradient_matches_central_differences(seed, n, hidden, k, scale, decay):
+    rng = np.random.default_rng(seed)
+    p = 3
     xb = np.hstack([np.ones((n, 1)), rng.standard_normal((n, p))])
     y = np.zeros((n, k))
     y[np.arange(n), rng.integers(0, k, n)] = 1.0
+    shapes = [(p + 1, hidden), (hidden + 1, k)] if hidden else [(p + 1, k)]
+    ends = np.cumsum([a * b for a, b in shapes])
+
+    def loss_of(flat):
+        params = tuple(w.reshape(shape) for w, shape in zip(np.split(flat, ends[:-1]), shapes))
+        val, _ = softmax_objective(params, xb, y, decay)
+        return val
+
     for point in range(10):
-        w = rng.standard_normal((p + 1, k))
-
-        def loss_of(flat):
-            val, _ = softmax_objective(flat.reshape(p + 1, k), xb, y, decay=0.7)
-            return val
-
-        _, grad = softmax_objective(w, xb, y, decay=0.7)
-        approx = _finite_difference(loss_of, w.ravel()).reshape(w.shape)
-        denom = np.maximum(np.abs(approx), 1.0)
-        assert np.max(np.abs(grad - approx) / denom) < 1e-5
-
-
-def test_mlp_gradient_matches_central_differences():
-    rng = np.random.default_rng(9)
-    n, p, hidden, k = 25, 3, 6, 3
-    xb = np.hstack([np.ones((n, 1)), rng.standard_normal((n, p))])
-    y = np.zeros((n, k))
-    y[np.arange(n), rng.integers(0, k, n)] = 1.0
-    n1 = (p + 1) * hidden
-    for point in range(10):
-        w1 = 0.5 * rng.standard_normal((p + 1, hidden))
-        w2 = 0.5 * rng.standard_normal((hidden + 1, k))
-
-        def loss_of(flat):
-            a = flat[:n1].reshape(p + 1, hidden)
-            b = flat[n1:].reshape(hidden + 1, k)
-            val, _ = mlp_objective((a, b), xb, y, decay=0.3)
-            return val
-
-        _, (g1, g2) = mlp_objective((w1, w2), xb, y, decay=0.3)
-        flat = np.concatenate([w1.ravel(), w2.ravel()])
-        approx = _finite_difference(loss_of, flat)
-        grad = np.concatenate([g1.ravel(), g2.ravel()])
+        params = tuple(scale * rng.standard_normal(shape) for shape in shapes)
+        _, grads = softmax_objective(params, xb, y, decay)
+        approx = _finite_difference(loss_of, np.concatenate([w.ravel() for w in params]))
+        grad = np.concatenate([g.ravel() for g in grads])
         denom = np.maximum(np.abs(approx), 1.0)
         assert np.max(np.abs(grad - approx) / denom) < 1e-5
 

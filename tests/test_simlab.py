@@ -494,9 +494,21 @@ def reference_predict_score(model: RiskModel, x) -> np.ndarray:
 
 
 def assert_same_tree(tree: _Tree, ref: _Tree):
+    """Equal dtypes, and equal nodes compared from the roots down, whatever
+    order each tree numbers its nodes in."""
     for name in ("feature", "threshold", "left", "right", "value"):
-        got, want = getattr(tree, name), getattr(ref, name)
-        assert got.dtype == want.dtype and np.array_equal(got, want), name
+        assert getattr(tree, name).dtype == getattr(ref, name).dtype, name
+    visited, pairs = 0, [(0, 0)]
+    while pairs:
+        node, want = pairs.pop()
+        visited += 1
+        for name in ("feature", "threshold", "value"):
+            assert getattr(tree, name)[node] == getattr(ref, name)[want], name
+        if ref.feature[want] < 0:  # a leaf is its own child
+            assert tree.left[node] == tree.right[node] == node
+        else:
+            pairs += [(tree.left[node], ref.left[want]), (tree.right[node], ref.right[want])]
+    assert visited == tree.feature.size == ref.feature.size
 
 
 def tree_data(case, seed):

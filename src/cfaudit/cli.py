@@ -64,7 +64,7 @@ class Bootstrap:
     level: float = 0.95
 
     def __post_init__(self):
-        if self.B < 0 or self.B == 1:
+        if not (self.B == 0 or self.B >= 2):  # NaN too
             raise ValueError(f"B must be 0 (no intervals) or at least 2; got {self.B}")
         check_level(self.level)
 

@@ -32,8 +32,8 @@ def check_choice(name: str, value, choices) -> None:
 
 
 def check_at_least(name: str, value, low) -> None:
-    """Raise ValueError unless value >= low."""
-    if value < low:
+    """Raise ValueError unless value >= low; NaN is not."""
+    if not value >= low:
         raise ValueError(f"{name} must be at least {low}; got {value!r}")
 
 

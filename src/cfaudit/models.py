@@ -193,34 +193,44 @@ def _softmax(z, out=None):
     return np.divide(e, _row_sum(e)[:, None], out=e)
 
 
-def _buffers(params, n):
+def _buffers(params, n, y_onehot=None):
     """Work arrays of one evaluation of the model with weights params on n
-    rows; a fit reuses one set per epoch. "hb" holds the hidden layer after a
-    column of ones."""
+    rows; a fit reuses one set per epoch. The network's are two full
+    (n, hidden + 1) blocks, so that no elementwise pass runs over a strided
+    view: "hb" holds the hidden layer after a column of ones, and "back" the
+    back-propagated error. Given the one-hot labels, "loss" is a zero (n, k)
+    array whose label entries, at the flat indices "labels", take each
+    evaluation's log-likelihoods."""
     k = params[-1].shape[1]
     buf = {"probs": np.empty((n, k)), "delta": np.empty((n, k))}
     if len(params) == 2:
         hidden = params[0].shape[1]
-        buf.update(hb=np.ones((n, hidden + 1)), pre=np.empty((n, hidden)),
-                   back=np.empty((n, hidden)))
+        # no product fills back's column 0, and the in-place products keep it 0
+        buf.update(hb=np.empty((n, hidden + 1)), back=np.zeros((n, hidden + 1)))
+    if y_onehot is not None:
+        buf.update(loss=np.zeros((n, k)), labels=np.flatnonzero(y_onehot))
     return buf
 
 
 def _forward(params, xb, buf):
     """Class probabilities, in buf["probs"]. The network's sigmoid hidden
-    layer is written into buf["hb"][:, 1:], after its column of ones, and
+    layer, after its column of ones, is computed in place in buf["hb"] and
     feeds the output softmax in place of xb."""
     if len(params) == 2:
-        z = np.matmul(xb, np.negative(params[0]), out=buf["pre"])  # -(xb @ w1), bit for bit
+        z = buf["hb"]
+        # BLAS writes the product into the strided view, at the same shape as
+        # xb @ w1, so bit for bit -(xb @ w1); column 0's exp(-inf) gives ones
+        np.matmul(xb, np.negative(params[0]), out=z[:, 1:])
+        z[:, 0] = -np.inf
         np.exp(z, out=z)
-        np.divide(1.0, np.add(1.0, z, out=z), out=buf["hb"][:, 1:])
-        xb = buf["hb"]
+        xb = np.divide(1.0, np.add(1.0, z, out=z), out=z)
     return _softmax(np.matmul(xb, params[-1], out=buf["probs"]), out=buf["probs"])
 
 
 def _gradients(params, xb, y_onehot, decay, buf):
     """The gradients of softmax_objective, one per weight matrix of params,
-    leaving the class probabilities in buf["probs"]."""
+    leaving the class probabilities in buf["probs"]. The network's hidden
+    layer is used up: buf["hb"] ends as 1 - hb."""
     probs = _forward(params, xb, buf)
     top = buf["hb"] if len(params) == 2 else xb  # the output layer's inputs
     delta_out = np.subtract(probs, y_onehot, out=buf["delta"])  # (n, k)
@@ -228,10 +238,15 @@ def _gradients(params, xb, y_onehot, decay, buf):
     if len(params) == 1:
         return (g_out,)
     w1, w2 = params
-    hidden = top[:, 1:]
-    delta_hidden = np.matmul(delta_out, w2[1:].T, out=buf["back"])  # no intercept row
-    delta_hidden *= hidden
-    delta_hidden *= np.subtract(1.0, hidden, out=buf["pre"])
+    back = buf["back"]
+    np.matmul(delta_out, w2[1:].T, out=back[:, 1:])  # no intercept row
+    back *= top
+    back *= np.subtract(1.0, top, out=top)  # top's last use
+    delta_hidden = back[:, 1:]
+    if delta_hidden.shape[1] == 1:
+        # numpy hands a one-column view to gemv with a stride of two, whose
+        # bits differ from those of the contiguous column
+        delta_hidden = delta_hidden.copy()
     return (xb.T @ delta_hidden + 2.0 * decay * w1, g_out)
 
 
@@ -242,11 +257,17 @@ def softmax_objective(params, xb, y_onehot, decay, buf=None):
     params is (w,) for softmax-linear, the network with no hidden layer, and
     (w1, w2) for the network with one logistic hidden layer. xb includes the
     intercept column, and each weight matrix an intercept row. A fit passes
-    its work buffers as buf.
+    its work buffers, made with its y_onehot, as buf.
     """
-    buf = _buffers(params, len(xb)) if buf is None else buf
+    buf = _buffers(params, len(xb), y_onehot) if buf is None else buf
     grads = _gradients(params, xb, y_onehot, decay, buf)
-    ll = np.sum(y_onehot * np.log(np.clip(buf["probs"], PROB_EPS, None)))
+    # log-likelihoods at the label entries only. Summing the whole zero-filled
+    # array keeps numpy's pairwise grouping: partial sums can differ from
+    # those of y_onehot * log(probs) only in the sign of a zero, so the total
+    # has the same bits
+    picked = np.clip(np.take(buf["probs"], buf["labels"]), PROB_EPS, None)
+    np.put(buf["loss"], buf["labels"], np.log(picked, out=picked))
+    ll = np.sum(buf["loss"])
     return -ll + decay * sum(float(np.sum(w * w)) for w in params), grads
 
 
@@ -366,7 +387,7 @@ def fit_multiclass(x, labels, config: MulticlassConfig, seed=0) -> MulticlassMod
 
     if config.kind == "softmax-linear":
         w0 = np.zeros((xb.shape[1], len(classes)))
-        buf = _buffers((w0,), n)
+        buf = _buffers((w0,), n, y_onehot)
 
         def objective(w):
             loss, (grad,) = softmax_objective((w,), xb, y_onehot, config.decay, buf)
@@ -378,7 +399,7 @@ def fit_multiclass(x, labels, config: MulticlassConfig, seed=0) -> MulticlassMod
         rng = np.random.default_rng(seed)
         params = (_xavier_uniform(rng, xb.shape[1], config.hidden),
                   _xavier_uniform(rng, config.hidden + 1, len(classes)))
-        buf = _buffers(params, n)
+        buf = _buffers(params, n, y_onehot)
         for _ in range(config.epochs):
             for w, g in zip(params, _gradients(params, xb, y_onehot, config.decay, buf)):
                 w -= (config.lr / n) * g

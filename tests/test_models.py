@@ -2,19 +2,22 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import cfaudit
+from cfaudit.cli import Bootstrap
 from cfaudit.dataset import AuditDataset, Characteristic, SchemaSpec
 from cfaudit.models import (PROB_EPS, BinarySpec, ModelError,
                             MulticlassConfig, NuisanceModels, cross_fit, fit_logistic,
                             fit_multiclass,
                             make_crossfit_plan, membership_probs,
-                            predict_binary, predict_multiclass, _lbfgs, _softmax,
-                            softmax_objective)
+                            predict_binary, predict_multiclass, _buffers, _lbfgs,
+                            _softmax, softmax_objective)
+from cfaudit.simlab import ScenarioConfig
 
 
 def test_logistic_recovers_known_coefficients():
@@ -90,6 +93,17 @@ def test_predict_binary_dimension_mismatch():
 
 
 # --- multiclass ---
+
+
+@pytest.mark.parametrize("make", [
+    lambda: MulticlassConfig(decay=float("nan")),
+    lambda: BinarySpec(l2=float("nan")),
+    lambda: ScenarioConfig(n_internal=float("nan")),
+    lambda: Bootstrap(B=float("nan")),
+], ids=["MulticlassConfig.decay", "BinarySpec.l2", "ScenarioConfig.n_internal", "Bootstrap.B"])
+def test_range_checks_reject_nan(make):
+    with pytest.raises(ValueError, match="at least .*; got nan"):
+        make()
 
 
 def _keys(values):
@@ -331,6 +345,45 @@ def test_fit_and_predict_multiclass_bit_equal_to_reference(cfg, k):
     for got, want in zip(model.params, expected):
         assert np.array_equal(got, want)
     assert np.array_equal(predict_multiclass(model, new_x), _reference_predict(expected, new_x))
+
+
+@pytest.mark.parametrize("n,p,hidden,k,epochs", [
+    (400, 10, 100, 4, 500),  # simulate-mlp's internal and external fits
+    (800, 10, 100, 4, 500),
+    (300, 20, 100, 4, 50),  # a product over all hidden + 1 columns changes bits here
+    (300, 2, 1, 3, 50),  # numpy multiplies by a one-column view through gemv
+])
+def test_network_bit_equal_to_reference_at_simulation_shapes(n, p, hidden, k, epochs):
+    rng = np.random.default_rng(15)
+    x = rng.standard_normal((n, p))
+    labels = _keys(rng.integers(0, k, n))
+    cfg = MulticlassConfig(kind="mlp-1hidden", hidden=hidden, decay=1.0, epochs=epochs)
+    model = fit_multiclass(x, labels, cfg, seed=n)
+    expected = _reference_fit(x, labels, cfg, seed=n)
+    for got, want in zip(model.params, expected):
+        assert np.array_equal(got, want)
+    new_x = rng.standard_normal((n // 2 + 7, p))
+    assert np.array_equal(predict_multiclass(model, new_x), _reference_predict(expected, new_x))
+
+
+def test_a_network_fit_allocates_no_full_size_temporaries():
+    # the per-fit work buffers, the design and the one-hot labels are the
+    # only (n, hidden)-scale arrays; an epoch allocating one more fails this
+    rng = np.random.default_rng(16)
+    n, p, hidden, k = 800, 10, 100, 4
+    x = rng.standard_normal((n, p))
+    labels = _keys(rng.integers(0, k, n))
+    xb, y = _design(x, labels, np.arange(k))
+    weights = (np.empty((p + 1, hidden)), np.empty((hidden + 1, k)))
+    buffers = sum(a.nbytes for a in _buffers(weights, n, y).values())
+    cfg = MulticlassConfig(kind="mlp-1hidden", hidden=hidden, decay=1.0, epochs=50)
+    tracemalloc.start()
+    try:
+        fit_multiclass(x, labels, cfg, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < buffers + xb.nbytes + y.nbytes + n * hidden * 8
 
 
 def test_mlp_reports_its_epochs_and_final_objective():

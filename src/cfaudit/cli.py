@@ -10,7 +10,7 @@ import hashlib
 import itertools
 import json
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -139,8 +139,8 @@ def _scenario_points(scenario: dict, seed: int) -> tuple[dict, list]:
     decoded from the scenario with its sweep values written in, before any
     of them runs. Coefficients left unset are the defaults for each point's
     p_informative and interactions, and stay unset in the resolved form. The
-    scenario seed defaults to the run seed; the points of a sweep with more
-    than one point get seeds derived from it, unless the sweep sets the seed.
+    scenario seed defaults to the run seed, and every point runs on it unless
+    the sweep sets the seed.
     """
     raw = {"seed": seed, **scenario}
     sweep = raw.pop("sweep", None) or {}
@@ -165,15 +165,10 @@ def _scenario_points(scenario: dict, seed: int) -> tuple[dict, list]:
         resolved["sweep"] = sweep
 
     names = sorted(sweep)
-    combos = list(itertools.product(*(sweep[name] for name in names)))
     points = []
-    for i, combo in enumerate(combos):
+    for combo in itertools.product(*(sweep[name] for name in names)):
         point = dict(zip(names, combo))
         config = decode(ScenarioConfig, {**raw, **point}, "scenario.sweep") if point else base
-        if len(combos) > 1 and "seed" not in point:
-            point_seed = int(np.random.SeedSequence(
-                entropy=base.seed, spawn_key=(i,)).generate_state(1)[0] % (2**31 - 1))
-            config = replace(config, seed=point_seed)
         points.append((point, config))
     return resolved, points
 
@@ -303,12 +298,13 @@ def cmd_audit(cfg: AuditConfig) -> int:
 
 
 def cmd_simulate(cfg: SimulateConfig) -> int:
-    from .simlab import run_scenario, sim_schema  # here so audits skip the simulation lab
+    from .simlab import run_sweep, sim_schema  # here so audits skip the simulation lab
 
     scenario, points = _scenario_points(cfg.scenario, cfg.seed)
-    sweep_names = sorted(points[0][0])
-    results = [(point, run_scenario(config, n_jobs=cfg.threads)) for point, config in points]
-    labels = sim_schema(points[0][1]).group_labels
+    sweep_points, configs = zip(*points)
+    sweep_names = sorted(sweep_points[0])
+    results = list(zip(sweep_points, run_sweep(list(configs), cfg.threads)))
+    labels = sim_schema(configs[0]).group_labels
 
     cfg.out.mkdir(parents=True, exist_ok=True)
 

@@ -45,16 +45,28 @@ class PipelineResult:
     blend: BlendedMembership | None
 
 
-def run_pipeline(internal: AuditDataset, external: ExternalDataset | None,
-                 config: PipelineConfig, seed: int) -> PipelineResult:
-    """Fit nuisances, optionally select the borrowing weight, and build the
-    report. Deterministic given the seed; per-stage seeds are derived from it."""
-    children = np.random.SeedSequence(seed).spawn(3)
-    crossfit_seed = int(children[0].generate_state(1)[0])
-    h_int_seed = int(children[1].generate_state(1)[0])
-    h_ext_seed = int(children[2].generate_state(1)[0])
+def _stage_seeds(seed) -> list[int]:
+    """The cross-fitting, internal-membership and external-membership seeds
+    of a run, derived from its seed."""
+    return [int(child.generate_state(1)[0]) for child in np.random.SeedSequence(seed).spawn(3)]
 
-    nuis = cross_fit(internal, config, seed=crossfit_seed, h_seed=h_int_seed)
+
+def internal_nuisances(internal: AuditDataset, config: PipelineConfig,
+                       seed: int) -> NuisanceEstimates:
+    """The cross-fit nuisances of run_pipeline(internal, _, config, seed).
+    They read neither the external data nor the borrowing settings, so runs
+    that differ only there can fit them once."""
+    crossfit_seed, h_int_seed, _ = _stage_seeds(seed)
+    return cross_fit(internal, config, seed=crossfit_seed, h_seed=h_int_seed)
+
+
+def run_pipeline(internal: AuditDataset, external: ExternalDataset | None,
+                 config: PipelineConfig, seed: int,
+                 nuisances: NuisanceEstimates | None = None) -> PipelineResult:
+    """Fit nuisances, optionally select the borrowing weight, and build the
+    report. Deterministic given the seed; per-stage seeds are derived from it.
+    nuisances, when given, must be internal_nuisances(internal, config, seed)."""
+    nuis = nuisances if nuisances is not None else internal_nuisances(internal, config, seed)
 
     methods = config.reported_methods(external is not None)
     blend = None
@@ -71,7 +83,7 @@ def run_pipeline(internal: AuditDataset, external: ExternalDataset | None,
             schema = internal.schema
             h_ext = membership_probs(external.x, external.group_codes,
                                      internal.x[:, schema.shared_index], schema.n_groups,
-                                     config.h_external, h_ext_seed)
+                                     config.h_external, _stage_seeds(seed)[2])
             blend = select_alpha(h_ext, nuis.group_prob, internal.group_codes,
                                  metric=config.borrow_metric,
                                  grid_step=config.alpha_grid_step)
@@ -83,15 +95,20 @@ def run_pipeline(internal: AuditDataset, external: ExternalDataset | None,
     return PipelineResult(report=report, nuisances=nuis, alpha=alpha, blend=blend)
 
 
+# The failures of a model fit that make a replicate NaN; any other exception
+# is a bug and propagates.
+FIT_ERRORS = (ModelError, np.linalg.LinAlgError)
+
+
 def run_cells(internal: AuditDataset, external: ExternalDataset | None,
-              config: PipelineConfig, seed: int, cells) -> tuple[np.ndarray, float]:
-    """One replicate: the run's value per cell of cells and its alpha, NaN
-    when borrowing did not run. A model fit that fails (ModelError,
-    LinAlgError) makes the whole replicate NaN; any other exception is a bug
-    and propagates."""
+              config: PipelineConfig, seed: int, cells,
+              nuisances: NuisanceEstimates | None = None) -> tuple[np.ndarray, float]:
+    """One replicate: the run_pipeline value per cell of cells and its alpha,
+    NaN when borrowing did not run. A fit that fails with one of FIT_ERRORS
+    makes the whole replicate NaN."""
     try:
-        result = run_pipeline(internal, external, config, seed)
-    except (ModelError, np.linalg.LinAlgError):
+        result = run_pipeline(internal, external, config, seed, nuisances)
+    except FIT_ERRORS:
         return np.full(len(cells), np.nan), np.nan
     alpha = result.alpha if result.alpha is not None else np.nan
     return result.report.values(cells), alpha

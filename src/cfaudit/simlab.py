@@ -21,11 +21,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import check_at_least
+from .config import check_at_least, encode
 from .dataset import AuditDataset, Characteristic, ExternalDataset, SchemaSpec
 from .estimators import METRICS, report_keys
 from .models import BinarySpec, ModelError, MulticlassConfig, _softmax, sigmoid
-from .pipeline import PipelineConfig, map_tasks, run_cells
+from .pipeline import (FIT_ERRORS, PipelineConfig, internal_nuisances, map_tasks,
+                       run_cells)
 
 
 @dataclass(frozen=True)
@@ -592,40 +593,92 @@ class ScenarioResult:
         return float(np.mean(good)) if good.size else np.nan
 
 
+# The settings that only a replication's external sample and its borrowing
+# step read: sweep points that differ in no other setting share their risk
+# model, their oracle, and each replication's internal sample and fits.
+EXTERNAL_SETTINGS = ("b", "n_external")
+EXTERNAL_PIPELINE_SETTINGS = ("h_external", "borrow", "borrow_metric", "alpha_grid_step")
+
+
+def _shared_settings(cfg: ScenarioConfig) -> str:
+    """cfg's settings less the external-side ones, as a comparable string."""
+    settings = encode(cfg)
+    for name in EXTERNAL_SETTINGS:
+        del settings[name]
+    for name in EXTERNAL_PIPELINE_SETTINGS:
+        del settings["pipeline"][name]
+    return repr(settings)
+
+
 def _run_replication(args):
-    """One replication's value per cell of cells, and its alpha."""
-    cfg, model, schema, child, cells = args
+    """One replication of every point of a group: one internal sample and
+    one fit of its nuisances, then each point's external sample and report.
+    Returns each point's value per cell of its cells, and its alpha."""
+    points, model, schema, child, cells = args
     sub = child.spawn(3)
     internal_seed, external_seed = sub[0], sub[1]
     pipeline_seed = int(sub[2].generate_state(1)[0] % (2**31 - 1))
     internal = to_audit_dataset(
-        generate_population(cfg, "internal", internal_seed, risk_model=model), schema)
-    external = None
-    if "proposed-borrowing" in cfg.pipeline.reported_methods(external=True):
-        external = to_external_dataset(
-            generate_population(cfg, "external", external_seed), schema)
-    return run_cells(internal, external, cfg.pipeline, pipeline_seed, cells)
+        generate_population(points[0], "internal", internal_seed, risk_model=model), schema)
+    try:
+        nuisances = internal_nuisances(internal, points[0].pipeline, pipeline_seed)
+    except FIT_ERRORS:
+        return [(np.full(len(point_cells), np.nan), np.nan) for point_cells in cells]
+    out = []
+    for cfg, point_cells in zip(points, cells):
+        external = None
+        if "proposed-borrowing" in cfg.pipeline.reported_methods(external=True):
+            external = to_external_dataset(
+                generate_population(cfg, "external", external_seed), schema)
+        out.append(run_cells(internal, external, cfg.pipeline, pipeline_seed, point_cells,
+                             nuisances))
+    return out
 
 
-def run_scenario(cfg: ScenarioConfig, n_jobs: int = 1) -> ScenarioResult:
+def run_sweep(points: list[ScenarioConfig], n_jobs: int = 1) -> list[ScenarioResult]:
+    """run_scenario of each point, with the stages the points share run once.
+
+    Points whose settings differ only in EXTERNAL_SETTINGS and
+    EXTERNAL_PIPELINE_SETTINGS form a group. A group trains one risk model,
+    counts one oracle, and per replication draws one internal sample and fits
+    its nuisances once; each point draws its own external sample and selects
+    its own alpha. Every result is bit for bit that of run_scenario(point).
+    The (group, replication) tasks all run in one map_tasks call."""
+    groups = {}
+    for i, cfg in enumerate(points):
+        groups.setdefault(_shared_settings(cfg), []).append(i)
+    plans, tasks = [], []
+    for members in groups.values():
+        cfg = points[members[0]]
+        children = np.random.SeedSequence(cfg.seed).spawn(3 + cfg.replications)
+        schema = sim_schema(cfg)
+        train = generate_population(cfg, "train", children[0])
+        model = train_risk_model(train.x, train.y, n_trees=cfg.n_trees,
+                                 max_depth=cfg.max_depth,
+                                 positive_rate=cfg.positive_rate, seed=children[2])
+        oracle = oracle_error_rates(_population_blocks(cfg, "validation", children[1]), model)
+        group = [points[i] for i in members]
+        cells = [report_keys(schema.n_groups, p.pipeline.reported_methods(external=True))
+                 for p in group]
+        plans.append((members, oracle, cells))
+        tasks += [(group, model, schema, child, cells) for child in children[3:]]
+
+    done = iter(map_tasks(_run_replication, tasks, n_jobs))
+    results = [None] * len(points)
+    for members, oracle, cells in plans:
+        reps = list(itertools.islice(done, points[members[0]].replications))
+        for j, i in enumerate(members):
+            values, alphas = zip(*(rep[j] for rep in reps))
+            results[i] = ScenarioResult(oracle=oracle, cells=cells[j],
+                                        values=np.vstack(values), alphas=list(alphas))
+    return results
+
+
+def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     """Full scenario: one shared risk model, oracle truth from the validation
     draw, then independent estimation replications (fresh internal and, when
     borrowing, external data each time). A replication whose model fit fails
     (ModelError, LinAlgError) becomes a row of NA; any other exception is a
-    bug and propagates. Deterministic for a fixed seed and any n_jobs."""
-    root = np.random.SeedSequence(cfg.seed)
-    children = root.spawn(3 + cfg.replications)
-    schema = sim_schema(cfg)
-
-    train = generate_population(cfg, "train", children[0])
-    model = train_risk_model(train.x, train.y, n_trees=cfg.n_trees,
-                             max_depth=cfg.max_depth,
-                             positive_rate=cfg.positive_rate, seed=children[2])
-    oracle = oracle_error_rates(_population_blocks(cfg, "validation", children[1]), model)
-
-    cells = report_keys(schema.n_groups, cfg.pipeline.reported_methods(external=True))
-    tasks = [(cfg, model, schema, children[3 + rep], cells)
-             for rep in range(cfg.replications)]
-    values, alphas = zip(*map_tasks(_run_replication, tasks, n_jobs))
-    return ScenarioResult(oracle=oracle, cells=cells,
-                          values=np.vstack(values), alphas=list(alphas))
+    bug and propagates. Deterministic for a fixed seed; run_sweep([cfg],
+    n_jobs) gives the same result in n_jobs worker processes."""
+    return run_sweep([cfg])[0]

@@ -358,6 +358,29 @@ def test_a_swept_seed_is_the_seed_of_its_point(tmp_path):
         assert seven == (tmp_path / "plain7" / file).read_text()
 
 
+def test_a_swept_b_point_writes_the_rows_of_its_standalone_run(tmp_path):
+    bs = [-1.0, 0.0, 1.0]
+    assert main(["--config", str(simulate_config(tmp_path, scenario_dict(sweep={"b": bs}))),
+                 "--out", str(tmp_path / "sweep")]) == 0
+    for b in bs:
+        assert main(["--config", str(simulate_config(tmp_path, scenario_dict(b=b))),
+                     "--out", str(tmp_path / f"b{b}")]) == 0
+    for file in ("replications.csv", "aggregate.csv"):
+        header, *rows = (tmp_path / "sweep" / file).read_text().splitlines(keepends=True)
+        assert header.startswith("b,")
+        for b in bs:
+            point = "".join([header.split(",", 1)[1]] + [
+                row.split(",", 1)[1] for row in rows if row.startswith(f"{b!r},")])
+            assert point == (tmp_path / f"b{b}" / file).read_text()
+
+    agg = list(csv.DictReader(open(tmp_path / "sweep" / "aggregate.csv")))
+    assert any(row["method"] == "proposed-borrowing" for row in agg)
+    oracle = {}
+    for row in agg:
+        oracle.setdefault((row["group"], row["metric"], row["method"]), set()).add(row["oracle"])
+    assert all(len(values) == 1 for values in oracle.values())
+
+
 def test_header_only_internal_csv_exits_1_naming_the_file(tmp_path, monkeypatch, capsys):
     make_audit_files(tmp_path)
     fail_on_fit(monkeypatch)
@@ -452,14 +475,18 @@ def test_seed_flag_is_the_seed_of_a_scenario_that_sets_its_own(tmp_path):
 
 
 def test_simulate_threads_do_not_change_bytes(tmp_path):
-    cfgpath = simulate_config(tmp_path, scenario_dict())
-    assert main(["--config", str(cfgpath), "--out", str(tmp_path / "t1"),
-                 "--threads", "1"]) == 0
-    assert main(["--config", str(cfgpath), "--out", str(tmp_path / "t2"),
-                 "--threads", "2"]) == 0
-    for name in ("replications.csv", "aggregate.csv"):
-        assert (tmp_path / "t1" / name).read_bytes() == \
-            (tmp_path / "t2" / name).read_bytes()
+    # one scenario, and a sweep whose b points share their stages and whose
+    # n_internal points do not
+    for case, scenario in (("plain", scenario_dict()),
+                           ("swept", scenario_dict(sweep={"b": [0.0, 1.0],
+                                                          "n_internal": [50, 60]}))):
+        cfgpath = simulate_config(tmp_path, scenario)
+        for threads in ("1", "2"):
+            assert main(["--config", str(cfgpath), "--out", str(tmp_path / case / threads),
+                         "--threads", threads]) == 0
+        for name in ("replications.csv", "aggregate.csv"):
+            assert (tmp_path / case / "1" / name).read_bytes() == \
+                (tmp_path / case / "2" / name).read_bytes()
 
 
 def test_bad_grid_step_in_scenario_pipeline_is_a_config_error(tmp_path, monkeypatch, capsys):

@@ -1,10 +1,11 @@
 import itertools
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from cfaudit import models, pipeline
+from cfaudit import models, pipeline, simlab
 from cfaudit.estimators import METRICS
 from cfaudit.models import BinarySpec, ModelError, MulticlassConfig
 from cfaudit.pipeline import PipelineConfig
@@ -13,7 +14,7 @@ from cfaudit.simlab import (DRAW_ROWS, INTERACTION_PAIRS, INTERACTION_TRIPLES,
                             _grow_tree, _population_blocks, _sample_categorical,
                             _Tree, default_coefficients,
                             generate_population, oracle_error_rates,
-                            run_scenario, train_risk_model)
+                            run_scenario, run_sweep, train_risk_model)
 
 
 def small_cfg(**kw):
@@ -254,6 +255,59 @@ def test_replication_with_other_cells_than_expected_raises(monkeypatch):
     monkeypatch.setattr(pipeline, "run_pipeline", without_proposed)
     with pytest.raises(RuntimeError, match="differ"):
         run_scenario(small_cfg(replications=1))
+
+
+def assert_same_result(got, want):
+    assert got.cells == want.cells
+    assert np.array_equal(got.values, want.values, equal_nan=True)
+    assert np.array_equal(got.alphas, want.alphas, equal_nan=True)
+    assert got.oracle.keys() == want.oracle.keys()
+    assert np.array_equal(list(got.oracle.values()), list(want.oracle.values()),
+                          equal_nan=True)
+
+
+def with_pipeline(cfg, **kw):
+    return replace(cfg, pipeline=replace(cfg.pipeline, **kw))
+
+
+@pytest.mark.parametrize("sweep", ["b x n_internal", "borrow_metric"])
+def test_a_sweep_point_is_its_standalone_scenario(sweep):
+    base = small_cfg()
+    if sweep == "borrow_metric":
+        points = [with_pipeline(base, borrow_metric="brier"),
+                  with_pipeline(base, borrow_metric="auc"),
+                  with_pipeline(base, borrow=False)]
+    else:
+        points = [replace(base, b=b, n_internal=n)
+                  for b, n in itertools.product([-1.0, 0.5, 1.0], [60, 80])]
+    for got, point in zip(run_sweep(points), points):
+        assert_same_result(got, run_scenario(point))
+
+
+def count_calls(monkeypatch, module, name) -> list:
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("name,values,shared", [("b", [-1.0, 0.0, 1.0], True),
+                                                ("n_internal", [60, 70, 80], False)])
+def test_points_that_differ_only_externally_share_their_stages(monkeypatch, name, values,
+                                                               shared):
+    trained = count_calls(monkeypatch, simlab, "train_risk_model")
+    counted = count_calls(monkeypatch, simlab, "oracle_error_rates")
+    fitted = count_calls(monkeypatch, pipeline, "cross_fit")
+    reps = 2
+    points = [replace(small_cfg(replications=reps), **{name: v}) for v in values]
+    run_sweep(points)
+    groups = 1 if shared else len(values)
+    assert (len(trained), len(counted), len(fitted)) == (groups, groups, groups * reps)
 
 
 def test_default_coefficients_shapes_with_interactions():
